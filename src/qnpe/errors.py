@@ -59,7 +59,8 @@ class IterationCapExceeded(SolverError):
 # --- eigenvalue oracle ---
 
 class EigFailure(SolverError):
-    """Dense symmetric eigendecomposition did not converge."""
+    """A LAPACK routine of the separation oracle (tridiagonal reduction,
+    eigenvalues, inverse iteration or back-map) reported failure."""
 
 
 # --- online learner ---

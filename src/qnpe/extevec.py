@@ -4,8 +4,11 @@ A query on a symmetric matrix W either certifies that W is (approximately)
 inside {||.||_op <= 1} or returns gamma > 1 together with a rank-one
 separator S = sign * u u^T built from an extreme eigenpair. The randomized
 variant estimates the eigenpair by Lanczos with a random start and a
-probabilistic iteration budget; the exact variant uses a full symmetric
-eigendecomposition and is the deterministic test reference.
+probabilistic iteration budget; the exact variant reduces W to tridiagonal
+form (Householder, LAPACK sytrd) and is the deterministic test reference.
+Both variants end in one tridiagonal kernel, every eigenvalue by root-free
+QR (sterf) and the one wanted eigenvector by inverse iteration (stein),
+followed by a map of that vector back to R^d.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import lapack
 
 from .errors import EigFailure
 
@@ -76,41 +79,66 @@ def lanczos_budget(d: int, delta: float, q: float) -> LanczosBudget:
     return LanczosBudget(n_iters=min(n, d), epsilon=eps)
 
 
-def ext_evec_exact(w: Array) -> SepOutcome:
-    """Deterministic oracle from a full eigendecomposition.
-
-    gamma equals ||W||_op exactly, the separator comes from the true extreme
-    unit eigenvector, and the guarantees hold with zero slack.
-    """
-    w = np.asarray(w, dtype=float)
-    try:
-        lam, vecs = np.linalg.eigh(w)
-    except np.linalg.LinAlgError as exc:
-        raise EigFailure(str(exc)) from exc
-    lo, hi = float(lam[0]), float(lam[-1])
-    gamma = max(hi, -lo)
-    if gamma <= 1.0:
-        return SepOutcome(gamma, None, None, 0, lam_min=lo, lam_max=hi)
-    if hi >= -lo:
-        return SepOutcome(gamma, 1, vecs[:, -1].copy(), 0, lam_min=lo, lam_max=hi)
-    return SepOutcome(gamma, -1, vecs[:, 0].copy(), 0, lam_min=lo, lam_max=hi)
+def _lapack(routine: str, *args, **kwargs):
+    """Call a LAPACK wrapper; a nonzero info raises EigFailure."""
+    *out, info = getattr(lapack, routine)(*args, **kwargs)
+    if info != 0:
+        raise EigFailure(f"LAPACK {routine} failed with info={info}")
+    return out
 
 
 def _tridiag_extremes(alphas: Array, betas: Array):
-    """Extreme eigenpairs of the Lanczos tridiagonal matrix.
+    """Extreme eigenvalues (lo, hi) of the symmetric tridiagonal matrix with
+    diagonal alphas and off-diagonal betas, and a unit eigenvector z for the
+    end of larger magnitude (hi on ties).
 
-    Solved by bisection on the Sturm sequence plus inverse iteration
-    (LAPACK stebz/stein), which eigh_tridiagonal uses for indexed selection.
+    All eigenvalues come from sterf and the one vector from inverse
+    iteration (stein). Index-selected bisection (stebz) and MRRR (stemr)
+    fail on the large eigenvalue cluster at 1.0 that the learner's
+    identity-plus-low-rank iterates carry.
     """
     m = alphas.shape[0]
     if m == 1:
-        one = np.ones(1)
-        return float(alphas[0]), one, float(alphas[0]), one
-    lo_val, lo_vec = eigh_tridiagonal(alphas, betas, select="i", select_range=(0, 0))
-    hi_val, hi_vec = eigh_tridiagonal(
-        alphas, betas, select="i", select_range=(m - 1, m - 1)
-    )
-    return float(hi_val[0]), hi_vec[:, 0], float(lo_val[0]), lo_vec[:, 0]
+        return float(alphas[0]), float(alphas[0]), np.ones(1)
+    (vals,) = _lapack("dsterf", alphas, betas)
+    lo, hi = float(vals[0]), float(vals[-1])
+    target = hi if hi >= -lo else lo
+    iblock = np.ones(m, dtype=np.int32)
+    isplit = np.zeros(m, dtype=np.int32)
+    isplit[0] = m
+    (z,) = _lapack("dstein", alphas, betas, np.array([target]), iblock, isplit)
+    return lo, hi, z[:, 0]
+
+
+def _outcome(lo: float, hi: float, u: Array, matvecs: int) -> SepOutcome:
+    """Outcome for extremes (lo, hi) with u the unit eigenvector of the end
+    of larger magnitude."""
+    gamma = max(hi, -lo)
+    if gamma <= 1.0:
+        return SepOutcome(gamma, None, None, matvecs, lam_min=lo, lam_max=hi)
+    sign = 1 if hi >= -lo else -1
+    return SepOutcome(gamma, sign, u, matvecs, lam_min=lo, lam_max=hi)
+
+
+def ext_evec_exact(w: Array) -> SepOutcome:
+    """Deterministic oracle: Householder tridiagonalization (sytrd), the
+    tridiagonal extremes kernel, and a back-map of the one eigenvector.
+
+    gamma equals ||W||_op to rounding, the separator comes from the extreme
+    unit eigenvector, and the guarantees hold with zero slack. W must be
+    symmetric: sytrd reads one triangle.
+    """
+    w = np.asarray(w, dtype=float)
+    d = w.shape[0]
+    # W is symmetric, so its transpose is the same matrix in Fortran order
+    c, diag, off, tau = _lapack("dsytrd", w.T, lower=1)
+    lo, hi, z = _tridiag_extremes(diag, off)
+    if d > 1:
+        # Q z with Q = H(1)...H(d-1) from sytrd; this is ormtr for the lower
+        # case, which scipy does not wrap. One column needs lwork = 1.
+        qz, _ = _lapack("dormqr", "L", "N", c[1:, :-1], tau, z[1:, None], 1)
+        z[1:] = qz[:, 0]
+    return _outcome(lo, hi, z, 0)
 
 
 def ext_evec_lanczos(
@@ -119,43 +147,43 @@ def ext_evec_lanczos(
     """Randomized oracle: Lanczos with a uniform random unit start.
 
     Runs the budgeted number of iterations with full reorthogonalization,
-    takes the extreme Ritz pairs of the tridiagonal matrix, and maps the
-    Ritz vectors back to R^d. With probability >= 1 - q the returned gamma
+    takes the extreme Ritz pair of the tridiagonal matrix, and maps the
+    Ritz vector back to R^d. With probability >= 1 - q the returned gamma
     satisfies ||W||_op <= (1 + delta) * max(gamma, 1). Early breakdown
     (beta = 0) is a success: the Krylov space is invariant and the
     tridiagonal matrix is exact on it.
     """
     w = np.asarray(w, dtype=float)
     d = w.shape[0]
-    budget = lanczos_budget(d, delta, q)
-    n = budget.n_iters
+    n = lanczos_budget(d, delta, q).n_iters
 
     v = rng.standard_normal(d)
-    v /= np.linalg.norm(v)
+    v /= math.sqrt(v @ v)
 
-    basis = np.zeros((d, n))
+    # one Lanczos vector per row, so reorthogonalization reads contiguous rows
+    basis = np.zeros((n, d))
     alphas = np.zeros(n)
     betas = np.zeros(max(n - 1, 0))
-    scale = 0.0
+    breakdown = 64.0 * np.finfo(float).eps
+    scale = 1.0
     m = n
-    matvecs = 0
     beta_prev = 0.0
     v_prev = np.zeros(d)
 
     for k in range(n):
-        basis[:, k] = v
+        basis[k] = v
         work = w @ v - beta_prev * v_prev
-        matvecs += 1
         a = float(work @ v)
         work -= a * v
         # full reorthogonalization against all prior Lanczos vectors
-        work -= basis[:, : k + 1] @ (basis[:, : k + 1].T @ work)
+        prior = basis[: k + 1]
+        work -= (prior @ work) @ prior
         alphas[k] = a
         scale = max(scale, abs(a) + beta_prev)
         if k == n - 1:
             break
-        b = float(np.linalg.norm(work))
-        if b <= 64.0 * np.finfo(float).eps * max(scale, 1.0):
+        b = math.sqrt(work @ work)
+        if b <= breakdown * scale:
             m = k + 1
             break
         betas[k] = b
@@ -163,15 +191,8 @@ def ext_evec_lanczos(
         beta_prev = b
         v = work / b
 
-    hi, z_hi, lo, z_lo = _tridiag_extremes(alphas[:m], betas[: m - 1])
-    gamma = max(hi, -lo)
-    if gamma <= 1.0:
-        return SepOutcome(gamma, None, None, matvecs, lam_min=lo, lam_max=hi)
-    if hi >= -lo:
-        u = basis[:, :m] @ z_hi
-        sign = 1
-    else:
-        u = basis[:, :m] @ z_lo
-        sign = -1
-    u /= np.linalg.norm(u)
-    return SepOutcome(gamma, sign, u, matvecs, lam_min=lo, lam_max=hi)
+    lo, hi, z = _tridiag_extremes(alphas[:m], betas[: m - 1])
+    u = z @ basis[:m]
+    u /= math.sqrt(u @ u)
+    # one matrix-vector product per Lanczos step
+    return _outcome(lo, hi, u, m)

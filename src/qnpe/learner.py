@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from scipy.linalg import blas
 
 from .errors import DegenerateCurvature, StateMismatch, ZeroDisplacement
 from .extevec import SepOutcome, ext_evec_exact, ext_evec_lanczos
@@ -55,14 +56,17 @@ def to_hat(b: Array, mu: float, l1: float) -> Array:
     (2/(L1-mu)) * (B - (L1+mu)/2 * I)."""
     if l1 <= mu:
         raise DegenerateCurvature("spectral transform needs L1 > mu")
-    d = b.shape[0]
-    return (2.0 / (l1 - mu)) * (b - 0.5 * (l1 + mu) * np.eye(d))
+    b_hat = np.array(b, dtype=float)
+    b_hat.flat[:: b_hat.shape[0] + 1] -= 0.5 * (l1 + mu)
+    b_hat *= 2.0 / (l1 - mu)
+    return b_hat
 
 
 def from_hat(b_hat: Array, mu: float, l1: float) -> Array:
     """Inverse of `to_hat`."""
-    d = b_hat.shape[0]
-    return 0.5 * (l1 - mu) * b_hat + 0.5 * (l1 + mu) * np.eye(d)
+    b = (0.5 * (l1 - mu)) * b_hat
+    b.flat[:: b.shape[0] + 1] += 0.5 * (l1 + mu)
+    return b
 
 
 def project_frobenius_ball(w: Array, radius: float) -> Array:
@@ -137,18 +141,18 @@ class HessianLearner:
         self.cumulative_loss = 0.0
         self.matvecs = 0
         self.round_log: list[RoundLog] = []
-        self._pending = None  # (outcome or None, b_hat or None)
+        self._predicted = False
+        # oracle outcome of the pending prediction; None at round 0 and when
+        # the band is degenerate, as no oracle runs then
+        self._outcome: Optional[SepOutcome] = None
 
     def predict(self) -> Array:
         """Matrix to play this round; caches the oracle outcome for the
         matching `update_round` call."""
-        if self._pending is not None:
+        if self._predicted:
             return self.b_current
-        if self.degenerate:
-            self._pending = (None, None)
-            return self.b_current
-        if self.t == 0:
-            self._pending = (None, self.w)
+        self._predicted = True
+        if self.degenerate or self.t == 0:
             return self.b_current
         if self.oracle_mode == "exact":
             outcome = ext_evec_exact(self.w)
@@ -156,40 +160,73 @@ class HessianLearner:
             q = failure_budget(self.p, self.t)
             outcome = ext_evec_lanczos(self.w, self.delta, q, self.rng)
         self.matvecs += outcome.matvecs
-        if outcome.inside:
-            b_hat = self.w
-        else:
-            b_hat = self.w / outcome.gamma
+        b_hat = self.w if outcome.inside else self.w / outcome.gamma
         self.b_current = from_hat(b_hat, self.mu, self.l1)
-        self._pending = (outcome, b_hat)
+        self._outcome = outcome
         return self.b_current
 
     def update_round(self, sample: LossSample) -> float:
         """Consume the round's loss sample and advance; returns the loss
         value incurred by the played matrix."""
-        if self._pending is None:
+        if not self._predicted:
             raise StateMismatch("update_round without a preceding predict")
-        outcome, b_hat = self._pending
-        value = loss(self.b_current, sample)
+        outcome = self._outcome
+        s = sample.s
+        ss = float(s @ s)
+        resid = sample.y - self.b_current @ s
+        value = float(resid @ resid) / (2.0 * ss)
         self.cumulative_loss += value
-        if not self.degenerate:
-            grad = (2.0 / (self.l1 - self.mu)) * loss_gradient(
-                self.b_current, sample
-            )
-            if outcome is not None and not outcome.inside:
-                hinge = max(0.0, -float(np.tensordot(grad, b_hat)))
-                surrogate = grad + hinge * outcome.separator()
-            else:
-                surrogate = grad
-            self.w = project_frobenius_ball(
-                self.w - self.rho * surrogate, self.radius
-            )
-        self._log_round(outcome)
+        w_fro = 0.0 if self.degenerate else self._step(outcome, s, resid, ss)
+        self._log_round(outcome, w_fro)
         self.t += 1
-        self._pending = None
+        self._predicted = False
+        self._outcome = None
         return value
 
-    def _log_round(self, outcome: Optional[SepOutcome]):
+    def _step(
+        self, outcome: Optional[SepOutcome], s: Array, resid: Array, ss: float
+    ) -> float:
+        """W <- proj(W - rho * (G + hinge * S)) in place; returns ||W||_F
+        after the step.
+
+        G = -c (s r^T + r s^T) with c = 1 / ((L1 - mu) ||s||^2) and
+        r = y - B s is the transformed loss gradient, and the hinge
+        max(0, -<G, Bhat>) equals max(0, 2 c r^T (Bhat s)). This is the step
+        project_frobenius_ball(w - rho * surrogate, sqrt(d)) built from
+        `loss_gradient` and `SepOutcome.separator`, without d x d
+        temporaries. Every term is a symmetric rank-one update q q^T with
+        coefficient +-1, run as BLAS ger on W^T (W itself in Fortran order):
+        entries (i, j) and (j, i) then receive the same product, so W stays
+        exactly symmetric. A rounding-level asymmetry would delay the
+        Lanczos breakdown test and cost oracle matvecs.
+        """
+        c = 1.0 / ((self.l1 - self.mu) * ss)
+        w_t = self.w.T
+        if outcome is not None and not outcome.inside:
+            b_hat_s = (self.w @ s) / outcome.gamma
+            hinge = max(0.0, 2.0 * c * float(resid @ b_hat_s))
+            if hinge > 0.0:
+                g = math.sqrt(self.rho * hinge) * outcome.vector
+                w_t = blas.dger(-float(outcome.sign), g, g, a=w_t, overwrite_a=True)
+        rr = float(resid @ resid)
+        if rr > 0.0:
+            # rho c (s r^T + r s^T) = p p^T - m m^T with p, m = x +- y, where
+            # x y^T = (rho c / 2) s r^T and ||x|| = ||y|| against cancellation
+            half = 0.5 * self.rho * c
+            ratio = math.sqrt(rr / ss)
+            x = math.sqrt(half * ratio) * s
+            y = math.sqrt(half / ratio) * resid
+            plus, minus = x + y, x - y
+            w_t = blas.dger(1.0, plus, plus, a=w_t, overwrite_a=True)
+            w_t = blas.dger(-1.0, minus, minus, a=w_t, overwrite_a=True)
+        self.w = w_t.T
+        norm = float(np.linalg.norm(self.w))
+        if norm > self.radius:
+            self.w *= self.radius / norm
+            return self.radius
+        return norm
+
+    def _log_round(self, outcome: Optional[SepOutcome], w_fro: float):
         b_min = b_max = None
         if self.degenerate:
             b_min = b_max = self.mu
@@ -205,5 +242,4 @@ class HessianLearner:
             half_span = 0.5 * (self.l1 - self.mu)
             center = 0.5 * (self.l1 + self.mu)
             b_min, b_max = half_span * lo + center, half_span * hi + center
-        w_fro = 0.0 if self.degenerate else float(np.linalg.norm(self.w))
         self.round_log.append(RoundLog(self.t, b_min, b_max, w_fro))

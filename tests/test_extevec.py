@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import lapack
 
+import qnpe.extevec
+from qnpe.errors import EigFailure
 from qnpe.extevec import (
     ext_evec_exact,
     ext_evec_lanczos,
@@ -24,6 +27,17 @@ def clipped_unit_ball_matrix(d, rng):
     lam, vecs = np.linalg.eigh(raw)
     lam = np.clip(lam / max(np.abs(lam).max(), 1.0), -1.0, 1.0)
     return (vecs * lam) @ vecs.T
+
+
+def with_small_dimensions(seeds, d):
+    """Parameters (seed, d) for `seeds` at dimension d, ids kept as the
+    seed, plus seeds 0 and 1 at d = 1 and d = 2."""
+    params = [pytest.param(seed, d, id=str(seed)) for seed in seeds]
+    for small in (1, 2):
+        params += [
+            pytest.param(seed, small, id=f"d{small}-{seed}") for seed in (0, 1)
+        ]
+    return params
 
 
 class TestBudget:
@@ -67,9 +81,9 @@ class TestExactOracle:
         assert np.allclose(np.abs(s), np.diag([0.0, 1.0]), atol=1e-14)
         assert out.separator_action(np.diag([3.0, -5.0])) == pytest.approx(5.0)
 
-    @pytest.mark.parametrize("seed", range(5))
-    def test_soundness(self, seed):
-        w = random_symmetric(12, seed, scale=3.0)
+    @pytest.mark.parametrize("seed, d", with_small_dimensions(range(5), 12))
+    def test_soundness(self, seed, d):
+        w = random_symmetric(d, seed, scale=3.0)
         out = ext_evec_exact(w)
         op_norm = np.linalg.norm(w, 2)
         if out.inside:
@@ -77,17 +91,103 @@ class TestExactOracle:
         else:
             assert np.linalg.norm(w / out.gamma, 2) == pytest.approx(1.0)
 
-    @pytest.mark.parametrize("seed", range(4))
-    def test_separator_dominates_unit_ball(self, seed):
+    @pytest.mark.parametrize("seed, d", with_small_dimensions(range(4), 10))
+    def test_separator_dominates_unit_ball(self, seed, d):
         # <S, W - Bhat> >= gamma - 1 for all ||Bhat||_op <= 1
-        w = random_symmetric(10, seed, scale=4.0)
+        w = random_symmetric(d, seed, scale=4.0)
         out = ext_evec_exact(w)
         assert not out.inside
         rng = np.random.default_rng(seed + 77)
         for _ in range(100):
-            b_hat = clipped_unit_ball_matrix(10, rng)
+            b_hat = clipped_unit_ball_matrix(d, rng)
             action = out.separator_action(w) - out.separator_action(b_hat)
             assert action >= out.gamma - 1.0 - 1e-10
+
+
+def identity_plus_low_rank(d, k, scale, seed):
+    """W = I + U diag(c) U^T with orthonormal U (d x k), |c| ~ scale and
+    mixed signs: a (d - k)-fold eigenvalue cluster at exactly 1, as in the
+    learner's iterates, which start at I."""
+    rng = np.random.default_rng(seed)
+    u, _ = np.linalg.qr(rng.standard_normal((d, k)))
+    c = scale * rng.uniform(0.5, 1.5, size=k) * rng.choice([-1.0, 1.0], size=k)
+    return np.eye(d) + (u * c) @ u.T
+
+
+def exact_tie(d, scale, seed):
+    """I + rank-2 with hi = -lo exactly: 1 + scale and -(1 + scale) on two
+    coordinates picked at random. The oracle breaks the tie towards hi."""
+    a, b = np.random.default_rng(seed).choice(d, size=2, replace=False)
+    w = np.eye(d)
+    w[a, a] = 1.0 + scale
+    w[b, b] = -(1.0 + scale)
+    return w
+
+
+CLUSTERED = [
+    pytest.param(
+        identity_plus_low_rank(d, k, scale, 100 * d + 10 * k + i),
+        id=f"d{d}-k{k}-{scale:g}",
+    )
+    for d in (50, 100)
+    for k in (1, 2, 3)
+    for i, scale in enumerate((1e-8, 1e-3, 0.5))
+] + [
+    pytest.param(exact_tie(d, scale, d + i), id=f"tie-d{d}-{scale:g}")
+    for d in (50, 100)
+    for i, scale in enumerate((1e-8, 1e-3, 0.5))
+]
+
+
+class TestClusteredSpectrum:
+    """The learner's W = I + low rank has a 40-90-fold eigenvalue cluster
+    at 1.0, on which index-selected bisection (stebz) fails to converge and
+    index-selected MRRR (stemr) misses the extreme eigenvalue."""
+
+    @pytest.mark.parametrize("w", CLUSTERED)
+    def test_exact_matches_dense_reference(self, w):
+        lam = np.linalg.eigh(w)[0]
+        gamma = max(lam[-1], -lam[0])
+        sign = 1 if lam[-1] >= -lam[0] else -1
+        out = ext_evec_exact(w)
+        assert out.gamma == pytest.approx(gamma, rel=1e-12, abs=0.0)
+        assert out.sign == sign
+        u = out.vector
+        assert np.linalg.norm(u) == pytest.approx(1.0, rel=1e-12, abs=0.0)
+        assert np.linalg.norm(w @ u - sign * out.gamma * u) <= 1e-12
+
+
+class FailingLapack:
+    """scipy's LAPACK wrappers with `routine` reporting info = 1."""
+
+    def __init__(self, routine):
+        self.routine = routine
+
+    def __getattr__(self, name):
+        real = getattr(lapack, name)
+        if name != self.routine:
+            return real
+
+        def failing(*args, **kwargs):
+            *out, _ = real(*args, **kwargs)
+            return (*out, 1)
+
+        return failing
+
+
+class TestLapackFailure:
+    @pytest.mark.parametrize("routine", ["dsytrd", "dsterf", "dstein", "dormqr"])
+    def test_exact_oracle_raises_typed_error(self, monkeypatch, routine):
+        monkeypatch.setattr(qnpe.extevec, "lapack", FailingLapack(routine))
+        with pytest.raises(EigFailure, match=routine):
+            ext_evec_exact(random_symmetric(6, 0, scale=3.0))
+
+    @pytest.mark.parametrize("routine", ["dsterf", "dstein"])
+    def test_lanczos_oracle_raises_typed_error(self, monkeypatch, routine):
+        monkeypatch.setattr(qnpe.extevec, "lapack", FailingLapack(routine))
+        w = random_symmetric(6, 0, scale=3.0)
+        with pytest.raises(EigFailure, match=routine):
+            ext_evec_lanczos(w, 1.0, 0.1, np.random.default_rng(0))
 
 
 class TestLanczosOracle:

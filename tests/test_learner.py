@@ -226,6 +226,60 @@ class TestLearner:
         assert np.linalg.norm(expected) <= np.sqrt(2)
         assert np.allclose(learner.w, expected, atol=1e-14)
 
+    # (inside, projection active): W's spectrum and the secant scale y = f s
+    # chosen so each regime occurs; the test asserts that it does
+    EQUIVALENCE_CASES = {
+        "inside-inactive": (0.5 * np.linspace(-1.0, 1.0, 8), 1.2, (True, False)),
+        "inside-active": (0.999 * np.repeat([-1.0, 1.0], 4), 60.0, (True, True)),
+        "outside-inactive": (np.r_[1.5, np.full(7, 0.1)], 4.0, (False, False)),
+        "outside-active": (np.r_[1.5, np.full(7, 0.9)], 60.0, (False, True)),
+    }
+
+    @pytest.mark.parametrize("case", sorted(EQUIVALENCE_CASES))
+    def test_in_place_step_matches_reference(self, case):
+        eigs, factor, (inside, active) = self.EQUIVALENCE_CASES[case]
+        d = eigs.shape[0]
+        rng = np.random.default_rng(5)
+        basis, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        learner = self.make(2.0 * np.eye(d))
+        learner.predict()
+        learner.update_round(LossSample(np.eye(d)[0], 2.0 * np.eye(d)[0]))
+        w = (basis * eigs) @ basis.T
+        learner.w = 0.5 * (w + w.T)
+        learner.t = 1
+        w_before = learner.w.copy()
+        b = learner.predict()
+        b_played = b.copy()
+        outcome = learner._outcome
+        assert outcome.inside == inside
+        # the top eigenvector of W makes the hinge fire when W is outside
+        s = basis[:, np.argmax(eigs)] + 0.1 * rng.standard_normal(d)
+        sample = LossSample(s, factor * s)
+        grad = (2.0 / (self.L1 - self.MU)) * loss_gradient(b, sample)
+        surrogate = grad
+        if not inside:
+            hinge = max(0.0, -float(np.tensordot(grad, to_hat(b, self.MU, self.L1))))
+            assert hinge > 0.0
+            surrogate = grad + hinge * outcome.separator()
+        stepped = w_before - learner.rho * surrogate
+        assert (np.linalg.norm(stepped) > np.sqrt(d)) == active
+        expected = project_frobenius_ball(stepped, np.sqrt(d))
+        learner.update_round(sample)
+        error = np.linalg.norm(learner.w - expected)
+        assert error <= 1e-12 * np.linalg.norm(expected)
+        # the Lanczos breakdown test needs W exactly, not nearly, symmetric
+        assert np.array_equal(learner.w, learner.w.T)
+        # W is updated in place, never through the matrix predict handed out
+        assert np.array_equal(b, b_played)
+
+    def test_round_zero_prediction_not_aliased_by_update(self):
+        b0 = np.diag([1.5, 2.0, 2.5])
+        learner = self.make(b0)
+        b = learner.predict()
+        learner.update_round(LossSample(np.ones(3), np.array([3.0, 1.0, 2.0])))
+        assert np.array_equal(b, b0)
+        assert not np.array_equal(learner.w, to_hat(b0, self.MU, self.L1))
+
     def test_update_without_predict(self):
         learner = self.make(2.0 * np.eye(2))
         with pytest.raises(StateMismatch):
@@ -238,6 +292,7 @@ class TestLearner:
         for _ in range(60):
             learner.predict()
             learner.update_round(random_sample(d, rng))
+        assert np.array_equal(learner.w, learner.w.T)
         sqrt_d = np.sqrt(d)
         for entry in learner.round_log:
             assert entry.w_fro_after <= sqrt_d + 1e-12
@@ -260,7 +315,8 @@ class TestLearner:
             competitors.append((vecs * lam) @ vecs.T)
         for _ in range(40):
             b = learner.predict()
-            outcome, b_hat = learner._pending
+            outcome = learner._outcome
+            b_hat = to_hat(b, self.MU, self.L1)
             w_before = learner.w.copy()
             sample = random_sample(d, rng)
             grad = (2.0 / (self.L1 - self.MU)) * np.array(

@@ -49,6 +49,13 @@ class NotPositiveDefinite(SolverError):
     """Matrix read from file has a non-positive eigenvalue."""
 
 
+class MinimizerStall(SolverError):
+    """The damped Newton iteration computing a generated problem's reference
+    minimizer ended above its gradient tolerance: step cap reached, no
+    decrease left at working precision, or a Hessian that is not
+    numerically positive definite."""
+
+
 # --- linear solver ---
 
 class IterationCapExceeded(SolverError):

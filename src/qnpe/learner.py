@@ -62,9 +62,16 @@ def to_hat(b: Array, mu: float, l1: float) -> Array:
     return b_hat
 
 
-def from_hat(b_hat: Array, mu: float, l1: float) -> Array:
-    """Inverse of `to_hat`."""
-    b = (0.5 * (l1 - mu)) * b_hat
+def from_hat(
+    b_hat: Array, mu: float, l1: float, *, overwrite: bool = False
+) -> Array:
+    """Inverse of `to_hat`; with `overwrite`, b_hat is mapped in place and
+    returned. Both forms give bitwise the same matrix."""
+    if overwrite:
+        b = b_hat
+        b *= 0.5 * (l1 - mu)
+    else:
+        b = (0.5 * (l1 - mu)) * b_hat
     b.flat[:: b.shape[0] + 1] += 0.5 * (l1 + mu)
     return b
 
@@ -160,8 +167,12 @@ class HessianLearner:
             q = failure_budget(self.p, self.t)
             outcome = ext_evec_lanczos(self.w, self.delta, q, self.rng)
         self.matvecs += outcome.matvecs
-        b_hat = self.w if outcome.inside else self.w / outcome.gamma
-        self.b_current = from_hat(b_hat, self.mu, self.l1)
+        if outcome.inside:
+            self.b_current = from_hat(self.w, self.mu, self.l1)
+        else:
+            # the fresh quotient is mapped in place: one d x d allocation
+            b_hat = self.w / outcome.gamma
+            self.b_current = from_hat(b_hat, self.mu, self.l1, overwrite=True)
         self._outcome = outcome
         return self.b_current
 

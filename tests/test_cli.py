@@ -3,6 +3,7 @@ import os
 import numpy as np
 import pytest
 
+import qnpe.problems
 from qnpe.cli import CSV_HEADER, main, parse_problem
 
 QUAD = "quadratic:d=8,mu=1,l1=50,seed=3"
@@ -51,6 +52,14 @@ class TestRun:
         )
         assert code == 2
         assert "StepSeedTooSmall" in capsys.readouterr().err
+
+    def test_minimizer_stall_exits_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(qnpe.problems, "NEWTON_MAX_STEPS", 1)
+        code = run_cli(
+            tmp_path, "run", "--problem", "logistic:n=40,d=6,lambda=0.1,seed=3",
+        )
+        assert code == 2
+        assert "error: MinimizerStall" in capsys.readouterr().err
 
     def test_matrix_market_gd_two_iterations(self, tmp_path):
         mtx = tmp_path / "ident2.mtx"

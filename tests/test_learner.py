@@ -272,6 +272,24 @@ class TestLearner:
         # W is updated in place, never through the matrix predict handed out
         assert np.array_equal(b, b_played)
 
+    @pytest.mark.parametrize("case", ["inside-inactive", "outside-inactive"])
+    def test_prediction_matches_reference_formula(self, case):
+        eigs, _, (inside, _) = self.EQUIVALENCE_CASES[case]
+        d = eigs.shape[0]
+        basis, _ = np.linalg.qr(np.random.default_rng(5).standard_normal((d, d)))
+        learner = self.make(2.0 * np.eye(d))
+        learner.predict()
+        learner.update_round(LossSample(np.eye(d)[0], 2.0 * np.eye(d)[0]))
+        w = (basis * eigs) @ basis.T
+        # Fortran order, the layout `update_round` leaves W in
+        learner.w = np.asfortranarray(0.5 * (w + w.T))
+        b = learner.predict()
+        outcome = learner._outcome
+        assert outcome.inside == inside
+        b_hat = learner.w if inside else learner.w / outcome.gamma
+        assert np.array_equal(b, from_hat(b_hat, self.MU, self.L1))
+        assert not np.shares_memory(b, learner.w)
+
     def test_round_zero_prediction_not_aliased_by_update(self):
         b0 = np.diag([1.5, 2.0, 2.5])
         learner = self.make(b0)

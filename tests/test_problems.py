@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+import scipy.optimize
 
+import qnpe.problems
+import qnpe.solver
 from qnpe.errors import (
     InvalidSpectrum,
+    MinimizerStall,
     NotPositiveDefinite,
     NotSymmetric,
     ParseError,
@@ -128,9 +132,50 @@ class TestLogistic:
             assert eigs[0] >= obj.mu - 1e-12
             assert eigs[-1] <= obj.l1 + 1e-12
 
-    def test_bootstrap_minimizer_is_stationary(self):
+    # (n, d, lambda, seed): the original case, separable n < d, a single
+    # sample, and lambda = 1e-6, where L1 / mu is about 2e4
+    NEWTON_GRID = [
+        (40, 6, 0.1, 3),
+        (5, 20, 1e-3, 0),
+        (30, 60, 1e-5, 0),
+        (1, 1, 0.1, 0),
+        (200, 20, 1e-6, 3),
+    ]
+
+    @pytest.mark.parametrize("n,d,lam,seed", NEWTON_GRID)
+    def test_newton_minimizer_is_stationary(self, n, d, lam, seed):
+        obj = make_logistic(n, d, lam, seed=seed)
+        assert np.linalg.norm(obj.grad(obj.minimizer)) <= 1e-12
+
+    @pytest.mark.parametrize("n,d,lam,seed", NEWTON_GRID)
+    def test_newton_minimizer_matches_trust_region(self, n, d, lam, seed):
+        obj = make_logistic(n, d, lam, seed=seed)
+        ref = scipy.optimize.minimize(
+            obj.value, np.zeros(d), jac=obj.grad, hess=obj.hessian,
+            method="trust-exact", options={"gtol": 1e-10},
+        )
+        # strong convexity: both points lie within ||grad|| / mu of x*, so
+        # the bound holds whether or not trust-exact reports success
+        bound = (
+            np.linalg.norm(obj.grad(obj.minimizer)) + np.linalg.norm(obj.grad(ref.x))
+        ) / obj.mu
+        assert np.linalg.norm(obj.minimizer - ref.x) <= bound
+
+    def test_minimizer_does_not_run_the_solver(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("make_logistic ran the solver")
+
+        monkeypatch.setattr(qnpe.solver, "solve", forbidden)
         obj = make_logistic(40, 6, 0.1, seed=3)
         assert np.linalg.norm(obj.grad(obj.minimizer)) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "name,value", [("NEWTON_MAX_STEPS", 1), ("NEWTON_GRAD_TOL", 0.0)]
+    )
+    def test_newton_failure_is_typed(self, monkeypatch, name, value):
+        monkeypatch.setattr(qnpe.problems, name, value)
+        with pytest.raises(MinimizerStall):
+            make_logistic(40, 6, 0.1, seed=3)
 
     def test_l2_bound_formula(self):
         features = np.array([[3.0, 4.0], [0.0, 1.0]])

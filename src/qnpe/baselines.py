@@ -1,26 +1,21 @@
 """Reference methods for comparison: fixed-step gradient descent and
 classical inverse-form BFGS with Armijo backtracking.
 
-Both produce reports on the same trace schema as the main solver so the
-compare command can align them column by column.
+Both run in the main solver's loop (`solver.run_loop`), so they share its
+stopping rules and trace schema and the compare command can align them
+column by column.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .core import (
-    IterationRecord,
-    Objective,
-    SolverConfig,
-    SolverReport,
-    validate_config,
-)
-from .errors import LineSearchFailure, NonFiniteIterate
+from .core import Objective, SolverConfig, SolverReport, validate_config
+from .errors import LineSearchFailure
+from .solver import run_loop
 
 Array = np.ndarray
 
@@ -59,16 +54,14 @@ def bfgs_step(state: BfgsState, obj: Objective) -> tuple:
     slope = float(g @ direction)
     f0 = obj.value(x)
     step = 1.0
-    for _ in range(ARMIJO_MAX_HALVINGS):
-        candidate = x + step * direction
-        if obj.value(candidate) <= f0 + ARMIJO_C1 * step * slope:
+    for attempts in range(1, ARMIJO_MAX_HALVINGS + 1):
+        x_new = x + step * direction
+        if obj.value(x_new) <= f0 + ARMIJO_C1 * step * slope:
             break
         step *= 0.5
     else:
         raise LineSearchFailure("Armijo backtracking exhausted its cap")
-    attempts = int(round(np.log2(1.0 / step))) + 1
 
-    x_new = x + step * direction
     g_new = obj.grad(x_new)
     s = x_new - x
     y = g_new - g
@@ -81,14 +74,6 @@ def bfgs_step(state: BfgsState, obj: Objective) -> tuple:
     return BfgsState(x_new, h, g_new), step, attempts
 
 
-def _terminated(cfg, grad_norm, dist_sq):
-    if grad_norm <= cfg.grad_tol:
-        return "grad_tol"
-    if cfg.dist_tol is not None and dist_sq is not None and dist_sq <= cfg.dist_tol:
-        return "dist_tol"
-    return None
-
-
 def solve_gd(
     obj: Objective,
     cfg: Optional[SolverConfig] = None,
@@ -96,44 +81,16 @@ def solve_gd(
 ) -> SolverReport:
     """Gradient descent with the 1/L1 step under the shared stopping rules."""
     cfg = validate_config(cfg if cfg is not None else SolverConfig(), obj)
-    x = np.zeros(obj.dim) if x0 is None else np.array(x0, dtype=float)
-    x_start = x.copy()
-    t_begin = time.perf_counter()
-    records = []
-    termination = "max_iters"
-    g = obj.grad(x)
-    grad_norm = float(np.linalg.norm(g))
     eta = 1.0 / obj.l1
 
-    for k in range(cfg.max_iters):
-        dist_sq = _dist_sq(x, obj)
-        stop = _terminated(cfg, grad_norm, dist_sq)
-        if stop is not None:
-            termination = stop
-            break
-        x = x - eta * g
-        if not np.all(np.isfinite(x)):
-            raise NonFiniteIterate(f"non-finite iterate at k={k}")
-        records.append(
-            IterationRecord(
-                k=k, eta=eta, backtracked=False, ls_steps=1, grad_evals=1,
-                matvecs_linsolve=0, matvecs_extevec=0, grad_norm=grad_norm,
-                dist_sq=dist_sq,
-            )
+    def step(x, g):
+        x_next = x - eta * g
+        return x_next, obj.grad(x_next), dict(
+            eta=eta, backtracked=False, ls_steps=1, grad_evals=1,
+            matvecs_linsolve=0, matvecs_extevec=0,
         )
-        g = obj.grad(x)
-        grad_norm = float(np.linalg.norm(g))
 
-    return SolverReport(
-        method="gd",
-        records=tuple(records),
-        final_x=x,
-        final_grad_norm=grad_norm,
-        termination=termination,
-        config=cfg,
-        x0=x_start,
-        wall_time=time.perf_counter() - t_begin,
-    )
+    return run_loop("gd", obj, cfg, x0, step)
 
 
 def solve_bfgs(
@@ -143,46 +100,15 @@ def solve_bfgs(
 ) -> SolverReport:
     """BFGS from H = I with Armijo backtracking, shared stopping rules."""
     cfg = validate_config(cfg if cfg is not None else SolverConfig(), obj)
-    x = np.zeros(obj.dim) if x0 is None else np.array(x0, dtype=float)
-    x_start = x.copy()
-    t_begin = time.perf_counter()
-    state = BfgsState(x, np.eye(obj.dim), obj.grad(x))
-    records = []
-    termination = "max_iters"
-    grad_norm = float(np.linalg.norm(state.grad))
+    h = np.eye(obj.dim)
 
-    for k in range(cfg.max_iters):
-        dist_sq = _dist_sq(state.x, obj)
-        stop = _terminated(cfg, grad_norm, dist_sq)
-        if stop is not None:
-            termination = stop
-            break
-        state, step, attempts = bfgs_step(state, obj)
-        if not np.all(np.isfinite(state.x)):
-            raise NonFiniteIterate(f"non-finite iterate at k={k}")
-        records.append(
-            IterationRecord(
-                k=k, eta=step, backtracked=attempts > 1, ls_steps=attempts,
-                grad_evals=1, matvecs_linsolve=0, matvecs_extevec=0,
-                grad_norm=grad_norm, dist_sq=dist_sq,
-            )
+    def step(x, g):
+        nonlocal h
+        state, eta, attempts = bfgs_step(BfgsState(x, h, g), obj)
+        h = state.h
+        return state.x, state.grad, dict(
+            eta=eta, backtracked=attempts > 1, ls_steps=attempts, grad_evals=1,
+            matvecs_linsolve=0, matvecs_extevec=0,
         )
-        grad_norm = float(np.linalg.norm(state.grad))
 
-    return SolverReport(
-        method="bfgs",
-        records=tuple(records),
-        final_x=state.x,
-        final_grad_norm=grad_norm,
-        termination=termination,
-        config=cfg,
-        x0=x_start,
-        wall_time=time.perf_counter() - t_begin,
-    )
-
-
-def _dist_sq(x, obj):
-    if obj.minimizer is None:
-        return None
-    diff = x - obj.minimizer
-    return float(diff @ diff)
+    return run_loop("bfgs", obj, cfg, x0, step)

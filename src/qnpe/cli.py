@@ -17,7 +17,7 @@ import sys
 from typing import Optional
 
 from .baselines import solve_bfgs, solve_gd
-from .core import Objective, SolverConfig, SolverReport
+from .core import CONFIG_FIELDS, ORACLE_MODES, Objective, SolverConfig, SolverReport
 from .errors import ProblemMismatch, SolverError
 from .problems import load_matrix_market, make_logistic, make_quadratic
 from .solver import solve
@@ -30,11 +30,9 @@ CSV_HEADER = (
 
 OUT_DIR_ENV = "QNPE_OUT_DIR"
 
-_CONFIG_FLOAT_FLAGS = (
-    "alpha1", "alpha2", "beta", "sigma0", "rho", "delta", "p", "b0",
-    "grad_tol", "dist_tol",
-)
-_CONFIG_INT_FLAGS = ("seed", "max_iters", "max_backtracks_slack")
+#: method name -> solver, bound at import: rebinding `qnpe.solver.solve`
+#: later does not reach `run_method`
+METHODS = {"qnpe": solve, "gd": solve_gd, "bfgs": solve_bfgs}
 
 
 def _fmt(value) -> str:
@@ -89,23 +87,17 @@ def _require_params(spec, params, required):
 
 def config_from_args(args) -> SolverConfig:
     overrides = {}
-    for name in _CONFIG_FLOAT_FLAGS + _CONFIG_INT_FLAGS:
+    for name in CONFIG_FIELDS:
         value = getattr(args, name, None)
         if value is not None:
             overrides[name] = value
-    if getattr(args, "oracle_mode", None) is not None:
-        overrides["oracle_mode"] = args.oracle_mode
     return SolverConfig(**overrides)
 
 
 def run_method(method: str, obj: Objective, cfg: SolverConfig) -> SolverReport:
-    if method == "qnpe":
-        return solve(obj, cfg)
-    if method == "gd":
-        return solve_gd(obj, cfg)
-    if method == "bfgs":
-        return solve_bfgs(obj, cfg)
-    raise ProblemMismatch(f"unknown method {method!r}")
+    if method not in METHODS:
+        raise ProblemMismatch(f"unknown method {method!r}")
+    return METHODS[method](obj, cfg)
 
 
 def trace_csv(report: SolverReport) -> str:
@@ -284,11 +276,10 @@ def cmd_compare(args) -> int:
 
 
 def _add_config_flags(parser):
-    for name in _CONFIG_FLOAT_FLAGS:
-        parser.add_argument(f"--{name.replace('_', '-')}", type=float, default=None)
-    for name in _CONFIG_INT_FLAGS:
-        parser.add_argument(f"--{name.replace('_', '-')}", type=int, default=None)
-    parser.add_argument("--oracle-mode", choices=("lanczos", "exact"), default=None)
+    for name, kind in CONFIG_FIELDS.items():
+        choices = ORACLE_MODES if name == "oracle_mode" else None
+        parser.add_argument(f"--{name.replace('_', '-')}", type=kind,
+                            choices=choices, default=None)
     parser.add_argument("--out-dir", default=None,
                         help=f"output directory (default ${OUT_DIR_ENV} or .)")
 
@@ -302,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="solve one problem and write trace/summary")
     run.add_argument("--problem", required=True)
-    run.add_argument("--method", choices=("qnpe", "gd", "bfgs"), default="qnpe")
+    run.add_argument("--method", choices=tuple(METHODS), default="qnpe")
     run.add_argument("--trace", default=None)
     run.add_argument("--summary", default=None)
     _add_config_flags(run)
@@ -310,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify", help="run and machine-check certificates")
     verify.add_argument("--problem", required=True)
-    verify.add_argument("--method", choices=("qnpe", "gd", "bfgs"), default="qnpe")
+    verify.add_argument("--method", choices=tuple(METHODS), default="qnpe")
     verify.add_argument("--seeds", type=int, default=1,
                         help="number of consecutive seeds for statistical runs")
     verify.add_argument("--min-pass-rate", type=float, default=0.95)

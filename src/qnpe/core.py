@@ -7,7 +7,8 @@ theory-default parameters and rejects inconsistent settings.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+import typing
+from dataclasses import dataclass, fields, replace
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -20,6 +21,9 @@ from .errors import (
 )
 
 Array = np.ndarray
+
+#: separation oracle modes accepted by `SolverConfig.oracle_mode`
+ORACLE_MODES = ("lanczos", "exact")
 
 #: relative slack used when checking eigenvalue band membership of an
 #: explicitly supplied initial matrix (LAPACK eigenvalues carry O(eps*||B||)).
@@ -122,9 +126,8 @@ class SolverReport:
     `records` hold the per-iteration trace; `loss_samples` the (s, y) pairs
     fed to the learner (one per backtracked iteration, in round order);
     `learner_rounds` per-round learner diagnostics
-    (t, b_min, b_max, w_fro_after) with None entries where unavailable.
-    Derived quantities (`n_tr`, `inv_eta_sq_sum`) are recomputable from the
-    records and problem data.
+    (t, b_min, b_max, w_fro_after). `n_tr` is recomputable from the problem
+    data; the counter properties are computed from the records.
     """
 
     method: str
@@ -138,16 +141,23 @@ class SolverReport:
     loss_samples: tuple = ()
     learner_rounds: tuple = ()
     n_tr: Optional[float] = None
-    inv_eta_sq_sum: float = 0.0
     wall_time: float = 0.0
-    #: true oracle-call count including the evaluation that triggered
-    #: termination; the budget certificates use the per-iteration column
-    #: sums instead (the stopping probe belongs to no iteration)
-    total_grad_evals: int = 0
 
     @property
     def iterations(self) -> int:
         return len(self.records)
+
+    @property
+    def inv_eta_sq_sum(self) -> float:
+        """Sum of 1/eta_k^2 over the iterations."""
+        return float(sum(1.0 / r.eta**2 for r in self.records))
+
+    @property
+    def total_grad_evals(self) -> int:
+        """Gradient evaluations of the whole run: the column sum plus the
+        stopping probe, which belongs to no iteration (the budget
+        certificates use the column sum)."""
+        return 1 + sum(r.grad_evals for r in self.records)
 
     def totals(self) -> dict:
         """Column sums of the trace counters."""
@@ -246,7 +256,7 @@ def validate_config(cfg: SolverConfig, obj: Objective) -> SolverConfig:
         raise ParameterConflict(f"delta must be in (0, 1], got {delta}")
     if not (0.0 < cfg.p < 1.0):
         raise ParameterConflict(f"p must be in (0, 1), got {cfg.p}")
-    if cfg.oracle_mode not in ("lanczos", "exact"):
+    if cfg.oracle_mode not in ORACLE_MODES:
         raise ParameterConflict(f"unknown oracle_mode {cfg.oracle_mode!r}")
     if cfg.max_iters < 1:
         raise ParameterConflict("max_iters must be >= 1")
@@ -287,30 +297,31 @@ def resolve_initial_matrix(cfg: SolverConfig, obj: Objective) -> Array:
 
 # --- flat key-value wire format (the CLI config contract) ---
 
-_KV_FIELDS = (
-    "alpha1", "alpha2", "beta", "sigma0", "rho", "delta", "p", "b0",
-    "oracle_mode", "seed", "max_iters", "grad_tol", "dist_tol",
-    "max_backtracks_slack",
-)
-_INT_FIELDS = {"seed", "max_iters", "max_backtracks_slack"}
-_STR_FIELDS = {"oracle_mode"}
+
+def _flat_type(hint) -> type:
+    """The str, int or float that a field's value is written as; b0's flat
+    form is its scaled-identity factor."""
+    members = typing.get_args(hint) or (hint,)
+    return next(kind for kind in (str, int, float) if kind in members)
+
+
+_HINTS = typing.get_type_hints(SolverConfig)
+#: field name -> flat value type, in field order; drives the kv format and
+#: the CLI config flags
+CONFIG_FIELDS = {f.name: _flat_type(_HINTS[f.name]) for f in fields(SolverConfig)}
 
 
 def config_to_kv(cfg: SolverConfig) -> str:
     """Serialize to `key=value` lines, one per field, in field order."""
     lines = []
-    for name in _KV_FIELDS:
+    for name, kind in CONFIG_FIELDS.items():
         val = getattr(cfg, name)
         if name == "b0" and val is not None and not np.isscalar(val):
             raise ValueError("an explicit b0 matrix has no flat encoding")
         if val is None:
             text = "none"
-        elif name in _STR_FIELDS:
-            text = str(val)
-        elif name in _INT_FIELDS:
-            text = str(int(val))
         else:
-            text = repr(float(val))
+            text = repr(float(val)) if kind is float else str(kind(val))
         lines.append(f"{name}={text}")
     return "\n".join(lines) + "\n"
 
@@ -324,14 +335,7 @@ def config_from_kv(text: str) -> SolverConfig:
             continue
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
-        if key not in _KV_FIELDS:
+        if key not in CONFIG_FIELDS:
             raise ValueError(f"unknown config key {key!r}")
-        if val == "none":
-            values[key] = None
-        elif key in _STR_FIELDS:
-            values[key] = val
-        elif key in _INT_FIELDS:
-            values[key] = int(val)
-        else:
-            values[key] = float(val)
+        values[key] = None if val == "none" else CONFIG_FIELDS[key](val)
     return SolverConfig(**values)

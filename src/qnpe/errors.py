@@ -90,7 +90,7 @@ class BacktrackCapExceeded(SolverError):
 # --- main solver ---
 
 class NonFiniteIterate(SolverError):
-    """NaN or Inf appeared in an iterate or gradient."""
+    """NaN or Inf appeared in the start point, an iterate or a gradient."""
 
 
 class MissingGroundTruth(SolverError):
@@ -103,7 +103,9 @@ class LineSearchFailure(SolverError):
     """Armijo backtracking failed to find a decrease step."""
 
 
-# --- CLI ---
+# --- inputs ---
 
 class ProblemMismatch(SolverError):
-    """Comparison requires at least two runs on one and the same problem."""
+    """An input does not fit the problem: a malformed problem spec or
+    method name, a start point of the wrong shape, or compare runs that do
+    not share one problem."""

@@ -1,10 +1,12 @@
-"""Main loop: line search, strongly convex extragradient step, trial-step
-propagation, conditional learner round, and full trace recording."""
+"""The run loop shared by every method, and the main solver on top of it:
+line search, strongly convex extragradient step, trial-step propagation,
+conditional learner round, and full trace recording."""
 
 from __future__ import annotations
 
 import time
-from typing import Optional
+from dataclasses import replace
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -16,7 +18,7 @@ from .core import (
     resolve_initial_matrix,
     validate_config,
 )
-from .errors import NonFiniteIterate
+from .errors import NonFiniteIterate, ProblemMismatch
 from .learner import HessianLearner, LossSample
 from .linesearch import backtrack
 from .verify import transition_iteration
@@ -37,47 +39,39 @@ def extragradient_step(
     return (x - eta * g_hat) / denom + (2.0 * eta * mu / denom) * x_hat
 
 
-def solve(
+def run_loop(
+    method: str,
     obj: Objective,
-    cfg: Optional[SolverConfig] = None,
-    x0: Optional[Array] = None,
+    cfg: SolverConfig,
+    x0: Optional[Array],
+    step: Callable[[Array, Array], tuple],
 ) -> SolverReport:
-    """Run the solver on `obj` from `x0` (zero vector by default).
+    """Iterate `step` from `x0` (zero vector by default) under the shared
+    stopping rules; `cfg` must be validated.
 
-    Stops when ||grad|| <= grad_tol, when ||x - x*||^2 <= dist_tol (if both
-    are available), at max_iters, or when the iterate stops moving.
+    `step(x, g)` returns (x_next, grad at x_next, fields), where `fields`
+    holds the `IterationRecord` entries other than k, grad_norm and dist_sq.
+    The loop stops with `termination` set to "grad_tol" when
+    ||grad|| <= grad_tol, "dist_tol" when ||x - x*||^2 <= dist_tol (if both
+    are available), "stalled" after `_STALL_LIMIT` consecutive steps that
+    leave the iterate exactly unchanged, or "max_iters".
 
     Raises:
-        NonFiniteIterate: NaN/Inf in an iterate or gradient, which signals
-            inconsistent (mu, L1) metadata or a broken oracle.
+        ProblemMismatch: x0 does not have shape (d,).
+        NonFiniteIterate: NaN/Inf in x0, an iterate or a gradient, which
+            signals inconsistent (mu, L1) metadata or a broken oracle.
     """
-    cfg = validate_config(cfg if cfg is not None else SolverConfig(), obj)
-    mu = float(obj.mu)
     d = obj.dim
     x = np.zeros(d) if x0 is None else np.array(x0, dtype=float)
     if x.shape != (d,):
-        raise ValueError(f"x0 must have shape ({d},)")
+        raise ProblemMismatch(f"x0 has shape {x.shape}, expected ({d},)")
+    _require_finite(x, "x0")
     x_start = x.copy()
 
-    b0 = resolve_initial_matrix(cfg, obj)
-    learner = HessianLearner(
-        b0,
-        mu,
-        obj.l1,
-        rho=cfg.rho,
-        delta=cfg.delta,
-        p=cfg.p,
-        oracle_mode=cfg.oracle_mode,
-        rng=np.random.default_rng(cfg.seed),
-    )
-
     t_begin = time.perf_counter()
-    sigma = cfg.sigma0
     records = []
-    samples = []
     stall_run = 0
     termination = "max_iters"
-
     g = obj.grad(x)
     _require_finite(g, "gradient at the start point")
     grad_norm = float(np.linalg.norm(g))
@@ -98,50 +92,86 @@ def solve(
             termination = "dist_tol"
             break
 
+        x_next, g, fields = step(x, g)
+        _require_finite(x_next, f"iterate at k={k}")
+        _require_finite(g, f"gradient at k={k + 1}")
+        records.append(
+            IterationRecord(k=k, grad_norm=grad_norm, dist_sq=dist_sq, **fields)
+        )
+        stall_run = stall_run + 1 if np.array_equal(x_next, x) else 0
+        x = x_next
+        grad_norm = float(np.linalg.norm(g))
+        if stall_run >= _STALL_LIMIT:
+            termination = "stalled"
+            break
+
+    return SolverReport(
+        method=method,
+        records=tuple(records),
+        final_x=x,
+        final_grad_norm=grad_norm,
+        termination=termination,
+        config=cfg,
+        x0=x_start,
+        wall_time=time.perf_counter() - t_begin,
+    )
+
+
+def solve(
+    obj: Objective,
+    cfg: Optional[SolverConfig] = None,
+    x0: Optional[Array] = None,
+) -> SolverReport:
+    """Run the solver on `obj` from `x0` (zero vector by default) under the
+    stopping rules of `run_loop`, which also lists the errors raised on a
+    malformed start or a non-finite iterate."""
+    cfg = validate_config(cfg if cfg is not None else SolverConfig(), obj)
+    mu = float(obj.mu)
+    b0 = resolve_initial_matrix(cfg, obj)
+    learner = HessianLearner(
+        b0,
+        mu,
+        obj.l1,
+        rho=cfg.rho,
+        delta=cfg.delta,
+        p=cfg.p,
+        oracle_mode=cfg.oracle_mode,
+        rng=np.random.default_rng(cfg.seed),
+    )
+    sigma = cfg.sigma0
+    samples = []
+
+    def step(x, g):
+        nonlocal sigma
         mv_before = learner.matvecs
         b = learner.predict()
         mv_extevec = learner.matvecs - mv_before
 
         ls = backtrack(x, g, b, sigma, cfg, obj)
         x_next = extragradient_step(x, ls.x_hat, ls.grad_x_hat, ls.eta, mu)
-        _require_finite(x_next, f"iterate at k={k}")
         sigma = ls.eta / cfg.beta
 
         loss_value = None
-        if ls.backtracked:
+        # a rejected trial that rounds to x itself carries no curvature
+        if ls.backtracked and not np.array_equal(ls.x_tilde, x):
             sample = LossSample(ls.x_tilde - x, ls.grad_x_tilde - g)
             loss_value = learner.update_round(sample)
             samples.append((sample.s, sample.y))
-
-        records.append(
-            IterationRecord(
-                k=k,
-                eta=ls.eta,
-                backtracked=ls.backtracked,
-                ls_steps=ls.ls_steps,
-                grad_evals=1 + ls.ls_steps,
-                matvecs_linsolve=ls.matvecs,
-                matvecs_extevec=mv_extevec,
-                grad_norm=grad_norm,
-                loss_value=loss_value,
-                dist_sq=dist_sq,
-                hat_disp=float(np.linalg.norm(ls.x_hat - x)),
-            )
+        return x_next, obj.grad(x_next), dict(
+            eta=ls.eta,
+            backtracked=ls.backtracked,
+            ls_steps=ls.ls_steps,
+            grad_evals=1 + ls.ls_steps,
+            matvecs_linsolve=ls.matvecs,
+            matvecs_extevec=mv_extevec,
+            loss_value=loss_value,
+            hat_disp=float(np.linalg.norm(ls.x_hat - x)),
         )
 
-        stall_run = stall_run + 1 if np.array_equal(x_next, x) else 0
-        x = x_next
-        g = obj.grad(x)
-        _require_finite(g, f"gradient at k={k + 1}")
-        grad_norm = float(np.linalg.norm(g))
-        if stall_run >= _STALL_LIMIT:
-            termination = "stalled"
-            break
-
-    wall = time.perf_counter() - t_begin
+    report = run_loop("qnpe", obj, cfg, x0, step)
     n_tr = None
     if obj.minimizer is not None and obj.hessian is not None and obj.l2 is not None:
-        diff0 = x_start - obj.minimizer
+        diff0 = report.x0 - obj.minimizer
         n_tr = transition_iteration(
             mu,
             obj.l1,
@@ -149,22 +179,12 @@ def solve(
             obj.l2,
             float(diff0 @ diff0),
         )
-
-    return SolverReport(
-        method="qnpe",
-        records=tuple(records),
-        final_x=x,
-        final_grad_norm=grad_norm,
-        termination=termination,
-        config=cfg,
-        x0=x_start,
+    return replace(
+        report,
         b0=b0,
         loss_samples=tuple(samples),
         learner_rounds=tuple(learner.round_log),
         n_tr=n_tr,
-        inv_eta_sq_sum=float(sum(1.0 / r.eta**2 for r in records)),
-        wall_time=wall,
-        total_grad_evals=1 + sum(r.grad_evals for r in records),
     )
 
 

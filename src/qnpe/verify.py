@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -21,18 +22,6 @@ from .errors import MissingGroundTruth
 from .learner import LossSample, loss
 
 Array = np.ndarray
-
-QNPE_CHECKS = (
-    "contraction",
-    "linear_rate",
-    "step_floor",
-    "stepsize_sum",
-    "small_loss_regret",
-    "displacement_sum",
-    "superlinear_envelope",
-    "grad_eval_budget",
-    "ls_step_budget",
-)
 
 
 @dataclass(frozen=True)
@@ -104,15 +93,29 @@ def iteration_complexity_bound(
     return min(linear, superlinear) * target
 
 
-def _distance_sequence(report: SolverReport, obj: Objective):
-    if obj.minimizer is None:
-        raise MissingGroundTruth("minimizer required for distance checks")
-    dists = [r.dist_sq for r in report.records]
-    if any(v is None for v in dists):
-        raise MissingGroundTruth("trace lacks dist_sq entries")
-    diff = report.final_x - obj.minimizer
-    dists.append(float(diff @ diff))
-    return dists
+class _Replay:
+    """One qnpe report under check, with the options of `verify_trace`.
+    `dists` is computed on first use, so only the checks that read it need
+    the minimizer."""
+
+    def __init__(self, report, obj, contraction_slack, rate_slack,
+                 regret_competitors, seed):
+        self.report, self.obj = report, obj
+        self.records, self.cfg = report.records, report.config
+        self.mu, self.l1 = float(obj.mu), float(obj.l1)
+        self.contraction_slack, self.rate_slack = contraction_slack, rate_slack
+        self.regret_competitors, self.seed = regret_competitors, seed
+
+    @cached_property
+    def dists(self) -> list:
+        """||x_k - x*||^2 for every iterate, the final one included."""
+        if self.obj.minimizer is None:
+            raise MissingGroundTruth("minimizer required for distance checks")
+        dists = [r.dist_sq for r in self.records]
+        if any(v is None for v in dists):
+            raise MissingGroundTruth("trace lacks dist_sq entries")
+        dists.append(self.report.final_dist_sq(self.obj))
+        return dists
 
 
 def verify_trace(
@@ -148,58 +151,32 @@ def verify_trace(
             )
         )
 
-    cfg = report.config
-    mu, l1 = float(obj.mu), float(obj.l1)
-    records = report.records
-    n = len(records)
-    results = []
-
-    dists = None
-    if any(
-        name in wanted
-        for name in (
-            "contraction", "linear_rate", "displacement_sum", "superlinear_envelope"
-        )
-    ):
-        dists = _distance_sequence(report, obj)
-
-    for name in wanted:
-        if name == "contraction":
-            results.append(_check_contraction(records, dists, mu, contraction_slack))
-        elif name == "linear_rate":
-            results.append(_check_linear_rate(dists, cfg, mu, l1, rate_slack))
-        elif name == "step_floor":
-            results.append(_check_step_floor(records, cfg, l1))
-        elif name == "stepsize_sum":
-            results.append(_check_stepsize_sum(records, cfg))
-        elif name == "small_loss_regret":
-            results.append(
-                _check_small_loss(report, obj, regret_competitors, seed)
-            )
-        elif name == "displacement_sum":
-            results.append(_check_displacement_sum(records, cfg, dists))
-        elif name == "superlinear_envelope":
-            results.append(_check_superlinear(report, obj, dists, mu, l1))
-        elif name == "grad_eval_budget":
-            bound = 3.0 * n + budget_log_term(cfg.sigma0 * l1 / cfg.alpha2, cfg.beta)
-            total = sum(r.grad_evals for r in records)
-            results.append(_budget_cert(name, total, bound))
-        elif name == "ls_step_budget":
-            bound = 2.0 * n + budget_log_term(cfg.sigma0 * l1 / cfg.alpha2, cfg.beta)
-            total = sum(r.ls_steps for r in records)
-            results.append(_budget_cert(name, total, bound))
-
-    return TraceCertificates(tuple(results))
-
-
-def _budget_cert(name: str, total: int, bound: float) -> Certificate:
-    margin = bound - total
-    return Certificate(
-        name, True, margin >= 0.0, margin, f"total {total} vs bound {bound:.6g}"
+    run = _Replay(
+        report, obj, contraction_slack, rate_slack, regret_competitors, seed
     )
+    return TraceCertificates(tuple(_CHECKS[name](run) for name in wanted))
 
 
-def _check_contraction(records, dists, mu, slack) -> Certificate:
+def _budget(name: str, column: str, per_iteration: float):
+    """Check that a counter column sums to at most
+    per_iteration * n + log_{1/beta}(sigma0 L1 / alpha2)."""
+
+    def check(run) -> Certificate:
+        cfg = run.cfg
+        bound = per_iteration * len(run.records) + budget_log_term(
+            cfg.sigma0 * run.l1 / cfg.alpha2, cfg.beta
+        )
+        total = run.report.totals()[column]
+        margin = bound - total
+        return Certificate(
+            name, True, margin >= 0.0, margin, f"total {total} vs bound {bound:.6g}"
+        )
+
+    return check
+
+
+def _check_contraction(run) -> Certificate:
+    records, dists, mu, slack = run.records, run.dists, run.mu, run.contraction_slack
     worst = math.inf
     worst_k = -1
     for rec, d_now, d_next in zip(records, dists, dists[1:]):
@@ -214,10 +191,11 @@ def _check_contraction(records, dists, mu, slack) -> Certificate:
     )
 
 
-def _check_linear_rate(dists, cfg, mu, l1, slack) -> Certificate:
+def _check_linear_rate(run) -> Certificate:
+    dists, cfg, mu, l1 = run.dists, run.cfg, run.mu, run.l1
     # the step floor alpha2*beta/L1 gives ratio <= (1 + 2 mu alpha2 beta/L1)^-1,
     # which is the printed (1 + mu/(4 L1))^-1 at the default parameters
-    target = 1.0 / (1.0 + 2.0 * mu * cfg.alpha2 * cfg.beta / l1) + slack
+    target = 1.0 / (1.0 + 2.0 * mu * cfg.alpha2 * cfg.beta / l1) + run.rate_slack
     worst = math.inf
     worst_k = -1
     for k, (d_now, d_next) in enumerate(zip(dists, dists[1:])):
@@ -233,11 +211,11 @@ def _check_linear_rate(dists, cfg, mu, l1, slack) -> Certificate:
     )
 
 
-def _check_step_floor(records, cfg, l1) -> Certificate:
-    floor = cfg.alpha2 * cfg.beta / l1
+def _check_step_floor(run) -> Certificate:
+    floor = run.cfg.alpha2 * run.cfg.beta / run.l1
     worst = math.inf
     worst_k = -1
-    for rec in records:
+    for rec in run.records:
         margin = rec.eta - floor
         if margin < worst:
             worst, worst_k = margin, rec.k
@@ -249,8 +227,9 @@ def _check_step_floor(records, cfg, l1) -> Certificate:
     )
 
 
-def _check_stepsize_sum(records, cfg) -> Certificate:
-    lhs = sum(1.0 / r.eta**2 for r in records)
+def _check_stepsize_sum(run) -> Certificate:
+    records, cfg = run.records, run.cfg
+    lhs = run.report.inv_eta_sq_sum
     geo = 1.0 - cfg.beta**2
     rhs = 1.0 / (geo * cfg.sigma0**2)
     backtracked_losses = [
@@ -280,7 +259,8 @@ def _regret_gap(report: SolverReport, competitor: Array) -> float:
     return 18.0 * gap_fro_sq + 2.0 * competitor_total - learner_total
 
 
-def _check_small_loss(report, obj, extra_competitors, seed) -> Certificate:
+def _check_small_loss(run) -> Certificate:
+    report, obj, extra_competitors = run.report, run.obj, run.regret_competitors
     if obj.minimizer is None or obj.hessian is None:
         raise MissingGroundTruth(
             "small-loss check needs the Hessian at the minimizer"
@@ -293,7 +273,7 @@ def _check_small_loss(report, obj, extra_competitors, seed) -> Certificate:
     worst = _regret_gap(report, h_star)
     detail = "competitor H*"
     if extra_competitors > 0:
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(run.seed)
         d = obj.dim
         for i in range(extra_competitors):
             gauss = rng.standard_normal((d, d))
@@ -306,9 +286,9 @@ def _check_small_loss(report, obj, extra_competitors, seed) -> Certificate:
     return Certificate("small_loss_regret", True, worst >= 0.0, worst, detail)
 
 
-def _check_displacement_sum(records, cfg, dists) -> Certificate:
-    total = sum(r.hat_disp**2 for r in records if r.hat_disp is not None)
-    bound = dists[0] / (1.0 - cfg.alpha1 - cfg.alpha2) if dists else 0.0
+def _check_displacement_sum(run) -> Certificate:
+    total = sum(r.hat_disp**2 for r in run.records if r.hat_disp is not None)
+    bound = run.dists[0] / (1.0 - run.cfg.alpha1 - run.cfg.alpha2)
     margin = bound - total
     return Certificate(
         "displacement_sum", True, margin >= 0.0, margin,
@@ -316,7 +296,8 @@ def _check_displacement_sum(records, cfg, dists) -> Certificate:
     )
 
 
-def _check_superlinear(report, obj, dists, mu, l1) -> Certificate:
+def _check_superlinear(run) -> Certificate:
+    report, obj, dists, mu, l1 = run.report, run.obj, run.dists, run.mu, run.l1
     if obj.hessian is None or obj.l2 is None:
         raise MissingGroundTruth(
             "superlinear envelope needs the Hessian oracle and L2"
@@ -342,3 +323,18 @@ def _check_superlinear(report, obj, dists, mu, l1) -> Certificate:
     return Certificate(
         "superlinear_envelope", True, worst >= 0.0, worst, f"worst at k={worst_k}"
     )
+
+
+#: check name -> check(run) on a `_Replay`, in report order
+_CHECKS = {
+    "contraction": _check_contraction,
+    "linear_rate": _check_linear_rate,
+    "step_floor": _check_step_floor,
+    "stepsize_sum": _check_stepsize_sum,
+    "small_loss_regret": _check_small_loss,
+    "displacement_sum": _check_displacement_sum,
+    "superlinear_envelope": _check_superlinear,
+    "grad_eval_budget": _budget("grad_eval_budget", "grad_evals", 3.0),
+    "ls_step_budget": _budget("ls_step_budget", "ls_steps", 2.0),
+}
+QNPE_CHECKS = tuple(_CHECKS)

@@ -67,6 +67,22 @@ class TestBfgs:
         assert report.termination == "grad_tol"
         assert report.iterations <= 60
 
+    def test_readme_compare_problem_stalls(self):
+        # Armijo on function values cannot resolve the last decreases, so
+        # the iterate stops moving near k = 62 and the stall rule ends the run
+        obj = make_quadratic(50, 1.0, 1000.0, seed=7)
+        report = solve_bfgs(obj, SolverConfig())
+        assert report.termination == "stalled"
+        assert report.iterations <= 100
+
+    def test_armijo_attempts_count_halvings(self):
+        obj = make_quadratic(8, 1.0, 50.0, seed=4)
+        x0 = np.random.default_rng(5).standard_normal(8)
+        state = BfgsState(x0, np.eye(8), obj.grad(x0))
+        for _ in range(25):
+            state, step, attempts = bfgs_step(state, obj)
+            assert step == 0.5 ** (attempts - 1)
+
     def test_inverse_approximation_stays_positive_definite(self):
         obj = make_quadratic(8, 1.0, 50.0, seed=4)
         x0 = np.random.default_rng(5).standard_normal(8)

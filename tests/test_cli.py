@@ -1,10 +1,13 @@
+import argparse
+import dataclasses
 import os
 
 import numpy as np
 import pytest
 
 import qnpe.problems
-from qnpe.cli import CSV_HEADER, main, parse_problem
+from qnpe.cli import CSV_HEADER, build_parser, main, parse_problem
+from qnpe.core import SolverConfig
 
 QUAD = "quadratic:d=8,mu=1,l1=50,seed=3"
 
@@ -73,6 +76,19 @@ class TestRun:
         assert code == 0
         rows = read(tmp_path / "trace.csv").splitlines()[1:]
         assert len(rows) <= 2
+
+    def test_gd_summary_reports_step_sums(self, tmp_path):
+        code = run_cli(
+            tmp_path, "run", "--problem", "quadratic:d=4,mu=1,l1=50,seed=0",
+            "--method", "gd", "--max-iters", "7",
+        )
+        assert code == 0
+        summary = dict(
+            line.split("=", 1)
+            for line in read(tmp_path / "summary.txt").splitlines()
+        )
+        assert summary["iterations"] == "7"
+        assert float(summary["inv_eta_sq_sum"]) == pytest.approx(7 * 50.0**2)
 
     def test_b0_flag_selects_scaled_identity(self, tmp_path, capsys):
         ok = run_cli(
@@ -223,6 +239,35 @@ class TestCompare:
             ])
             paths.append(out)
         assert read(paths[0]) == read(paths[1])
+
+
+class TestConfigFlags:
+    #: flag name -> (type, choices) of every config flag
+    FLAGS = {
+        "alpha1": (float, None), "alpha2": (float, None),
+        "beta": (float, None), "sigma0": (float, None),
+        "rho": (float, None), "delta": (float, None), "p": (float, None),
+        "b0": (float, None), "oracle_mode": (str, ("lanczos", "exact")),
+        "seed": (int, None), "max_iters": (int, None),
+        "grad_tol": (float, None), "dist_tol": (float, None),
+        "max_backtracks_slack": (int, None),
+    }
+
+    @pytest.mark.parametrize("command", ["run", "verify", "compare"])
+    def test_flags_match_solver_config_fields(self, command):
+        sub = next(
+            action for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        ).choices[command]
+        names = {f.name for f in dataclasses.fields(SolverConfig)}
+        flags = {
+            action.dest: (action.type, action.choices)
+            for action in sub._actions if action.dest in names
+        }
+        assert set(flags) == names
+        assert flags == self.FLAGS
+        for name in names:
+            assert f"--{name.replace('_', '-')}" in sub._option_string_actions
 
 
 class TestParseProblem:

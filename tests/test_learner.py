@@ -303,19 +303,30 @@ class TestLearner:
         with pytest.raises(StateMismatch):
             learner.update_round(LossSample(np.ones(2), np.ones(2)))
 
-    def test_feasibility_invariants_exact_mode(self):
+    def check_feasibility(self, learner, d):
         rng = np.random.default_rng(7)
-        d = 8
-        learner = self.make(self.L1 * np.eye(d))
         for _ in range(60):
             learner.predict()
             learner.update_round(random_sample(d, rng))
         assert np.array_equal(learner.w, learner.w.T)
         sqrt_d = np.sqrt(d)
+        assert len(learner.round_log) == 60
         for entry in learner.round_log:
             assert entry.w_fro_after <= sqrt_d + 1e-12
             assert entry.b_min >= self.MU / 2.0 - 1e-10
             assert entry.b_max <= self.L1 + self.MU / 2.0 + 1e-10
+
+    def test_feasibility_invariants_exact_mode(self):
+        self.check_feasibility(self.make(self.L1 * np.eye(8)), 8)
+
+    def test_feasibility_invariants_lanczos_mode(self):
+        # logged extremes are Ritz estimates, inside the true spectrum
+        learner = self.make(
+            self.L1 * np.eye(8), oracle_mode="lanczos",
+            rng=np.random.default_rng(0),
+        )
+        self.check_feasibility(learner, 8)
+        assert learner.round_log[0].b_min == learner.round_log[0].b_max == self.L1
 
     @pytest.mark.parametrize("seed", range(3))
     def test_per_round_surrogate_domination(self, seed):

@@ -1,16 +1,21 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from qnpe.baselines import solve_bfgs, solve_gd
 from qnpe.core import (
     IterationRecord,
     Objective,
     SolverConfig,
     SolverReport,
 )
-from qnpe.errors import MissingGroundTruth, NonFiniteIterate
+from qnpe.errors import MissingGroundTruth, NonFiniteIterate, ProblemMismatch
 from qnpe.problems import make_logistic, make_quadratic
-from qnpe.solver import extragradient_step, solve
+from qnpe.solver import _STALL_LIMIT, extragradient_step, solve
 from qnpe.verify import verify_trace
+
+METHODS = {"qnpe": solve, "gd": solve_gd, "bfgs": solve_bfgs}
 
 
 class TestExtragradientStep:
@@ -122,6 +127,54 @@ class TestSolve:
         second = solve(obj, cfg)
         assert np.array_equal(first.final_x, second.final_x)
         assert [r.eta for r in first.records] == [r.eta for r in second.records]
+
+
+class TestRunLoop:
+    """Rules the shared run loop applies to every method alike."""
+
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize(
+        "make_x0, error",
+        [
+            (lambda d: np.zeros((d, 1)), ProblemMismatch),
+            (lambda d: np.full(d, np.nan), NonFiniteIterate),
+        ],
+        ids=["column", "nan"],
+    )
+    def test_malformed_x0_raises_typed_error(self, method, make_x0, error):
+        obj = make_quadratic(4, 1.0, 10.0, seed=0)
+        with pytest.raises(error):
+            METHODS[method](obj, SolverConfig(max_iters=5), x0=make_x0(4))
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_steps_below_one_ulp_stall(self, method):
+        # at x* the gradient is rounding noise and every step rounds away
+        obj = make_quadratic(10, 1.0, 100.0, seed=3)
+        cfg = SolverConfig(grad_tol=0.0, max_iters=1000)
+        report = METHODS[method](obj, cfg, x0=obj.minimizer)
+        assert report.termination == "stalled"
+        assert _STALL_LIMIT <= report.iterations < cfg.max_iters
+        assert report.final_grad_norm > 0.0
+        rounds = [r for r in report.records if r.loss_value is not None]
+        assert len(report.loss_samples) == len(rounds)
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_report_counters_come_from_records(self, method):
+        obj = make_quadratic(5, 1.0, 10.0, seed=0)
+        calls = []
+
+        def grad(x):
+            calls.append(1)
+            return obj.grad(x)
+
+        counted = dataclasses.replace(obj, grad=grad)
+        report = METHODS[method](counted, SolverConfig(max_iters=20))
+        assert report.iterations > 0
+        assert report.total_grad_evals == report.totals()["grad_evals"] + 1
+        assert report.total_grad_evals == len(calls)
+        assert report.inv_eta_sq_sum == pytest.approx(
+            sum(1.0 / r.eta**2 for r in report.records), rel=1e-15
+        )
 
 
 class TestVerifyTrace:

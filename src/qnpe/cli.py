@@ -21,7 +21,7 @@ from .core import CONFIG_FIELDS, ORACLE_MODES, Objective, SolverConfig, SolverRe
 from .errors import ProblemMismatch, SolverError
 from .problems import load_matrix_market, make_logistic, make_quadratic
 from .solver import solve
-from .verify import iteration_complexity_bound, verify_trace
+from .verify import iteration_complexity_bound, transition, verify_trace
 
 CSV_HEADER = (
     "k,eta,backtracked,ls_steps,grad_evals,mv_linsolve,mv_extevec,"
@@ -136,7 +136,7 @@ def summary_kv(report: SolverReport, obj: Objective, problem_key: str) -> str:
         ("final_grad_norm", _fmt(report.final_grad_norm)),
         ("final_dist_sq", _fmt(report.final_dist_sq(obj))),
         ("inv_eta_sq_sum", _fmt(report.inv_eta_sq_sum)),
-        ("n_tr", _fmt(report.n_tr)),
+        ("n_tr", _fmt(transition(report, obj))),
         ("wall_time", _fmt(report.wall_time)),
     ]
     return "".join(f"{k}={v}\n" for k, v in pairs)
@@ -185,12 +185,13 @@ def cmd_verify(args) -> int:
                 continue
             lines.append(f"cert_{cert.name}={'true' if cert.passed else 'false'}")
             lines.append(f"margin_{cert.name}={_fmt(cert.margin)}")
-        lines.append(f"n_tr={_fmt(run.n_tr)}")
+        n_tr = transition(run, obj)
+        lines.append(f"n_tr={_fmt(n_tr)}")
         final_dist = run.final_dist_sq(obj)
-        if run.n_tr is not None and final_dist is not None and final_dist > 0.0:
+        if n_tr is not None and final_dist is not None and final_dist > 0.0:
             d0 = run.x0 - obj.minimizer
             bound = iteration_complexity_bound(
-                final_dist, obj.mu, obj.l1, run.n_tr, float(d0 @ d0)
+                final_dist, obj.mu, obj.l1, n_tr, float(d0 @ d0)
             )
             lines.append(f"n_eps_bound={_fmt(bound)}")
         lines.append(f"all_passed={'true' if ok else 'false'}")
@@ -202,7 +203,9 @@ def cmd_verify(args) -> int:
         for offset in range(args.seeds):
             seeded = dataclasses.replace(cfg, seed=base_seed + offset)
             run = run_method(args.method, obj, seeded)
-            certs = verify_trace(run, obj)
+            certs = verify_trace(
+                run, obj, regret_competitors=args.regret_competitors
+            )
             applicable = any(c.applicable for c in certs.results)
             ok = certs.all_passed
             passes += ok

@@ -126,8 +126,8 @@ class SolverReport:
     `records` hold the per-iteration trace; `loss_samples` the (s, y) pairs
     fed to the learner (one per backtracked iteration, in round order);
     `learner_rounds` per-round learner diagnostics
-    (t, b_min, b_max, w_fro_after). `n_tr` is recomputable from the problem
-    data; the counter properties are computed from the records.
+    (t, b_min, b_max, w_fro_after). The counter properties are computed
+    from the records.
     """
 
     method: str
@@ -140,7 +140,6 @@ class SolverReport:
     b0: Optional[Array] = None
     loss_samples: tuple = ()
     learner_rounds: tuple = ()
-    n_tr: Optional[float] = None
     wall_time: float = 0.0
 
     @property

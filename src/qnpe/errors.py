@@ -107,5 +107,5 @@ class LineSearchFailure(SolverError):
 
 class ProblemMismatch(SolverError):
     """An input does not fit the problem: a malformed problem spec or
-    method name, a start point of the wrong shape, or compare runs that do
-    not share one problem."""
+    method name, a start point or a start gradient of the wrong shape, or
+    compare runs that do not share one problem."""

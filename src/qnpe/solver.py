@@ -21,7 +21,6 @@ from .core import (
 from .errors import NonFiniteIterate, ProblemMismatch
 from .learner import HessianLearner, LossSample
 from .linesearch import backtrack
-from .verify import transition_iteration
 
 Array = np.ndarray
 
@@ -57,7 +56,7 @@ def run_loop(
     leave the iterate exactly unchanged, or "max_iters".
 
     Raises:
-        ProblemMismatch: x0 does not have shape (d,).
+        ProblemMismatch: x0 or the gradient at x0 does not have shape (d,).
         NonFiniteIterate: NaN/Inf in x0, an iterate or a gradient, which
             signals inconsistent (mu, L1) metadata or a broken oracle.
     """
@@ -73,6 +72,10 @@ def run_loop(
     stall_run = 0
     termination = "max_iters"
     g = obj.grad(x)
+    if np.shape(g) != (d,):
+        raise ProblemMismatch(
+            f"gradient at the start point has shape {np.shape(g)}, expected ({d},)"
+        )
     _require_finite(g, "gradient at the start point")
     grad_norm = float(np.linalg.norm(g))
 
@@ -168,23 +171,11 @@ def solve(
             hat_disp=float(np.linalg.norm(ls.x_hat - x)),
         )
 
-    report = run_loop("qnpe", obj, cfg, x0, step)
-    n_tr = None
-    if obj.minimizer is not None and obj.hessian is not None and obj.l2 is not None:
-        diff0 = report.x0 - obj.minimizer
-        n_tr = transition_iteration(
-            mu,
-            obj.l1,
-            float(np.linalg.norm(b0 - obj.hessian(obj.minimizer)) ** 2),
-            obj.l2,
-            float(diff0 @ diff0),
-        )
     return replace(
-        report,
+        run_loop("qnpe", obj, cfg, x0, step),
         b0=b0,
         loss_samples=tuple(samples),
         learner_rounds=tuple(learner.round_log),
-        n_tr=n_tr,
     )
 
 

@@ -5,7 +5,9 @@ per-iteration contraction, the linear-rate envelope, the universal step
 floor, the step-size-sum inequality, the learner's small-loss regret bound,
 the superlinear envelope, and the gradient/line-search budgets. Each check
 reports pass/fail with its worst-case margin (bound minus observed, so
-positive margins mean slack to spare).
+positive margins mean slack to spare). `transition` gives a run's
+transition iteration N_tr, past which the superlinear envelope beats the
+linear one.
 """
 
 from __future__ import annotations
@@ -52,13 +54,10 @@ def transition_iteration(
     mu: float, l1: float, b0_gap_fro_sq: float, l2: float, d0_sq: float
 ) -> float:
     """Iteration threshold past which the superlinear envelope beats the
-    linear one: 4/3 + 48 ||B0-H*||_F^2 / L1^2
-    + (36/L1^2 + 64/(3 mu L1)) L2^2 ||x0-x*||^2."""
-    return (
-        4.0 / 3.0
-        + 48.0 * b0_gap_fro_sq / l1**2
-        + (36.0 / l1**2 + 64.0 / (3.0 * mu * l1)) * l2**2 * d0_sq
-    )
+    linear one: 4 D / (3 L1^2) with D the `superlinear_denominator`, i.e.
+    4/3 + 48 ||B0-H*||_F^2 / L1^2 + (36/L1^2 + 64/(3 mu L1)) L2^2 ||x0-x*||^2."""
+    denom = superlinear_denominator(mu, l1, b0_gap_fro_sq, l2, d0_sq)
+    return 4 * denom / (3 * l1**2)
 
 
 def superlinear_denominator(
@@ -66,6 +65,27 @@ def superlinear_denominator(
 ) -> float:
     """L1^2 + 36 ||B0-H*||_F^2 + (27 + 16 L1/mu) L2^2 ||x0-x*||^2."""
     return l1**2 + 36.0 * b0_gap_fro_sq + (27.0 + 16.0 * l1 / mu) * l2**2 * d0_sq
+
+
+def transition(report: SolverReport, obj: Objective) -> Optional[float]:
+    """`transition_iteration` of a run, from its B0 and start point; None
+    for reports without B0 (the baselines) and for objectives without the
+    minimizer, the Hessian oracle or L2."""
+    if (
+        report.b0 is None
+        or obj.minimizer is None
+        or obj.hessian is None
+        or obj.l2 is None
+    ):
+        return None
+    diff0 = report.x0 - obj.minimizer
+    return transition_iteration(
+        float(obj.mu),
+        obj.l1,
+        float(np.linalg.norm(report.b0 - obj.hessian(obj.minimizer)) ** 2),
+        obj.l2,
+        float(diff0 @ diff0),
+    )
 
 
 def superlinear_envelope(k: int, mu: float, denom: float) -> float:
@@ -93,18 +113,20 @@ def iteration_complexity_bound(
     return min(linear, superlinear) * target
 
 
-class _Replay:
-    """One qnpe report under check, with the options of `verify_trace`.
-    `dists` is computed on first use, so only the checks that read it need
-    the minimizer."""
+#: relative slack of the contraction and linear-rate bounds, which absorbs
+#: the rounding in the recorded distances
+_SLACK = 1e-12
 
-    def __init__(self, report, obj, contraction_slack, rate_slack,
-                 regret_competitors, seed):
+
+class _Replay:
+    """One qnpe report under check. The cached values are computed on first
+    use, so only the checks that read them need the ground truth."""
+
+    def __init__(self, report, obj, regret_competitors):
         self.report, self.obj = report, obj
         self.records, self.cfg = report.records, report.config
         self.mu, self.l1 = float(obj.mu), float(obj.l1)
-        self.contraction_slack, self.rate_slack = contraction_slack, rate_slack
-        self.regret_competitors, self.seed = regret_competitors, seed
+        self.regret_competitors = regret_competitors
 
     @cached_property
     def dists(self) -> list:
@@ -117,22 +139,36 @@ class _Replay:
         dists.append(self.report.final_dist_sq(self.obj))
         return dists
 
+    @cached_property
+    def h_star(self) -> Array:
+        """The Hessian at the minimizer."""
+        if self.obj.minimizer is None or self.obj.hessian is None:
+            raise MissingGroundTruth("check needs the Hessian at the minimizer")
+        return self.obj.hessian(self.obj.minimizer)
+
+    @cached_property
+    def learner_loss(self) -> float:
+        """sum_t l_t(B_t) over the learner rounds."""
+        return sum(
+            r.loss_value
+            for r in self.records
+            if r.backtracked and r.loss_value is not None
+        )
+
 
 def verify_trace(
     report: SolverReport,
     obj: Objective,
     checks: Optional[Sequence[str]] = None,
     *,
-    contraction_slack: float = 1e-12,
-    rate_slack: float = 1e-12,
     regret_competitors: int = 0,
-    seed: int = 0,
 ) -> TraceCertificates:
     """Evaluate the requested certificates (all, by default) on a trace.
 
     For baseline reports every check is reported not-applicable. With
     `regret_competitors` > 0 the small-loss bound is additionally checked
-    against that many random competitors from the admissible band.
+    against that many random competitors from the admissible band, drawn
+    from a generator seeded with 0.
 
     Raises:
         MissingGroundTruth: a requested check needs the minimizer or the
@@ -151,10 +187,26 @@ def verify_trace(
             )
         )
 
-    run = _Replay(
-        report, obj, contraction_slack, rate_slack, regret_competitors, seed
-    )
+    run = _Replay(report, obj, regret_competitors)
     return TraceCertificates(tuple(_CHECKS[name](run) for name in wanted))
+
+
+def _certificate(name: str, margin: float, detail: str) -> Certificate:
+    """An applicable certificate, passed iff its margin is nonnegative."""
+    return Certificate(name, True, margin >= 0.0, margin, detail)
+
+
+def _worst(name, pairs, detail="worst at k={k}"):
+    """Certificate on the smallest margin of the (k, margin) pairs: the
+    first smallest wins and a NaN margin is never chosen. Without a pair
+    the check passes with margin inf."""
+    worst, worst_k = math.inf, None
+    for k, margin in pairs:
+        if margin < worst:
+            worst, worst_k = margin, k
+    if worst_k is None:
+        return _certificate(name, math.inf, "empty trace")
+    return _certificate(name, worst, detail.format(k=worst_k))
 
 
 def _budget(name: str, column: str, per_iteration: float):
@@ -167,162 +219,100 @@ def _budget(name: str, column: str, per_iteration: float):
             cfg.sigma0 * run.l1 / cfg.alpha2, cfg.beta
         )
         total = run.report.totals()[column]
-        margin = bound - total
-        return Certificate(
-            name, True, margin >= 0.0, margin, f"total {total} vs bound {bound:.6g}"
+        return _certificate(
+            name, bound - total, f"total {total} vs bound {bound:.6g}"
         )
 
     return check
 
 
 def _check_contraction(run) -> Certificate:
-    records, dists, mu, slack = run.records, run.dists, run.mu, run.contraction_slack
-    worst = math.inf
-    worst_k = -1
-    for rec, d_now, d_next in zip(records, dists, dists[1:]):
-        bound = d_now / (1.0 + 2.0 * rec.eta * mu) + slack * d_now
-        margin = bound - d_next
-        if margin < worst:
-            worst, worst_k = margin, rec.k
-    if worst_k < 0:
-        return Certificate("contraction", True, True, math.inf, "empty trace")
-    return Certificate(
-        "contraction", True, worst >= 0.0, worst, f"worst at k={worst_k}"
-    )
+    dists, mu = run.dists, run.mu
+    return _worst("contraction", (
+        (rec.k, d_now / (1.0 + 2.0 * rec.eta * mu) + _SLACK * d_now - d_next)
+        for rec, d_now, d_next in zip(run.records, dists, dists[1:])
+    ))
 
 
 def _check_linear_rate(run) -> Certificate:
     dists, cfg, mu, l1 = run.dists, run.cfg, run.mu, run.l1
     # the step floor alpha2*beta/L1 gives ratio <= (1 + 2 mu alpha2 beta/L1)^-1,
     # which is the printed (1 + mu/(4 L1))^-1 at the default parameters
-    target = 1.0 / (1.0 + 2.0 * mu * cfg.alpha2 * cfg.beta / l1) + run.rate_slack
-    worst = math.inf
-    worst_k = -1
-    for k, (d_now, d_next) in enumerate(zip(dists, dists[1:])):
-        if d_now == 0.0:
-            continue
-        margin = target - d_next / d_now
-        if margin < worst:
-            worst, worst_k = margin, k
-    if worst_k < 0:
-        return Certificate("linear_rate", True, True, math.inf, "empty trace")
-    return Certificate(
-        "linear_rate", True, worst >= 0.0, worst, f"worst at k={worst_k}"
-    )
+    target = 1.0 / (1.0 + 2.0 * mu * cfg.alpha2 * cfg.beta / l1) + _SLACK
+    return _worst("linear_rate", (
+        (k, target - d_next / d_now)
+        for k, (d_now, d_next) in enumerate(zip(dists, dists[1:]))
+        if d_now != 0.0
+    ))
 
 
 def _check_step_floor(run) -> Certificate:
     floor = run.cfg.alpha2 * run.cfg.beta / run.l1
-    worst = math.inf
-    worst_k = -1
-    for rec in run.records:
-        margin = rec.eta - floor
-        if margin < worst:
-            worst, worst_k = margin, rec.k
-    if worst_k < 0:
-        return Certificate("step_floor", True, True, math.inf, "empty trace")
-    return Certificate(
-        "step_floor", True, worst >= 0.0, worst,
-        f"floor {floor:.6g}, worst at k={worst_k}",
+    return _worst(
+        "step_floor",
+        ((rec.k, rec.eta - floor) for rec in run.records),
+        detail=f"floor {floor:.6g}, worst at k={{k}}",
     )
 
 
 def _check_stepsize_sum(run) -> Certificate:
-    records, cfg = run.records, run.cfg
+    cfg = run.cfg
     lhs = run.report.inv_eta_sq_sum
     geo = 1.0 - cfg.beta**2
     rhs = 1.0 / (geo * cfg.sigma0**2)
-    backtracked_losses = [
-        r.loss_value for r in records if r.backtracked and r.loss_value is not None
-    ]
-    rhs += sum(2.0 * v for v in backtracked_losses) / (
-        geo * cfg.alpha2**2 * cfg.beta**2
-    )
-    margin = rhs - lhs
-    return Certificate(
-        "stepsize_sum", True, margin >= 0.0, margin,
-        f"sum 1/eta^2 = {lhs:.6g} vs bound {rhs:.6g}",
+    rhs += 2.0 * run.learner_loss / (geo * cfg.alpha2**2 * cfg.beta**2)
+    return _certificate(
+        "stepsize_sum", rhs - lhs, f"sum 1/eta^2 = {lhs:.6g} vs bound {rhs:.6g}"
     )
 
 
-def _regret_gap(report: SolverReport, competitor: Array) -> float:
+def _regret_gap(run, competitor: Array) -> float:
     """18 ||B0 - H||_F^2 + 2 sum_t l_t(H) - sum_t l_t(B_t)."""
-    learner_total = sum(
-        r.loss_value
-        for r in report.records
-        if r.backtracked and r.loss_value is not None
-    )
     competitor_total = sum(
-        loss(competitor, LossSample(s, y)) for s, y in report.loss_samples
+        loss(competitor, LossSample(s, y)) for s, y in run.report.loss_samples
     )
-    gap_fro_sq = float(np.linalg.norm(report.b0 - competitor) ** 2)
-    return 18.0 * gap_fro_sq + 2.0 * competitor_total - learner_total
+    gap_fro_sq = float(np.linalg.norm(run.report.b0 - competitor) ** 2)
+    return 18.0 * gap_fro_sq + 2.0 * competitor_total - run.learner_loss
 
 
 def _check_small_loss(run) -> Certificate:
-    report, obj, extra_competitors = run.report, run.obj, run.regret_competitors
-    if obj.minimizer is None or obj.hessian is None:
-        raise MissingGroundTruth(
-            "small-loss check needs the Hessian at the minimizer"
-        )
-    if not report.loss_samples:
-        return Certificate(
-            "small_loss_regret", True, True, math.inf, "no learner rounds"
-        )
-    h_star = obj.hessian(obj.minimizer)
-    worst = _regret_gap(report, h_star)
-    detail = "competitor H*"
-    if extra_competitors > 0:
-        rng = np.random.default_rng(run.seed)
-        d = obj.dim
-        for i in range(extra_competitors):
-            gauss = rng.standard_normal((d, d))
-            q, _ = np.linalg.qr(gauss)
-            lam = rng.uniform(obj.mu, obj.l1, size=d)
-            competitor = (q * lam) @ q.T
-            margin = _regret_gap(report, competitor)
-            if margin < worst:
-                worst, detail = margin, f"random competitor {i}"
-    return Certificate("small_loss_regret", True, worst >= 0.0, worst, detail)
+    obj, h_star = run.obj, run.h_star
+    if not run.report.loss_samples:
+        return _certificate("small_loss_regret", math.inf, "no learner rounds")
+    gaps = [("competitor H*", _regret_gap(run, h_star))]
+    rng, d = np.random.default_rng(0), obj.dim
+    for i in range(run.regret_competitors):
+        q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        lam = rng.uniform(obj.mu, obj.l1, size=d)
+        gaps.append((f"random competitor {i}", _regret_gap(run, (q * lam) @ q.T)))
+    # min keeps the first of equal gaps, and H* when its gap is NaN
+    detail, worst = min(gaps, key=lambda gap: gap[1])
+    return _certificate("small_loss_regret", worst, detail)
 
 
 def _check_displacement_sum(run) -> Certificate:
     total = sum(r.hat_disp**2 for r in run.records if r.hat_disp is not None)
     bound = run.dists[0] / (1.0 - run.cfg.alpha1 - run.cfg.alpha2)
-    margin = bound - total
-    return Certificate(
-        "displacement_sum", True, margin >= 0.0, margin,
-        f"sum {total:.6g} vs bound {bound:.6g}",
+    return _certificate(
+        "displacement_sum", bound - total, f"sum {total:.6g} vs bound {bound:.6g}"
     )
 
 
 def _check_superlinear(run) -> Certificate:
-    report, obj, dists, mu, l1 = run.report, run.obj, run.dists, run.mu, run.l1
+    obj, dists, mu = run.obj, run.dists, run.mu
     if obj.hessian is None or obj.l2 is None:
         raise MissingGroundTruth(
             "superlinear envelope needs the Hessian oracle and L2"
         )
-    h_star = obj.hessian(obj.minimizer)
-    gap = float(np.linalg.norm(report.b0 - h_star) ** 2)
-    denom = superlinear_denominator(mu, l1, gap, obj.l2, dists[0])
     if dists[0] == 0.0:
-        return Certificate(
-            "superlinear_envelope", True, True, math.inf, "started at x*"
-        )
-    worst = math.inf
-    worst_k = -1
+        return _certificate("superlinear_envelope", math.inf, "started at x*")
+    gap = float(np.linalg.norm(run.report.b0 - run.h_star) ** 2)
+    denom = superlinear_denominator(mu, run.l1, gap, obj.l2, dists[0])
     # k = 0 compares 1 <= 1 identically; start at the first real iterate
-    for k, d_k in enumerate(dists[1:], start=1):
-        margin = superlinear_envelope(k, mu, denom) - d_k / dists[0]
-        if margin < worst:
-            worst, worst_k = margin, k
-    if worst_k < 0:
-        return Certificate(
-            "superlinear_envelope", True, True, math.inf, "empty trace"
-        )
-    return Certificate(
-        "superlinear_envelope", True, worst >= 0.0, worst, f"worst at k={worst_k}"
-    )
+    return _worst("superlinear_envelope", (
+        (k, superlinear_envelope(k, mu, denom) - d_k / dists[0])
+        for k, d_k in enumerate(dists[1:], start=1)
+    ))
 
 
 #: check name -> check(run) on a `_Replay`, in report order

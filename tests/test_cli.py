@@ -5,9 +5,11 @@ import os
 import numpy as np
 import pytest
 
+import qnpe.cli
 import qnpe.problems
 from qnpe.cli import CSV_HEADER, build_parser, main, parse_problem
 from qnpe.core import SolverConfig
+from qnpe.verify import verify_trace
 
 QUAD = "quadratic:d=8,mu=1,l1=50,seed=3"
 
@@ -177,6 +179,24 @@ class TestVerify:
         )
         assert float(report["pass_rate"]) >= 0.98
         assert code == 0
+
+    @pytest.mark.parametrize("seeds", ["1", "2"])
+    def test_regret_competitors_reach_every_seed(
+        self, tmp_path, monkeypatch, seeds
+    ):
+        seen = []
+
+        def spy(report, obj, checks=None, **options):
+            seen.append(options.get("regret_competitors", 0))
+            return verify_trace(report, obj, checks, **options)
+
+        monkeypatch.setattr(qnpe.cli, "verify_trace", spy)
+        code = run_cli(
+            tmp_path, "verify", "--problem", QUAD, "--oracle-mode", "exact",
+            "--seeds", seeds, "--regret-competitors", "3",
+        )
+        assert code == 0
+        assert seen == [3] * int(seeds)
 
 
 class TestCompare:

@@ -13,7 +13,7 @@ from qnpe.core import (
 from qnpe.errors import MissingGroundTruth, NonFiniteIterate, ProblemMismatch
 from qnpe.problems import make_logistic, make_quadratic
 from qnpe.solver import _STALL_LIMIT, extragradient_step, solve
-from qnpe.verify import verify_trace
+from qnpe.verify import transition, verify_trace
 
 METHODS = {"qnpe": solve, "gd": solve_gd, "bfgs": solve_bfgs}
 
@@ -118,7 +118,8 @@ class TestSolve:
     def test_n_tr_present_with_ground_truth(self):
         obj = make_quadratic(6, 1.0, 10.0, seed=7)
         report = solve(obj, SolverConfig(max_iters=2, grad_tol=1e-16))
-        assert report.n_tr is not None and report.n_tr >= 4.0 / 3.0
+        n_tr = transition(report, obj)
+        assert n_tr is not None and n_tr >= 4.0 / 3.0
 
     def test_seeded_runs_are_reproducible(self):
         obj = make_quadratic(8, 1.0, 300.0, seed=9)
@@ -145,6 +146,22 @@ class TestRunLoop:
         obj = make_quadratic(4, 1.0, 10.0, seed=0)
         with pytest.raises(error):
             METHODS[method](obj, SolverConfig(max_iters=5), x0=make_x0(4))
+
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize(
+        "bad_grad",
+        [
+            lambda g: g[:, None],
+            lambda g: g[:-1],
+            lambda g: float(g @ g),
+        ],
+        ids=["column", "short", "scalar"],
+    )
+    def test_gradient_of_wrong_shape_raises(self, method, bad_grad):
+        obj = make_quadratic(4, 1.0, 10.0, seed=0)
+        broken = dataclasses.replace(obj, grad=lambda x: bad_grad(obj.grad(x)))
+        with pytest.raises(ProblemMismatch, match="gradient"):
+            METHODS[method](broken, SolverConfig(max_iters=5))
 
     @pytest.mark.parametrize("method", METHODS)
     def test_steps_below_one_ulp_stall(self, method):
@@ -273,6 +290,18 @@ class TestVerifyTrace:
         ) / ((1.0 - cfg.beta**2) * cfg.alpha2**2 * cfg.beta**2)
         assert lhs <= rhs
         assert report.inv_eta_sq_sum == pytest.approx(lhs)
+
+    def test_hessian_evaluated_once_per_call(self):
+        obj, report = self.full_run()
+        calls = []
+
+        def hessian(x):
+            calls.append(1)
+            return obj.hessian(x)
+
+        counted = dataclasses.replace(obj, hessian=hessian)
+        assert verify_trace(report, counted, regret_competitors=2).all_passed
+        assert len(calls) == 1
 
     def test_baseline_reports_not_applicable(self):
         from qnpe.baselines import solve_gd

@@ -1,8 +1,13 @@
+import dataclasses
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from qnpe.baselines import solve_gd
 from qnpe.core import SolverConfig
 from qnpe.errors import BacktrackCapExceeded
 from qnpe.problems import make_quadratic
@@ -11,7 +16,9 @@ from qnpe.verify import (
     iteration_complexity_bound,
     superlinear_denominator,
     superlinear_envelope,
+    transition,
     transition_iteration,
+    verify_trace,
 )
 
 
@@ -39,9 +46,17 @@ class TestDerivedQuantities:
         )
         d0_sq = float(np.linalg.norm(report.x0 - obj.minimizer) ** 2)
         bound = iteration_complexity_bound(
-            1e-10, obj.mu, obj.l1, report.n_tr, d0_sq
+            1e-10, obj.mu, obj.l1, transition(report, obj), d0_sq
         )
         assert report.iterations <= math.ceil(bound)
+
+    def test_transition_needs_b0_and_ground_truth(self):
+        obj = make_quadratic(5, 1.0, 10.0, seed=0)
+        cfg = SolverConfig(max_iters=3)
+        report = solve(obj, cfg)
+        assert transition(report, obj) >= 4.0 / 3.0
+        assert transition(solve_gd(obj, cfg), obj) is None
+        assert transition(report, dataclasses.replace(obj, l2=None)) is None
 
     def test_complexity_bound_zero_when_already_accurate(self):
         assert iteration_complexity_bound(1.0, 1.0, 10.0, 2.0, 0.5) == 0.0
@@ -55,3 +70,90 @@ class TestMetadataGuards:
         cfg = SolverConfig(max_backtracks_slack=0, max_iters=50)
         with pytest.raises(BacktrackCapExceeded):
             solve(liar, cfg, x0=np.array([1.0]))
+
+
+@functools.lru_cache(maxsize=None)
+def _exact_run():
+    obj = make_quadratic(10, 1.0, 100.0, seed=0)
+    return obj, solve(obj, SolverConfig(oracle_mode="exact", grad_tol=1e-8))
+
+
+def _first_min(pairs):
+    """(margin, k) of the smallest non-NaN margin, first k on ties;
+    (inf, None) when there is none."""
+    best, best_k = math.inf, None
+    for k, margin in pairs:
+        if not math.isnan(margin) and (best_k is None or margin < best):
+            best, best_k = margin, k
+    return best, best_k
+
+
+_edit = st.tuples(
+    st.integers(min_value=0),
+    st.one_of(st.none(), st.floats(1e-6, 1.0)),
+    st.one_of(
+        st.none(),
+        st.just(0.0),
+        st.just(math.nan),
+        st.floats(0.0, 10.0, allow_subnormal=False),
+    ),
+)
+
+
+class TestMarginScan:
+    """The per-iteration checks report the first smallest margin, written
+    out here directly, on traces with edited step sizes and distances."""
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(edits=st.lists(_edit, max_size=12))
+    def test_worst_margin_and_its_k(self, edits):
+        obj, report = _exact_run()
+        records = list(report.records)
+        for index, eta, dist_sq in edits:
+            i = index % len(records)
+            changes = {}
+            if eta is not None:
+                changes["eta"] = eta
+            if dist_sq is not None:
+                changes["dist_sq"] = dist_sq
+            records[i] = dataclasses.replace(records[i], **changes)
+        edited = dataclasses.replace(report, records=tuple(records))
+
+        cfg, mu, l1 = report.config, float(obj.mu), float(obj.l1)
+        dists = [r.dist_sq for r in records] + [report.final_dist_sq(obj)]
+        floor = cfg.alpha2 * cfg.beta / l1
+        target = 1.0 / (1.0 + 2.0 * mu * cfg.alpha2 * cfg.beta / l1) + 1e-12
+        gap = float(np.linalg.norm(report.b0 - obj.hessian(obj.minimizer)) ** 2)
+        denom = superlinear_denominator(mu, l1, gap, obj.l2, dists[0])
+        expected = {
+            "contraction": _first_min(
+                (r.k, dists[r.k] / (1.0 + 2.0 * r.eta * mu)
+                 + 1e-12 * dists[r.k] - dists[r.k + 1])
+                for r in records
+            ),
+            "linear_rate": _first_min(
+                (k, target - dists[k + 1] / dists[k])
+                for k in range(len(records)) if dists[k] != 0.0
+            ),
+            "step_floor": _first_min((r.k, r.eta - floor) for r in records),
+            "superlinear_envelope": (
+                (math.inf, "x*") if dists[0] == 0.0 else _first_min(
+                    (k, superlinear_envelope(k, mu, denom) - dists[k] / dists[0])
+                    for k in range(1, len(dists))
+                )
+            ),
+        }
+
+        certs = verify_trace(edited, obj, checks=tuple(expected))
+        for name, (margin, k) in expected.items():
+            cert = certs[name]
+            assert cert.margin == margin, name
+            assert cert.passed is (margin >= 0.0), name
+            if k == "x*":
+                assert cert.detail == "started at x*"
+            elif k is None:
+                assert cert.detail == "empty trace"
+            else:
+                assert cert.detail.endswith(f"worst at k={k}"), name
+        assert certs["step_floor"].detail.startswith(f"floor {floor:.6g}, ")

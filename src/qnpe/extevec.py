@@ -3,8 +3,9 @@
 A query on a symmetric matrix W either certifies that W is (approximately)
 inside {||.||_op <= 1} or returns gamma > 1 together with a rank-one
 separator S = sign * u u^T built from an extreme eigenpair. The randomized
-variant estimates the eigenpair by Lanczos with a random start and a
-probabilistic iteration budget; the exact variant reduces W to tridiagonal
+variant estimates the eigenpair by Lanczos with a random start, an
+iteration budget and a near-invariance early stop, both set by the query's
+failure probability; the exact variant reduces W to tridiagonal
 form (Householder, LAPACK sytrd) and is the deterministic test reference.
 Both variants end in one tridiagonal kernel, every eigenvalue by root-free
 QR (sterf) and the one wanted eigenvector by inverse iteration (stein),
@@ -59,15 +60,41 @@ class SepOutcome:
 
 @dataclass(frozen=True)
 class LanczosBudget:
-    """Iteration count N and accuracy epsilon for one randomized query."""
+    """Iteration count N, accuracy epsilon and near-invariance tolerance
+    for one randomized query."""
 
     n_iters: int
     epsilon: float
+    tolerance: float
+
+
+#: the rounding floor of the near-invariance test: below it the residual
+#: of the reorthogonalized recurrence carries no information
+_ROUNDING_TOLERANCE = 64.0 * np.finfo(float).eps
 
 
 def lanczos_budget(d: int, delta: float, q: float) -> LanczosBudget:
-    """Budget N = min(ceil(eps^(-1/2)/4 * ln(11 d / q^2) + 1/2), d),
-    eps = delta / (2 (1 + delta))."""
+    """Budget of one query with failure probability q, split in two halves.
+
+    The N-step bound (Kuczynski & Wozniakowski 1992) takes q/2:
+    N = min(ceil(eps^(-1/2)/4 * ln(11 d / (q/2)^2) + 1/2), d) with
+    eps = delta / (2 (1 + delta)). The early stop takes the other q/2: the
+    recurrence stops at step m when its residual b <= tolerance * scale,
+    tolerance = max(64 machine eps, delta (q/2) / (4 (1 + delta) sqrt(d))).
+
+    Why the second half holds (Davis & Kahan 1970, sin theta). A stop at b
+    leaves W Q_m = Q_m T_m + b q_{m+1} e_m^T, so span(Q_m) is invariant
+    for a W' with ||W - W'|| <= b, and the Ritz values in [-gamma, gamma]
+    are eigenvalues of W' there. If ||W|| > (1 + delta) max(gamma, 1), then
+    scale <= 2 ||W|| (|alpha| and beta are at most ||W|| >= 1) and every
+    Ritz value is at least ||W|| delta / (1 + delta) away from W's extreme
+    eigenvalue, so the start vector, which lies in span(Q_m), has a
+    component of at most 2 tolerance (1 + delta) / delta on its
+    eigenvector u. For a uniform unit start, u^T v has density at most
+    sqrt(d / (2 pi)) near 0, so that event has probability at most
+    2 tolerance (1 + delta) / delta * sqrt(2 d / pi) <= q/2. When the
+    formula falls below the rounding floor, rounding decides the stop.
+    """
     if d < 1:
         raise ValueError("d must be >= 1")
     if delta <= 0.0:
@@ -75,8 +102,12 @@ def lanczos_budget(d: int, delta: float, q: float) -> LanczosBudget:
     if not (0.0 < q < 1.0):
         raise ValueError("q must be in (0, 1)")
     eps = delta / (2.0 * (1.0 + delta))
-    n = math.ceil(0.25 / math.sqrt(eps) * math.log(11.0 * d / q**2) + 0.5)
-    return LanczosBudget(n_iters=min(n, d), epsilon=eps)
+    half = 0.5 * q
+    n = math.ceil(0.25 / math.sqrt(eps) * math.log(11.0 * d / half**2) + 0.5)
+    tolerance = max(
+        _ROUNDING_TOLERANCE, delta * half / (4.0 * (1.0 + delta) * math.sqrt(d))
+    )
+    return LanczosBudget(n_iters=min(n, d), epsilon=eps, tolerance=tolerance)
 
 
 def _lapack(routine: str, *args, **kwargs):
@@ -146,16 +177,20 @@ def ext_evec_lanczos(
 ) -> SepOutcome:
     """Randomized oracle: Lanczos with a uniform random unit start.
 
-    Runs the budgeted number of iterations with full reorthogonalization,
+    Runs at most the budgeted N iterations with full reorthogonalization,
     takes the extreme Ritz pair of the tridiagonal matrix, and maps the
     Ritz vector back to R^d. With probability >= 1 - q the returned gamma
-    satisfies ||W||_op <= (1 + delta) * max(gamma, 1). Early breakdown
-    (beta = 0) is a success: the Krylov space is invariant and the
-    tridiagonal matrix is exact on it.
+    satisfies ||W||_op <= (1 + delta) * max(gamma, 1). The recurrence stops
+    early when its residual b falls to `tolerance * scale`, scale the
+    running bound max(1, |alpha_k| + beta_{k-1}) on ||W||: the Krylov space
+    is then invariant for a matrix within b of W. `lanczos_budget` splits q
+    between the N-step bound and this near-invariance stop and derives the
+    tolerance from the failure budget, not from rounding.
     """
     w = np.asarray(w, dtype=float)
     d = w.shape[0]
-    n = lanczos_budget(d, delta, q).n_iters
+    budget = lanczos_budget(d, delta, q)
+    n = budget.n_iters
 
     v = rng.standard_normal(d)
     v /= math.sqrt(v @ v)
@@ -164,7 +199,7 @@ def ext_evec_lanczos(
     basis = np.zeros((n, d))
     alphas = np.zeros(n)
     betas = np.zeros(max(n - 1, 0))
-    breakdown = 64.0 * np.finfo(float).eps
+    tolerance = budget.tolerance
     scale = 1.0
     m = n
     beta_prev = 0.0
@@ -183,7 +218,7 @@ def ext_evec_lanczos(
         if k == n - 1:
             break
         b = math.sqrt(work @ work)
-        if b <= breakdown * scale:
+        if b <= tolerance * scale:
             m = k + 1
             break
         betas[k] = b

@@ -197,11 +197,13 @@ def _certificate(name: str, margin: float, detail: str) -> Certificate:
 
 
 def _worst(name, pairs, detail="worst at k={k}"):
-    """Certificate on the smallest margin of the (k, margin) pairs: the
-    first smallest wins and a NaN margin is never chosen. Without a pair
-    the check passes with margin inf."""
+    """Certificate on the smallest margin of the (k, margin) pairs, the
+    first smallest on ties. A NaN margin counts as the worst: the first one
+    fails the check. Without a pair the check passes with margin inf."""
     worst, worst_k = math.inf, None
     for k, margin in pairs:
+        if math.isnan(margin):
+            return _certificate(name, margin, "NaN margin, " + detail.format(k=k))
         if margin < worst:
             worst, worst_k = margin, k
     if worst_k is None:
@@ -266,6 +268,10 @@ def _check_stepsize_sum(run) -> Certificate:
     )
 
 
+#: the learner step size that the small-loss bound's 18 = 1/rho assumes
+_REGRET_RHO = 1.0 / 18.0
+
+
 def _regret_gap(run, competitor: Array) -> float:
     """18 ||B0 - H||_F^2 + 2 sum_t l_t(H) - sum_t l_t(B_t)."""
     competitor_total = sum(
@@ -276,18 +282,21 @@ def _regret_gap(run, competitor: Array) -> float:
 
 
 def _check_small_loss(run) -> Certificate:
-    obj, h_star = run.obj, run.h_star
+    obj, rho = run.obj, run.cfg.rho
+    if rho != _REGRET_RHO:
+        return Certificate(
+            "small_loss_regret", False, None, None,
+            f"bound derived for rho = 1/18 only, run used rho = {rho:.6g}",
+        )
     if not run.report.loss_samples:
         return _certificate("small_loss_regret", math.inf, "no learner rounds")
-    gaps = [("competitor H*", _regret_gap(run, h_star))]
+    gaps = [("competitor H*", _regret_gap(run, run.h_star))]
     rng, d = np.random.default_rng(0), obj.dim
     for i in range(run.regret_competitors):
         q, _ = np.linalg.qr(rng.standard_normal((d, d)))
         lam = rng.uniform(obj.mu, obj.l1, size=d)
         gaps.append((f"random competitor {i}", _regret_gap(run, (q * lam) @ q.T)))
-    # min keeps the first of equal gaps, and H* when its gap is NaN
-    detail, worst = min(gaps, key=lambda gap: gap[1])
-    return _certificate("small_loss_regret", worst, detail)
+    return _worst("small_loss_regret", gaps, detail="{k}")
 
 
 def _check_displacement_sum(run) -> Certificate:

@@ -2,15 +2,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import lapack
 
 import qnpe.extevec
+import qnpe.learner
+from qnpe.core import SolverConfig
 from qnpe.errors import EigFailure
 from qnpe.extevec import (
     ext_evec_exact,
     ext_evec_lanczos,
     lanczos_budget,
 )
+from qnpe.problems import make_quadratic
+from qnpe.solver import solve
 
 
 def random_symmetric(d, seed, scale=1.0):
@@ -40,12 +46,39 @@ def with_small_dimensions(seeds, d):
     return params
 
 
+def assert_violations_within_budget(w, op_norm, delta, q, seeds):
+    """Over `seeds` Lanczos starts, the share that breaks ||W||_op <=
+    (1 + delta) max(gamma, 1) is at most q plus a 99% one-sided binomial
+    slack, q + 2.33 sqrt(q (1 - q) / seeds)."""
+    violations = 0
+    for seed in range(seeds):
+        out = ext_evec_lanczos(w, delta, q, np.random.default_rng(seed))
+        if op_norm > (1.0 + delta) * max(out.gamma, 1.0):
+            violations += 1
+    assert violations / seeds <= q + 2.33 * math.sqrt(q * (1 - q) / seeds)
+
+
 class TestBudget:
     def test_frozen_example(self):
-        # delta=1 -> eps=1/4; N = ceil(0.5*ln(11*100/0.01) + 0.5) = 7
+        # delta=1 -> eps=1/4; the N-step bound gets q/2 = 0.05:
+        # N = ceil(0.5*ln(11*100/0.05^2) + 0.5) = ceil(6.997) = 7
         budget = lanczos_budget(100, delta=1.0, q=0.1)
         assert budget.epsilon == 0.25
         assert budget.n_iters == 7
+        # tolerance = 1 * 0.05 / (4 * 2 * sqrt(100))
+        assert budget.tolerance == pytest.approx(6.25e-4, rel=1e-15)
+
+    @pytest.mark.parametrize("d", [1, 2, 40, 400, 10**6])
+    @pytest.mark.parametrize("delta", [1e-3, 1e-2, 1.0, 10.0])
+    @pytest.mark.parametrize("q", [1e-12, 1e-5, 0.05, 0.9])
+    def test_tolerance_formula(self, d, delta, q):
+        # stop when b <= tolerance * scale, with
+        # tolerance = max(64 eps, delta (q/2) / (4 (1 + delta) sqrt(d)))
+        floor = 64.0 * np.finfo(float).eps
+        budget = lanczos_budget(d, delta, q)
+        formula = delta * (q / 2) / (4.0 * (1.0 + delta) * math.sqrt(d))
+        assert budget.tolerance == max(floor, formula)
+        assert budget.tolerance >= floor
 
     def test_cap_at_dimension(self):
         budget = lanczos_budget(5, delta=2.0, q=0.9)
@@ -239,14 +272,41 @@ class TestLanczosOracle:
         lam = np.concatenate(([2.0], rng.uniform(-0.5, 0.5, size=d - 1)))
         basis, r = np.linalg.qr(rng.standard_normal((d, d)))
         w = (basis * lam) @ basis.T
-        op_norm = np.abs(lam).max()
-        violations = 0
-        for seed in range(200):
-            out = ext_evec_lanczos(w, delta, q, np.random.default_rng(seed))
-            if op_norm > (1.0 + delta) * max(out.gamma, 1.0):
-                violations += 1
-        # q + 99% one-sided binomial slack ~ q + 2.33*sqrt(q(1-q)/200)
-        assert violations / 200 <= q + 2.33 * math.sqrt(q * (1 - q) / 200)
+        assert_violations_within_budget(w, np.abs(lam).max(), delta, q, 200)
+
+    @pytest.mark.parametrize("q", [0.05, 0.2])
+    def test_statistical_soundness_small_delta(self, q):
+        # the learner's regime: W = I + low rank, with a cluster spread at
+        # the stop tolerance around 1 and one extreme planted at 1 + 2 delta,
+        # so a stop on the cluster before the extreme is found is a violation
+        d, delta = 60, 1e-2
+        tau = lanczos_budget(d, delta, q).tolerance
+        rng = np.random.default_rng(17)
+        lam = np.ones(d)
+        lam[0] = 1.0 + 2.0 * delta
+        lam[1:6] += tau * rng.uniform(-2.0, 2.0, size=5)
+        basis, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        w = (basis * lam) @ basis.T
+        assert_violations_within_budget(w, np.abs(lam).max(), delta, q, 400)
+
+    @settings(max_examples=80)
+    @given(
+        d=st.integers(1, 40),
+        seed=st.integers(0, 2**32 - 1),
+        scale=st.floats(0.5, 10.0),
+        clustered=st.booleans(),
+    )
+    def test_agrees_with_exact_within_one_plus_delta(self, d, seed, scale, clustered):
+        # q = 1e-9 leaves no room for a failure in 80 examples
+        delta, q = 1e-3, 1e-9
+        if clustered and d > 3:
+            w = scale * identity_plus_low_rank(d, 3, 0.1, seed)
+        else:
+            w = random_symmetric(d, seed, scale=scale)
+        exact = ext_evec_exact(w)
+        out = ext_evec_lanczos(w, delta, q, np.random.default_rng(seed))
+        assert exact.gamma <= (1.0 + delta) * max(out.gamma, 1.0)
+        assert out.gamma <= exact.gamma * (1.0 + 1e-10)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_separator_identity_and_domination(self, seed):
@@ -269,3 +329,32 @@ class TestLanczosOracle:
         out = ext_evec_lanczos(w, 1.0, 0.1, np.random.default_rng(2))
         if not out.inside:
             assert np.linalg.norm(out.separator()) == pytest.approx(1.0)
+
+
+class TestCountRepeatability:
+    """The learner's W = I + low rank plus rounding carries a near-degenerate
+    cluster at 1.0. A stop test at rounding level let a rounding-level change
+    of W move the number of Lanczos steps; the budgeted tolerance does not."""
+
+    def test_rounding_perturbation_keeps_the_count(self, monkeypatch):
+        # every Lanczos query the learner makes in 60 iterations of a solve
+        d, queries = 100, []
+        oracle = qnpe.learner.ext_evec_lanczos
+
+        def spy(w, delta, q, rng):
+            queries.append((w.copy(), delta, q))
+            return oracle(w, delta, q, rng)
+
+        monkeypatch.setattr(qnpe.learner, "ext_evec_lanczos", spy)
+        solve(
+            make_quadratic(d, 1.0, 100.0, seed=3),
+            SolverConfig(oracle_mode="lanczos", max_iters=60),
+        )
+        assert len(queries) >= 40
+        for i, (w, delta, q) in enumerate(queries):
+            noise = np.random.default_rng(i).standard_normal((d, d))
+            w_rounded = w + 1e-16 * (noise + noise.T)
+            out = oracle(w, delta, q, np.random.default_rng(i))
+            twin = oracle(w_rounded, delta, q, np.random.default_rng(i))
+            assert twin.matvecs == out.matvecs, i
+            assert twin.gamma == pytest.approx(out.gamma, rel=0.0, abs=1e-9), i

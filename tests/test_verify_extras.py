@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qnpe.baselines import solve_gd
@@ -79,11 +79,13 @@ def _exact_run():
 
 
 def _first_min(pairs):
-    """(margin, k) of the smallest non-NaN margin, first k on ties;
-    (inf, None) when there is none."""
+    """(margin, k) of the first NaN margin if there is one, else of the
+    smallest margin, first k on ties; (inf, None) when there is none."""
     best, best_k = math.inf, None
     for k, margin in pairs:
-        if not math.isnan(margin) and (best_k is None or margin < best):
+        if math.isnan(margin):
+            return margin, k
+        if best_k is None or margin < best:
             best, best_k = margin, k
     return best, best_k
 
@@ -101,11 +103,11 @@ _edit = st.tuples(
 
 
 class TestMarginScan:
-    """The per-iteration checks report the first smallest margin, written
-    out here directly, on traces with edited step sizes and distances."""
+    """The per-iteration checks report the first NaN margin, else the first
+    smallest margin, written out here directly, on traces with edited step
+    sizes and distances."""
 
-    @settings(max_examples=60, deadline=None,
-              suppress_health_check=[HealthCheck.too_slow])
+    @settings(max_examples=60)
     @given(edits=st.lists(_edit, max_size=12))
     def test_worst_margin_and_its_k(self, edits):
         obj, report = _exact_run()
@@ -148,7 +150,11 @@ class TestMarginScan:
         certs = verify_trace(edited, obj, checks=tuple(expected))
         for name, (margin, k) in expected.items():
             cert = certs[name]
-            assert cert.margin == margin, name
+            if math.isnan(margin):
+                assert math.isnan(cert.margin), name
+                assert cert.detail.startswith("NaN margin, "), name
+            else:
+                assert cert.margin == margin, name
             assert cert.passed is (margin >= 0.0), name
             if k == "x*":
                 assert cert.detail == "started at x*"
@@ -157,3 +163,55 @@ class TestMarginScan:
             else:
                 assert cert.detail.endswith(f"worst at k={k}"), name
         assert certs["step_floor"].detail.startswith(f"floor {floor:.6g}, ")
+
+
+class TestFailClosed:
+    def test_nan_distances_fail_their_checks(self):
+        # a tampered or reloaded report: every recorded distance is NaN
+        obj, report = _exact_run()
+        records = tuple(
+            dataclasses.replace(r, dist_sq=math.nan) for r in report.records
+        )
+        certs = verify_trace(dataclasses.replace(report, records=records), obj)
+        for name in ("contraction", "linear_rate", "superlinear_envelope"):
+            cert = certs[name]
+            assert cert.applicable and cert.passed is False, name
+            assert math.isnan(cert.margin), name
+            assert cert.detail.startswith("NaN margin, "), name
+        assert not certs.all_passed
+
+    def test_one_nan_distance_outranks_a_negative_margin(self):
+        obj, report = _exact_run()
+        records = list(report.records)
+        records[2] = dataclasses.replace(records[2], dist_sq=1e6)
+        records[5] = dataclasses.replace(records[5], dist_sq=math.nan)
+        edited = dataclasses.replace(report, records=tuple(records))
+        cert = verify_trace(edited, obj, checks=["contraction"])["contraction"]
+        assert cert.passed is False and math.isnan(cert.margin)
+        assert cert.detail == "NaN margin, worst at k=4"
+
+    @staticmethod
+    def _rho_run(rho):
+        # B0 = H* + E with ||E||_op = 1 along an interior eigenvector of H*,
+        # so B0's spectrum stays in [mu, L1]
+        obj = make_quadratic(20, 1.0, 100.0, seed=7)
+        h_star = obj.hessian(obj.minimizer)
+        u = np.linalg.eigh(h_star)[1][:, 10]
+        cfg = SolverConfig(oracle_mode="exact", rho=rho, b0=h_star + np.outer(u, u))
+        return obj, solve(obj, cfg)
+
+    def test_small_loss_not_applicable_off_theory_rho(self):
+        # the bound's 18 ||B0 - H||_F^2 is 1/rho at rho = 1/18; at rho = 8
+        # it was applied anyway and failed with margin about -2e3
+        obj, report = self._rho_run(8.0)
+        certs = verify_trace(report, obj, regret_competitors=2)
+        cert = certs["small_loss_regret"]
+        assert not cert.applicable
+        assert cert.passed is None and cert.margin is None
+        assert cert.detail == "bound derived for rho = 1/18 only, run used rho = 8"
+
+    def test_small_loss_applies_at_theory_rho(self):
+        obj, report = self._rho_run(1.0 / 18.0)
+        cert = verify_trace(report, obj)["small_loss_regret"]
+        assert cert.applicable and cert.passed
+        assert cert.detail == "competitor H*"

@@ -1,92 +1,38 @@
 """Quasi-Newton proximal extragradient solver with an online-learned
 curvature model, reference baselines, and a certificate-verification
-harness."""
+harness.
 
-from .baselines import bfgs_step, gd_step, solve_bfgs, solve_gd
+The top level exports the README surface; every other name is importable
+from its own module (`qnpe.linsolve.conjugate_residual`, ...)."""
+
+from .baselines import solve_bfgs, solve_gd
 from .core import (
-    IterationRecord,
     Objective,
     SolverConfig,
     SolverReport,
     config_from_kv,
     config_to_kv,
-    validate_config,
 )
-from .extevec import (
-    LanczosBudget,
-    SepOutcome,
-    ext_evec_exact,
-    ext_evec_lanczos,
-    lanczos_budget,
-)
-from .learner import (
-    HessianLearner,
-    LossSample,
-    from_hat,
-    loss,
-    loss_gradient,
-    project_frobenius_ball,
-    to_hat,
-)
-from .linesearch import LineSearchOutcome, backtrack
-from .linsolve import CrResult, LinearOperator, conjugate_residual
-from .problems import (
-    load_matrix_market,
-    logistic_objective,
-    make_logistic,
-    make_quadratic,
-    quadratic_objective,
-)
-from .solver import extragradient_step, solve
-from .verify import (
-    TraceCertificates,
-    iteration_complexity_bound,
-    superlinear_denominator,
-    superlinear_envelope,
-    transition_iteration,
-    verify_trace,
-)
+from .extevec import lanczos_budget
+from .learner import HessianLearner
+from .problems import load_matrix_market, make_logistic, make_quadratic
+from .solver import solve
+from .verify import transition, verify_trace
 
 __all__ = [
-    "CrResult",
     "HessianLearner",
-    "IterationRecord",
-    "LanczosBudget",
-    "LinearOperator",
-    "LineSearchOutcome",
-    "LossSample",
     "Objective",
-    "SepOutcome",
     "SolverConfig",
     "SolverReport",
-    "TraceCertificates",
-    "backtrack",
-    "bfgs_step",
     "config_from_kv",
     "config_to_kv",
-    "conjugate_residual",
-    "ext_evec_exact",
-    "ext_evec_lanczos",
-    "extragradient_step",
-    "from_hat",
-    "gd_step",
-    "iteration_complexity_bound",
     "lanczos_budget",
     "load_matrix_market",
-    "logistic_objective",
-    "loss",
-    "loss_gradient",
     "make_logistic",
     "make_quadratic",
-    "project_frobenius_ball",
-    "quadratic_objective",
     "solve",
     "solve_bfgs",
     "solve_gd",
-    "superlinear_denominator",
-    "superlinear_envelope",
-    "to_hat",
-    "transition_iteration",
-    "validate_config",
+    "transition",
     "verify_trace",
 ]

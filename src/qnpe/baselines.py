@@ -8,7 +8,6 @@ column by column.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -23,24 +22,11 @@ ARMIJO_C1 = 1e-4
 ARMIJO_MAX_HALVINGS = 60
 
 
-def gd_step(x: Array, obj: Objective) -> Array:
-    """One fixed-step gradient descent update x - grad(x)/L1."""
-    return x - obj.grad(x) / obj.l1
+def bfgs_step(x: Array, h: Array, g: Array, obj: Objective) -> tuple:
+    """One BFGS update from iterate x with inverse curvature approximation h
+    and gradient g, with Armijo backtracking.
 
-
-@dataclass
-class BfgsState:
-    """Iterate plus the inverse curvature approximation H."""
-
-    x: Array
-    h: Array
-    grad: Array
-
-
-def bfgs_step(state: BfgsState, obj: Objective) -> tuple:
-    """One BFGS update with Armijo backtracking.
-
-    Returns (new state, step size, armijo attempts). The inverse
+    Returns (x_new, g_new, h_new, step size, armijo attempts). The inverse
     approximation update is skipped when the curvature pair is degenerate
     (<y, s> <= 1e-12 ||s|| ||y||), which keeps H positive definite.
 
@@ -49,7 +35,6 @@ def bfgs_step(state: BfgsState, obj: Objective) -> tuple:
     """
     if obj.value is None:
         raise LineSearchFailure("BFGS needs the objective value oracle")
-    x, h, g = state.x, state.h, state.grad
     direction = -(h @ g)
     slope = float(g @ direction)
     f0 = obj.value(x)
@@ -71,7 +56,7 @@ def bfgs_step(state: BfgsState, obj: Objective) -> tuple:
         d = x.shape[0]
         left = np.eye(d) - rho * np.outer(s, y)
         h = left @ h @ left.T + rho * np.outer(s, s)
-    return BfgsState(x_new, h, g_new), step, attempts
+    return x_new, g_new, h, step, attempts
 
 
 def solve_gd(
@@ -104,9 +89,8 @@ def solve_bfgs(
 
     def step(x, g):
         nonlocal h
-        state, eta, attempts = bfgs_step(BfgsState(x, h, g), obj)
-        h = state.h
-        return state.x, state.grad, dict(
+        x_new, g_new, h, eta, attempts = bfgs_step(x, h, g, obj)
+        return x_new, g_new, dict(
             eta=eta, backtracked=attempts > 1, ls_steps=attempts, grad_evals=1,
             matvecs_linsolve=0, matvecs_extevec=0,
         )

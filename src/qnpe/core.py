@@ -259,10 +259,11 @@ def validate_config(cfg: SolverConfig, obj: Objective) -> SolverConfig:
         raise ParameterConflict(f"unknown oracle_mode {cfg.oracle_mode!r}")
     if cfg.max_iters < 1:
         raise ParameterConflict("max_iters must be >= 1")
-    if cfg.grad_tol < 0.0:
-        raise ParameterConflict("grad_tol must be >= 0")
-    if cfg.dist_tol is not None and cfg.dist_tol < 0.0:
-        raise ParameterConflict("dist_tol must be >= 0")
+    # negated so that NaN, which fails every comparison, is rejected too
+    if not cfg.grad_tol >= 0.0:
+        raise ParameterConflict(f"grad_tol must be >= 0, got {cfg.grad_tol}")
+    if cfg.dist_tol is not None and not cfg.dist_tol >= 0.0:
+        raise ParameterConflict(f"dist_tol must be >= 0, got {cfg.dist_tol}")
     if cfg.max_backtracks_slack < 0:
         raise ParameterConflict("max_backtracks_slack must be >= 0")
     if not sigma0 > 0.0:

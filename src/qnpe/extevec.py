@@ -46,17 +46,6 @@ class SepOutcome:
     def inside(self) -> bool:
         return self.sign is None
 
-    def separator(self) -> Array:
-        if self.sign is None:
-            raise ValueError("inside outcome has no separator")
-        return self.sign * np.outer(self.vector, self.vector)
-
-    def separator_action(self, mat: Array) -> float:
-        """<S, mat> without forming S."""
-        if self.sign is None:
-            raise ValueError("inside outcome has no separator")
-        return float(self.sign * (self.vector @ (mat @ self.vector)))
-
 
 @dataclass(frozen=True)
 class LanczosBudget:

@@ -41,16 +41,6 @@ def loss(b: Array, sample: LossSample) -> float:
     return float(resid @ resid) / (2.0 * float(sample.s @ sample.s))
 
 
-def loss_gradient(b: Array, sample: LossSample) -> Array:
-    """Gradient of the secant loss:
-    -(s (y - B s)^T + (y - B s) s^T) / (2 ||s||^2), a symmetric matrix with
-    nuclear norm at most sqrt(2 * loss)."""
-    s, y = sample.s, sample.y
-    resid = y - b @ s
-    outer = np.outer(s, resid)
-    return -(outer + outer.T) / (2.0 * float(s @ s))
-
-
 def to_hat(b: Array, mu: float, l1: float) -> Array:
     """Affine spectral map onto the unit-operator-norm ball coordinates:
     (2/(L1-mu)) * (B - (L1+mu)/2 * I)."""
@@ -74,14 +64,6 @@ def from_hat(
         b = (0.5 * (l1 - mu)) * b_hat
     b.flat[:: b.shape[0] + 1] += 0.5 * (l1 + mu)
     return b
-
-
-def project_frobenius_ball(w: Array, radius: float) -> Array:
-    """Euclidean projection w * R / max(||w||_F, R) onto the Frobenius ball."""
-    if radius <= 0.0:
-        raise ValueError("radius must be positive")
-    norm = float(np.linalg.norm(w))
-    return w * (radius / max(norm, radius))
 
 
 def failure_budget(p: float, t: int) -> float:
@@ -147,7 +129,6 @@ class HessianLearner:
         self.b_current = np.array(b0, dtype=float)
         self.w = None if self.degenerate else to_hat(self.b_current, mu, l1)
         self.t = 0
-        self.cumulative_loss = 0.0
         self.matvecs = 0
         self.round_log: list[RoundLog] = []
         self._predicted = False
@@ -188,7 +169,6 @@ class HessianLearner:
         ss = float(s @ s)
         resid = sample.y - self.b_current @ s
         value = float(resid @ resid) / (2.0 * ss)
-        self.cumulative_loss += value
         w_fro = 0.0 if self.degenerate else self._step(outcome, s, resid, ss)
         self._log_round(outcome, w_fro)
         self.t += 1
@@ -206,12 +186,13 @@ class HessianLearner:
         r = y - B s is the transformed loss gradient, and the hinge
         max(0, -<G, Bhat>) equals max(0, 2 c r^T (Bhat s)). This is the step
         project_frobenius_ball(w - rho * surrogate, sqrt(d)) built from
-        `loss_gradient` and `SepOutcome.separator`, without d x d
-        temporaries. Every term is a symmetric rank-one update q q^T with
-        coefficient +-1, run as BLAS ger on W^T (W itself in Fortran order):
-        entries (i, j) and (j, i) then receive the same product, so W stays
-        exactly symmetric. A rounding-level asymmetry would delay the
-        Lanczos breakdown test and cost oracle matvecs.
+        `loss_gradient` and `separator`, the dense references in
+        tests/reference.py, without d x d temporaries. Every term is a
+        symmetric rank-one update q q^T with coefficient +-1, run as BLAS
+        ger on W^T (W itself in Fortran order): entries (i, j) and (j, i)
+        then receive the same product, so W stays exactly symmetric. A
+        rounding-level asymmetry would delay the Lanczos breakdown test and
+        cost oracle matvecs.
         """
         c = 1.0 / ((self.l1 - self.mu) * ss)
         w_t = self.w.T

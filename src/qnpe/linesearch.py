@@ -18,7 +18,7 @@ import numpy as np
 
 from .core import Objective, SolverConfig
 from .errors import BacktrackCapExceeded
-from .linsolve import conjugate_residual, cr_iteration_cap, shifted_operator
+from .linsolve import conjugate_residual, cr_iteration_cap
 
 Array = np.ndarray
 
@@ -87,7 +87,7 @@ def backtrack(
         lam_min = 1.0 + eta * 0.5 * mu
         cr_cap = cr_iteration_cap(d, lam_max, lam_max / lam_min, alpha1)
         result = conjugate_residual(
-            shifted_operator(b_mat, eta), -eta * g, alpha1, cr_cap
+            lambda v: v + eta * (b_mat @ v), -eta * g, alpha1, cr_cap
         )
         matvecs += result.matvecs
         s = result.s

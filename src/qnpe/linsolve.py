@@ -24,37 +24,15 @@ RESIDUAL_FLOOR = 64.0 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
-class LinearOperator:
-    """Matrix-free symmetric operator v -> A v on R^dim."""
-
-    dim: int
-    apply: Callable[[Array], Array]
-
-    @staticmethod
-    def from_matrix(mat: Array) -> "LinearOperator":
-        mat = np.asarray(mat, dtype=float)
-        return LinearOperator(dim=mat.shape[0], apply=lambda v: mat @ v)
-
-
-def shifted_operator(b_mat: Array, eta: float) -> LinearOperator:
-    """Operator for I + eta * B with B given densely."""
-    return LinearOperator(dim=b_mat.shape[0], apply=lambda v: v + eta * (b_mat @ v))
-
-
-@dataclass(frozen=True)
 class CrResult:
-    """Solution and accounting of one conjugate-residual run.
-
-    `residual_norms` and `step_norms` hold ||r_k|| and ||s_k|| for
-    k = 0..iterations (recurrence-tracked residuals).
+    """Solution and accounting of one conjugate-residual run;
+    `residual_norm` is the recurrence-tracked ||r|| at the returned iterate.
     """
 
     s: Array
     residual_norm: float
     iterations: int
     matvecs: int
-    residual_norms: tuple
-    step_norms: tuple
 
 
 def cr_iteration_cap(d: int, lam_max: float, kappa: float, alpha: float) -> int:
@@ -72,7 +50,7 @@ def cr_iteration_cap(d: int, lam_max: float, kappa: float, alpha: float) -> int:
 
 
 def conjugate_residual(
-    a: LinearOperator,
+    matvec: Callable[[Array], Array],
     b: Array,
     alpha: float,
     max_iters: Optional[int] = None,
@@ -81,10 +59,11 @@ def conjugate_residual(
 
     Parameters
     ----------
-    a : symmetric positive definite operator.
-    b : right-hand side.
+    matvec : v -> A v for a symmetric positive definite A; the k-th call
+        receives the residual r_k.
+    b : right-hand side, shape (d,).
     alpha : relative stopping factor in [0, 1).
-    max_iters : iteration cap; defaults to 20 * dim.
+    max_iters : iteration cap; defaults to 20 * d.
 
     Raises
     ------
@@ -94,11 +73,11 @@ def conjugate_residual(
         surfaces: a vanishing <Ap, Ap> means r ~ 0 for definite operators
         and returns the current iterate as converged.
     """
-    d = a.dim
+    b = np.asarray(b, dtype=float)
+    d = b.shape[0]
     if max_iters is None:
         max_iters = 20 * d
 
-    b = np.asarray(b, dtype=float)
     s = np.zeros(d)
     r = b.copy()
     r_norm = float(np.linalg.norm(r))
@@ -108,23 +87,19 @@ def conjugate_residual(
 
     iters = 0
     matvecs = 0
-    r_hist = [r_norm]
-    s_hist = [s_norm]
     p = a_p = a_r = None
     r_ar = 0.0
 
     while True:
         if r_norm <= alpha * s_norm or r_norm <= floor:
-            return CrResult(
-                s, r_norm, iters, matvecs, tuple(r_hist), tuple(s_hist)
-            )
+            return CrResult(s, r_norm, iters, matvecs)
         if iters >= max_iters:
             raise IterationCapExceeded(
                 f"no iterate with ||r|| <= {alpha} ||s|| within "
                 f"{max_iters} iterations (last residual {r_norm:.3e})"
             )
         if iters == 0:
-            a_r = a.apply(r)
+            a_r = matvec(r)
             matvecs += 1
             p = r.copy()
             a_p = a_r.copy()
@@ -133,13 +108,11 @@ def conjugate_residual(
         ap_ap = float(a_p @ a_p)
         if ap_ap <= ap_floor or r_ar <= 0.0:
             # p ~ 0 implies r ~ 0 for a definite operator: converged
-            return CrResult(
-                s, r_norm, iters, matvecs, tuple(r_hist), tuple(s_hist)
-            )
+            return CrResult(s, r_norm, iters, matvecs)
         step = r_ar / ap_ap
         s = s + step * p
         r = r - step * a_p
-        a_r = a.apply(r)
+        a_r = matvec(r)
         matvecs += 1
         r_ar_next = float(r @ a_r)
         scale = r_ar_next / r_ar
@@ -149,5 +122,3 @@ def conjugate_residual(
         iters += 1
         r_norm = float(np.linalg.norm(r))
         s_norm = float(np.linalg.norm(s))
-        r_hist.append(r_norm)
-        s_hist.append(s_norm)

@@ -1,20 +1,26 @@
 import numpy as np
 import pytest
 
-from qnpe.baselines import BfgsState, bfgs_step, gd_step, solve_bfgs, solve_gd
+from qnpe.baselines import bfgs_step, solve_bfgs, solve_gd
 from qnpe.core import SolverConfig
 from qnpe.problems import make_quadratic, quadratic_objective
+
+
+def one_gd_step(x, obj):
+    """One step of the shipped gradient descent loop from x."""
+    one_step = SolverConfig(max_iters=1, grad_tol=0.0)
+    return solve_gd(obj, one_step, x0=x).final_x
 
 
 class TestGradientDescent:
     def test_minimizer_is_fixed_point(self):
         obj = make_quadratic(6, 1.0, 10.0, seed=0)
-        out = gd_step(obj.minimizer, obj)
+        out = one_gd_step(obj.minimizer, obj)
         assert np.allclose(out, obj.minimizer, atol=1e-12)
 
     def test_scalar_converges_in_one_step(self):
         obj = quadratic_objective(np.array([[4.0]]), np.array([2.0]), 4.0, 4.0)
-        out = gd_step(np.array([7.0]), obj)
+        out = one_gd_step(np.array([7.0]), obj)
         assert out[0] == pytest.approx(0.5, rel=1e-15)
 
     def test_diagonal_contraction_matches_linear_map(self):
@@ -24,7 +30,7 @@ class TestGradientDescent:
         contraction = np.eye(2) - a / 10.0
         for _ in range(5):
             x = rng.standard_normal(2)
-            stepped = gd_step(x, obj)
+            stepped = one_gd_step(x, obj)
             mapped = obj.minimizer + contraction @ (x - obj.minimizer)
             assert np.allclose(stepped, mapped, atol=1e-12)
             ratio = np.linalg.norm(stepped - obj.minimizer)
@@ -43,20 +49,20 @@ class TestBfgs:
     def test_secant_identity_after_update(self):
         obj = make_quadratic(6, 1.0, 30.0, seed=2)
         x0 = np.random.default_rng(3).standard_normal(6)
-        state = BfgsState(x0, np.eye(6), obj.grad(x0))
+        x, h, g = x0, np.eye(6), obj.grad(x0)
         for _ in range(5):
-            prev_x, prev_g = state.x, state.grad
-            state, _, _ = bfgs_step(state, obj)
-            s = state.x - prev_x
-            y = state.grad - prev_g
+            x_new, g_new, h, _, _ = bfgs_step(x, h, g, obj)
+            s = x_new - x
+            y = g_new - g
             if y @ s > 1e-12 * np.linalg.norm(s) * np.linalg.norm(y):
-                assert np.allclose(state.h @ y, s, atol=1e-10)
+                assert np.allclose(h @ y, s, atol=1e-10)
+            x, g = x_new, g_new
 
     def test_scalar_learns_inverse_curvature_in_one_update(self):
         obj = quadratic_objective(np.array([[4.0]]), np.array([0.0]), 4.0, 4.0)
-        state = BfgsState(np.array([1.0]), np.eye(1), obj.grad(np.array([1.0])))
-        state, _, _ = bfgs_step(state, obj)
-        assert state.h[0, 0] == pytest.approx(0.25, rel=1e-12)
+        x = np.array([1.0])
+        _, _, h, _, _ = bfgs_step(x, np.eye(1), obj.grad(x), obj)
+        assert h[0, 0] == pytest.approx(0.25, rel=1e-12)
 
     def test_converges_within_sixty_iterations(self):
         obj = make_quadratic(10, 1.0, 100.0, seed=7)
@@ -78,18 +84,18 @@ class TestBfgs:
     def test_armijo_attempts_count_halvings(self):
         obj = make_quadratic(8, 1.0, 50.0, seed=4)
         x0 = np.random.default_rng(5).standard_normal(8)
-        state = BfgsState(x0, np.eye(8), obj.grad(x0))
+        x, h, g = x0, np.eye(8), obj.grad(x0)
         for _ in range(25):
-            state, step, attempts = bfgs_step(state, obj)
+            x, g, h, step, attempts = bfgs_step(x, h, g, obj)
             assert step == 0.5 ** (attempts - 1)
 
     def test_inverse_approximation_stays_positive_definite(self):
         obj = make_quadratic(8, 1.0, 50.0, seed=4)
         x0 = np.random.default_rng(5).standard_normal(8)
-        state = BfgsState(x0, np.eye(8), obj.grad(x0))
+        x, h, g = x0, np.eye(8), obj.grad(x0)
         for _ in range(25):
-            state, _, _ = bfgs_step(state, obj)
-            assert np.linalg.eigvalsh(state.h)[0] > 0.0
+            x, g, h, _, _ = bfgs_step(x, h, g, obj)
+            assert np.linalg.eigvalsh(h)[0] > 0.0
 
     def test_report_schema_compatible(self):
         obj = make_quadratic(5, 1.0, 10.0, seed=0)

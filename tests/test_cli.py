@@ -58,6 +58,16 @@ class TestRun:
         assert code == 2
         assert "StepSeedTooSmall" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--grad-tol", "--dist-tol"])
+    def test_nan_tolerance_exits_2(self, tmp_path, capsys, flag):
+        code = run_cli(
+            tmp_path, "run", "--problem", "quadratic:d=5,mu=1,l1=10,seed=0",
+            "--method", "gd", flag, "nan", "--max-iters", "300",
+        )
+        assert code == 2
+        assert "error: ParameterConflict" in capsys.readouterr().err
+        assert not (tmp_path / "trace.csv").exists()
+
     def test_minimizer_stall_exits_2(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(qnpe.problems, "NEWTON_MAX_STEPS", 1)
         code = run_cli(

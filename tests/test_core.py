@@ -2,8 +2,11 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qnpe.core import (
+    ORACLE_MODES,
     Objective,
     SolverConfig,
     budget_log_term,
@@ -101,6 +104,19 @@ class TestValidateConfig:
         for field in dataclasses.fields(SolverConfig):
             assert getattr(first, field.name) == getattr(second, field.name)
 
+    @pytest.mark.parametrize("value", [float("nan"), -1.0, -0.5e-300])
+    @pytest.mark.parametrize("field", ["grad_tol", "dist_tol"])
+    def test_tolerances_must_be_nonnegative_numbers(self, field, value):
+        # NaN fails every comparison, so it must not pass as "not negative"
+        with pytest.raises(ParameterConflict, match=field):
+            validate_config(SolverConfig(**{field: value}), simple_objective())
+
+    def test_zero_tolerances_accepted(self):
+        cfg = validate_config(
+            SolverConfig(grad_tol=0.0, dist_tol=0.0), simple_objective()
+        )
+        assert (cfg.grad_tol, cfg.dist_tol) == (0.0, 0.0)
+
     def test_oracle_mode_checked(self):
         with pytest.raises(ParameterConflict):
             validate_config(SolverConfig(oracle_mode="magic"), simple_objective())
@@ -144,6 +160,39 @@ class TestKvFormat:
         parsed = config_from_kv(config_to_kv(cfg))
         for field in dataclasses.fields(SolverConfig):
             assert getattr(parsed, field.name) == getattr(cfg, field.name)
+
+    @given(data=st.data())
+    def test_round_trip_property(self, data):
+        # finite floats in each field's valid range, None where a field
+        # defaults; on mu = 1, L1 = 4 every alpha2 * beta / L1 < 1/4 <= sigma0
+        def real(lo, hi, exclude_min=False, exclude_max=False):
+            return st.floats(
+                lo, hi, exclude_min=exclude_min, exclude_max=exclude_max,
+                allow_nan=False, allow_infinity=False,
+            )
+
+        def optional(strategy):
+            return data.draw(st.none() | strategy)
+
+        cfg = SolverConfig(
+            alpha1=optional(real(0.0, 0.5, exclude_max=True)),
+            alpha2=optional(real(0.0, 0.5, exclude_min=True, exclude_max=True)),
+            beta=optional(real(0.0, 1.0, exclude_min=True, exclude_max=True)),
+            sigma0=optional(real(0.25, 1e300)),
+            rho=data.draw(real(0.0, 1e300, exclude_min=True)),
+            delta=optional(real(0.0, 1.0, exclude_min=True)),
+            p=data.draw(real(0.0, 1.0, exclude_min=True, exclude_max=True)),
+            b0=optional(real(1.0, 4.0)),
+            oracle_mode=data.draw(st.sampled_from(ORACLE_MODES)),
+            seed=data.draw(st.integers(0, 2**63 - 1)),
+            max_iters=data.draw(st.integers(1, 10**9)),
+            grad_tol=data.draw(real(0.0, 1e300)),
+            dist_tol=optional(real(0.0, 1e300)),
+            max_backtracks_slack=data.draw(st.integers(0, 10**6)),
+        )
+        validated = validate_config(cfg, simple_objective(mu=1.0, l1=4.0))
+        for config in (cfg, validated):
+            assert config_from_kv(config_to_kv(config)) == config
 
     def test_none_encoding(self):
         text = config_to_kv(SolverConfig())

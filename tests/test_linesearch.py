@@ -87,6 +87,20 @@ class TestInvariants:
         assert out.eta * np.linalg.norm(err) <= cfg.alpha2 * np.linalg.norm(s)
 
     @pytest.mark.parametrize("seed", range(6))
+    def test_steps_meet_the_linear_solve_condition(self, seed):
+        # ||(I + eta B) s + eta g|| <= alpha1 ||s|| for the accepted step and,
+        # at eta / beta, for the last rejected one
+        obj, cfg, x, b, out = self.run_one(seed, sigma=4.0)
+        g = obj.grad(x)
+        steps = [(out.eta, out.x_hat - x)]
+        if out.backtracked:
+            steps.append((out.eta / cfg.beta, out.x_tilde - x))
+        for eta, s in steps:
+            resid = s + eta * (b @ s) + eta * g
+            bound = cfg.alpha1 * np.linalg.norm(s) * (1.0 + 1e-8)
+            assert np.linalg.norm(resid) <= bound
+
+    @pytest.mark.parametrize("seed", range(6))
     def test_step_floor(self, seed):
         obj, cfg, _, _, out = self.run_one(seed, sigma=4.0)
         assert out.eta >= cfg.alpha2 * cfg.beta / obj.l1

@@ -1,0 +1,97 @@
+"""The top-level API: `qnpe.__all__` is the README surface plus what the
+benchmark imports, and code that only tests need stays out of the package
+(its dense references live in tests/reference.py)."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import qnpe
+
+PACKAGE = Path(qnpe.__file__).parent
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+PUBLIC = {
+    "HessianLearner",
+    "Objective",
+    "SolverConfig",
+    "SolverReport",
+    "config_from_kv",
+    "config_to_kv",
+    "lanczos_budget",
+    "load_matrix_market",
+    "make_logistic",
+    "make_quadratic",
+    "solve",
+    "solve_bfgs",
+    "solve_gd",
+    "transition",
+    "verify_trace",
+}
+
+#: names that the package no longer defines: wrappers that added nothing to
+#: a solve, and references or bookkeeping that only tests read
+REMOVED = [
+    "LinearOperator",
+    "from_matrix",
+    "shifted_operator",
+    "residual_norms",
+    "step_norms",
+    "gd_step",
+    "BfgsState",
+    "cumulative_loss",
+    "loss_gradient",
+    "project_frobenius_ball",
+    "separator",
+    "separator_action",
+]
+
+
+def defined_names(path: Path) -> set:
+    """Functions, classes, fields and attributes that a module defines."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                if isinstance(target, ast.Name):
+                    names.add(target.id)
+                elif isinstance(target, ast.Attribute):
+                    names.add(target.attr)
+    return names
+
+
+def perfbench_imports() -> set:
+    """Names that the benchmark scripts import `from qnpe`, submodules
+    excluded."""
+    names = set()
+    for path in PERFBENCH.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.module == "qnpe":
+                names.update(alias.name for alias in node.names)
+    return {name for name in names if not (PACKAGE / f"{name}.py").is_file()}
+
+
+def test_all_is_the_documented_surface():
+    assert sorted(qnpe.__all__) == sorted(PUBLIC)
+
+
+@pytest.mark.parametrize("name", sorted(PUBLIC))
+def test_every_public_name_resolves(name):
+    assert getattr(qnpe, name) is not None
+
+
+def test_perfbench_imports_are_public():
+    imported = perfbench_imports()
+    # the scan must see the benchmark's imports at all
+    assert {"SolverConfig", "verify_trace", "lanczos_budget"} <= imported
+    assert imported <= set(qnpe.__all__)
+
+
+def test_removed_names_are_not_defined():
+    for path in sorted(PACKAGE.glob("*.py")):
+        leftover = defined_names(path) & set(REMOVED)
+        assert not leftover, f"{path.name} defines {sorted(leftover)}"

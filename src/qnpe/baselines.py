@@ -65,7 +65,7 @@ def solve_gd(
     x0: Optional[Array] = None,
 ) -> SolverReport:
     """Gradient descent with the 1/L1 step under the shared stopping rules."""
-    cfg = validate_config(cfg if cfg is not None else SolverConfig(), obj)
+    cfg = validate_config(cfg, obj)
     eta = 1.0 / obj.l1
 
     def step(x, g):
@@ -84,7 +84,7 @@ def solve_bfgs(
     x0: Optional[Array] = None,
 ) -> SolverReport:
     """BFGS from H = I with Armijo backtracking, shared stopping rules."""
-    cfg = validate_config(cfg if cfg is not None else SolverConfig(), obj)
+    cfg = validate_config(cfg, obj)
     h = np.eye(obj.dim)
 
     def step(x, g):

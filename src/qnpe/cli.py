@@ -42,6 +42,14 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
+#: generator name -> (factory, its spec parameters in call order with their
+#: types); the canonical key lists the parameters in this order
+GENERATORS = {
+    "quadratic": (make_quadratic, {"d": int, "mu": float, "l1": float, "seed": int}),
+    "logistic": (make_logistic, {"n": int, "d": int, "lambda": float, "seed": int}),
+}
+
+
 def parse_problem(spec: str) -> tuple:
     """Resolve a problem spec string to (Objective, canonical key)."""
     name, _, rest = spec.partition(":")
@@ -56,33 +64,17 @@ def parse_problem(spec: str) -> tuple:
             if not val:
                 raise ProblemMismatch(f"malformed problem parameter {item!r}")
             params[key.strip()] = val.strip()
-    if name == "quadratic":
-        required = ("d", "mu", "l1", "seed")
-        _require_params(spec, params, required)
-        obj = make_quadratic(
-            int(params["d"]), float(params["mu"]), float(params["l1"]),
-            int(params["seed"]),
-        )
-    elif name == "logistic":
-        required = ("n", "d", "lambda", "seed")
-        _require_params(spec, params, required)
-        obj = make_logistic(
-            int(params["n"]), int(params["d"]), float(params["lambda"]),
-            int(params["seed"]),
-        )
-    else:
+    if name not in GENERATORS:
         raise ProblemMismatch(f"unknown problem generator {name!r}")
-    key = name + ":" + ",".join(f"{k}={params[k]}" for k in required)
-    return obj, key
-
-
-def _require_params(spec, params, required):
-    missing = [k for k in required if k not in params]
+    factory, kinds = GENERATORS[name]
+    missing = [k for k in kinds if k not in params]
     if missing:
         raise ProblemMismatch(f"{spec!r} is missing {', '.join(missing)}")
-    extra = [k for k in params if k not in required]
+    extra = [k for k in params if k not in kinds]
     if extra:
         raise ProblemMismatch(f"{spec!r} has unknown keys {', '.join(extra)}")
+    obj = factory(*(kind(params[k]) for k, kind in kinds.items()))
+    return obj, name + ":" + ",".join(f"{k}={params[k]}" for k in kinds)
 
 
 def config_from_args(args) -> SolverConfig:
@@ -142,24 +134,27 @@ def summary_kv(report: SolverReport, obj: Objective, problem_key: str) -> str:
     return "".join(f"{k}={v}\n" for k, v in pairs)
 
 
-def _out_dir(args) -> str:
-    if args.out_dir is not None:
-        return args.out_dir
-    return os.environ.get(OUT_DIR_ENV, ".")
+def _write(args, path: Optional[str], default_name: str, text: str) -> str:
+    """Write `text` to `path`, by default to `default_name` in --out-dir,
+    else $QNPE_OUT_DIR, else the working directory; returns the path."""
+    if not path:
+        out = args.out_dir
+        if out is None:
+            out = os.environ.get(OUT_DIR_ENV, ".")
+        os.makedirs(out, exist_ok=True)
+        path = os.path.join(out, default_name)
+    with open(path, "w") as fh:
+        fh.write(text)
+    return path
 
 
 def cmd_run(args) -> int:
     obj, key = parse_problem(args.problem)
-    cfg = config_from_args(args)
-    report = run_method(args.method, obj, cfg)
-    out = _out_dir(args)
-    os.makedirs(out, exist_ok=True)
-    trace_path = args.trace or os.path.join(out, "trace.csv")
-    summary_path = args.summary or os.path.join(out, "summary.txt")
-    with open(trace_path, "w") as fh:
-        fh.write(trace_csv(report))
-    with open(summary_path, "w") as fh:
-        fh.write(summary_kv(report, obj, key))
+    report = run_method(args.method, obj, config_from_args(args))
+    trace_path = _write(args, args.trace, "trace.csv", trace_csv(report))
+    summary_path = _write(
+        args, args.summary, "summary.txt", summary_kv(report, obj, key)
+    )
     print(f"{report.method} on {key}: {report.termination} "
           f"after {report.iterations} iterations")
     print(f"trace: {trace_path}")
@@ -170,10 +165,6 @@ def cmd_run(args) -> int:
 def cmd_verify(args) -> int:
     obj, key = parse_problem(args.problem)
     cfg = config_from_args(args)
-    out = _out_dir(args)
-    os.makedirs(out, exist_ok=True)
-    report_path = args.report or os.path.join(out, "certificates.txt")
-
     lines = [f"method={args.method}", f"problem={key}"]
     if args.seeds <= 1:
         run = run_method(args.method, obj, cfg)
@@ -189,9 +180,8 @@ def cmd_verify(args) -> int:
         lines.append(f"n_tr={_fmt(n_tr)}")
         final_dist = run.final_dist_sq(obj)
         if n_tr is not None and final_dist is not None and final_dist > 0.0:
-            d0 = run.x0 - obj.minimizer
             bound = iteration_complexity_bound(
-                final_dist, obj.mu, obj.l1, n_tr, float(d0 @ d0)
+                final_dist, obj.mu, obj.l1, n_tr, obj.dist_sq(run.x0)
             )
             lines.append(f"n_eps_bound={_fmt(bound)}")
         lines.append(f"all_passed={'true' if ok else 'false'}")
@@ -215,8 +205,7 @@ def cmd_verify(args) -> int:
         exit_code = 0 if (not applicable or rate >= args.min_pass_rate) else 1
 
     text = "\n".join(lines) + "\n"
-    with open(report_path, "w") as fh:
-        fh.write(text)
+    _write(args, args.report, "certificates.txt", text)
     sys.stdout.write(text)
     return exit_code
 
@@ -268,12 +257,7 @@ def cmd_compare(args) -> int:
             f"mv_extevec={totals['mv_extevec']}"
         )
     text = "\n".join(lines) + "\n"
-
-    out = _out_dir(args)
-    os.makedirs(out, exist_ok=True)
-    data_path = args.out or os.path.join(out, "compare.dat")
-    with open(data_path, "w") as fh:
-        fh.write(text)
+    _write(args, args.out, "compare.dat", text)
     sys.stdout.write(text)
     return 0
 

@@ -58,6 +58,13 @@ class Objective:
         if int(self.dim) < 1:
             raise ValueError(f"dim must be a positive integer, got {self.dim}")
 
+    def dist_sq(self, x: Array) -> Optional[float]:
+        """||x - x*||^2, or None without a known minimizer."""
+        if self.minimizer is None:
+            return None
+        diff = x - self.minimizer
+        return float(diff @ diff)
+
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -168,10 +175,7 @@ class SolverReport:
         }
 
     def final_dist_sq(self, obj: Objective) -> Optional[float]:
-        if obj.minimizer is None:
-            return None
-        diff = self.final_x - obj.minimizer
-        return float(diff @ diff)
+        return obj.dist_sq(self.final_x)
 
 
 def default_delta(mu: float, l1: float) -> float:
@@ -218,8 +222,9 @@ def _check_b0(b0, mu: float, l1: float):
         )
 
 
-def validate_config(cfg: SolverConfig, obj: Objective) -> SolverConfig:
-    """Fill defaults and check every configuration invariant.
+def validate_config(cfg: Optional[SolverConfig], obj: Objective) -> SolverConfig:
+    """Fill defaults and check every configuration invariant; None stands
+    for `SolverConfig()`.
 
     Idempotent: validating an already-validated config returns an equal one.
 
@@ -229,6 +234,7 @@ def validate_config(cfg: SolverConfig, obj: Objective) -> SolverConfig:
         StepSeedTooSmall: sigma0 < alpha2*beta/L1.
         SpectrumViolation: b0 spectrum outside [mu, L1].
     """
+    cfg = SolverConfig() if cfg is None else cfg
     mu, l1 = float(obj.mu), float(obj.l1)
     if mu <= 0 or l1 < mu:
         raise DegenerateCurvature(f"need 0 < mu <= L1, got mu={mu}, L1={l1}")

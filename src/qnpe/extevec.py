@@ -28,23 +28,33 @@ Array = np.ndarray
 
 @dataclass(frozen=True)
 class SepOutcome:
-    """Oracle answer: gamma plus either an inside certificate or a separator.
+    """Oracle answer: the (estimated) extreme eigenvalues lam_min and
+    lam_max of W, a unit eigenvector for the end of larger magnitude, and
+    the matrix-vector products spent.
 
-    sign is None for the inside case; otherwise S = sign * outer(vector,
-    vector) with vector unit-norm, so ||S||_F = 1. lam_min/lam_max carry the
-    (estimated) extreme eigenvalues when the oracle computed them.
+    gamma = max(lam_max, -lam_min); W is certified inside when gamma <= 1,
+    and otherwise separated by S = sign * outer(vector, vector), which has
+    ||S||_F = 1. sign is None for the inside case.
     """
 
-    gamma: float
-    sign: Optional[int]
-    vector: Optional[Array]
-    matvecs: int = 0
-    lam_min: Optional[float] = None
-    lam_max: Optional[float] = None
+    lam_min: float
+    lam_max: float
+    vector: Array
+    matvecs: int
+
+    @property
+    def gamma(self) -> float:
+        return max(self.lam_max, -self.lam_min)
 
     @property
     def inside(self) -> bool:
-        return self.sign is None
+        return self.gamma <= 1.0
+
+    @property
+    def sign(self) -> Optional[int]:
+        if self.inside:
+            return None
+        return 1 if self.lam_max >= -self.lam_min else -1
 
 
 @dataclass(frozen=True)
@@ -130,16 +140,6 @@ def _tridiag_extremes(alphas: Array, betas: Array):
     return lo, hi, z[:, 0]
 
 
-def _outcome(lo: float, hi: float, u: Array, matvecs: int) -> SepOutcome:
-    """Outcome for extremes (lo, hi) with u the unit eigenvector of the end
-    of larger magnitude."""
-    gamma = max(hi, -lo)
-    if gamma <= 1.0:
-        return SepOutcome(gamma, None, None, matvecs, lam_min=lo, lam_max=hi)
-    sign = 1 if hi >= -lo else -1
-    return SepOutcome(gamma, sign, u, matvecs, lam_min=lo, lam_max=hi)
-
-
 def ext_evec_exact(w: Array) -> SepOutcome:
     """Deterministic oracle: Householder tridiagonalization (sytrd), the
     tridiagonal extremes kernel, and a back-map of the one eigenvector.
@@ -158,7 +158,7 @@ def ext_evec_exact(w: Array) -> SepOutcome:
         # case, which scipy does not wrap. One column needs lwork = 1.
         qz, _ = _lapack("dormqr", "L", "N", c[1:, :-1], tau, z[1:, None], 1)
         z[1:] = qz[:, 0]
-    return _outcome(lo, hi, z, 0)
+    return SepOutcome(lo, hi, z, 0)
 
 
 def ext_evec_lanczos(
@@ -219,4 +219,4 @@ def ext_evec_lanczos(
     u = z @ basis[:m]
     u /= math.sqrt(u @ u)
     # one matrix-vector product per Lanczos step
-    return _outcome(lo, hi, u, m)
+    return SepOutcome(lo, hi, u, m)

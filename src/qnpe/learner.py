@@ -17,6 +17,7 @@ from typing import Optional
 import numpy as np
 from scipy.linalg import blas
 
+from .core import SolverConfig
 from .errors import DegenerateCurvature, StateMismatch, ZeroDisplacement
 from .extevec import SepOutcome, ext_evec_exact, ext_evec_lanczos
 
@@ -100,29 +101,18 @@ class HessianLearner:
     advances the round counter. Rounds count backtracked iterations only:
     callers skip `update_round` when the first trial step was accepted, and
     repeated `predict` calls between updates return the cached prediction.
+
+    The step rho, oracle slack delta, failure budget p and oracle mode are
+    read from `cfg`, whose delta must be set (`validate_config` fills it);
+    the Lanczos oracle draws from `np.random.default_rng(cfg.seed)`.
     """
 
-    def __init__(
-        self,
-        b0: Array,
-        mu: float,
-        l1: float,
-        *,
-        rho: float = 1.0 / 18.0,
-        delta: float = 1.0,
-        p: float = 0.05,
-        oracle_mode: str = "exact",
-        rng: Optional[np.random.Generator] = None,
-    ):
+    def __init__(self, b0: Array, mu: float, l1: float, cfg: SolverConfig):
         self.mu = float(mu)
         self.l1 = float(l1)
-        self.rho = float(rho)
-        self.delta = float(delta)
-        self.p = float(p)
-        self.oracle_mode = oracle_mode
-        self.rng = rng if rng is not None else np.random.default_rng(0)
-        self.dim = b0.shape[0]
-        self.radius = math.sqrt(self.dim)
+        self.cfg = cfg
+        self.rng = np.random.default_rng(cfg.seed)
+        self.radius = math.sqrt(b0.shape[0])
         # mu == L1 pins the admissible band to the single point mu*I: the
         # normalized coordinates are undefined and learning is vacuous.
         self.degenerate = self.l1 <= self.mu
@@ -144,11 +134,11 @@ class HessianLearner:
         self._predicted = True
         if self.degenerate or self.t == 0:
             return self.b_current
-        if self.oracle_mode == "exact":
+        if self.cfg.oracle_mode == "exact":
             outcome = ext_evec_exact(self.w)
         else:
-            q = failure_budget(self.p, self.t)
-            outcome = ext_evec_lanczos(self.w, self.delta, q, self.rng)
+            q = failure_budget(self.cfg.p, self.t)
+            outcome = ext_evec_lanczos(self.w, self.cfg.delta, q, self.rng)
         self.matvecs += outcome.matvecs
         if outcome.inside:
             self.b_current = from_hat(self.w, self.mu, self.l1)
@@ -195,18 +185,19 @@ class HessianLearner:
         cost oracle matvecs.
         """
         c = 1.0 / ((self.l1 - self.mu) * ss)
+        rho = self.cfg.rho
         w_t = self.w.T
         if outcome is not None and not outcome.inside:
             b_hat_s = (self.w @ s) / outcome.gamma
             hinge = max(0.0, 2.0 * c * float(resid @ b_hat_s))
             if hinge > 0.0:
-                g = math.sqrt(self.rho * hinge) * outcome.vector
+                g = math.sqrt(rho * hinge) * outcome.vector
                 w_t = blas.dger(-float(outcome.sign), g, g, a=w_t, overwrite_a=True)
         rr = float(resid @ resid)
         if rr > 0.0:
             # rho c (s r^T + r s^T) = p p^T - m m^T with p, m = x +- y, where
             # x y^T = (rho c / 2) s r^T and ||x|| = ||y|| against cancellation
-            half = 0.5 * self.rho * c
+            half = 0.5 * rho * c
             ratio = math.sqrt(rr / ss)
             x = math.sqrt(half * ratio) * s
             y = math.sqrt(half / ratio) * resid

@@ -80,10 +80,7 @@ def run_loop(
     grad_norm = float(np.linalg.norm(g))
 
     for k in range(cfg.max_iters):
-        dist_sq = None
-        if obj.minimizer is not None:
-            diff = x - obj.minimizer
-            dist_sq = float(diff @ diff)
+        dist_sq = obj.dist_sq(x)
         if grad_norm <= cfg.grad_tol:
             termination = "grad_tol"
             break
@@ -128,19 +125,10 @@ def solve(
     """Run the solver on `obj` from `x0` (zero vector by default) under the
     stopping rules of `run_loop`, which also lists the errors raised on a
     malformed start or a non-finite iterate."""
-    cfg = validate_config(cfg if cfg is not None else SolverConfig(), obj)
+    cfg = validate_config(cfg, obj)
     mu = float(obj.mu)
     b0 = resolve_initial_matrix(cfg, obj)
-    learner = HessianLearner(
-        b0,
-        mu,
-        obj.l1,
-        rho=cfg.rho,
-        delta=cfg.delta,
-        p=cfg.p,
-        oracle_mode=cfg.oracle_mode,
-        rng=np.random.default_rng(cfg.seed),
-    )
+    learner = HessianLearner(b0, mu, obj.l1, cfg)
     sigma = cfg.sigma0
     samples = []
 

@@ -28,11 +28,17 @@ Array = np.ndarray
 
 @dataclass(frozen=True)
 class Certificate:
+    """One check's outcome; passed and margin are None when the check does
+    not apply to the run."""
+
     name: str
-    applicable: bool
     passed: Optional[bool]
     margin: Optional[float]
     detail: str = ""
+
+    @property
+    def applicable(self) -> bool:
+        return self.passed is not None
 
 
 @dataclass(frozen=True)
@@ -78,13 +84,12 @@ def transition(report: SolverReport, obj: Objective) -> Optional[float]:
         or obj.l2 is None
     ):
         return None
-    diff0 = report.x0 - obj.minimizer
     return transition_iteration(
         float(obj.mu),
         obj.l1,
         float(np.linalg.norm(report.b0 - obj.hessian(obj.minimizer)) ** 2),
         obj.l2,
-        float(diff0 @ diff0),
+        obj.dist_sq(report.x0),
     )
 
 
@@ -182,7 +187,7 @@ def verify_trace(
     if report.method != "qnpe":
         return TraceCertificates(
             tuple(
-                Certificate(name, False, None, None, "method without guarantees")
+                Certificate(name, None, None, "method without guarantees")
                 for name in wanted
             )
         )
@@ -193,7 +198,7 @@ def verify_trace(
 
 def _certificate(name: str, margin: float, detail: str) -> Certificate:
     """An applicable certificate, passed iff its margin is nonnegative."""
-    return Certificate(name, True, margin >= 0.0, margin, detail)
+    return Certificate(name, margin >= 0.0, margin, detail)
 
 
 def _worst(name, pairs, detail="worst at k={k}"):
@@ -273,19 +278,20 @@ _REGRET_RHO = 1.0 / 18.0
 
 
 def _regret_gap(run, competitor: Array) -> float:
-    """18 ||B0 - H||_F^2 + 2 sum_t l_t(H) - sum_t l_t(B_t)."""
+    """||B0 - H||_F^2 / rho + 2 sum_t l_t(H) - sum_t l_t(B_t) at
+    rho = `_REGRET_RHO`."""
     competitor_total = sum(
         loss(competitor, LossSample(s, y)) for s, y in run.report.loss_samples
     )
     gap_fro_sq = float(np.linalg.norm(run.report.b0 - competitor) ** 2)
-    return 18.0 * gap_fro_sq + 2.0 * competitor_total - run.learner_loss
+    return 1.0 / _REGRET_RHO * gap_fro_sq + 2.0 * competitor_total - run.learner_loss
 
 
 def _check_small_loss(run) -> Certificate:
     obj, rho = run.obj, run.cfg.rho
     if rho != _REGRET_RHO:
         return Certificate(
-            "small_loss_regret", False, None, None,
+            "small_loss_regret", None, None,
             f"bound derived for rho = 1/18 only, run used rho = {rho:.6g}",
         )
     if not run.report.loss_samples:

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from qnpe.baselines import bfgs_step, solve_bfgs, solve_gd
-from qnpe.core import SolverConfig
+from qnpe.core import Objective, SolverConfig
+from qnpe.errors import LineSearchFailure
 from qnpe.problems import make_quadratic, quadratic_objective
 
 
@@ -88,6 +89,20 @@ class TestBfgs:
         for _ in range(25):
             x, g, h, step, attempts = bfgs_step(x, h, g, obj)
             assert step == 0.5 ** (attempts - 1)
+
+    def test_needs_the_value_oracle(self):
+        obj = make_quadratic(4, 1.0, 10.0, seed=0)
+        without_value = Objective(obj.dim, obj.grad, obj.mu, obj.l1)
+        with pytest.raises(LineSearchFailure, match="value oracle"):
+            solve_bfgs(without_value, SolverConfig(max_iters=5))
+
+    def test_armijo_cap_raises(self):
+        # a constant value never decreases, whatever the halved step
+        obj = Objective(
+            3, lambda x: np.ones(3), 1.0, 10.0, value=lambda x: 0.0
+        )
+        with pytest.raises(LineSearchFailure, match="exhausted its cap"):
+            solve_bfgs(obj, SolverConfig(max_iters=5))
 
     def test_inverse_approximation_stays_positive_definite(self):
         obj = make_quadratic(8, 1.0, 50.0, seed=4)

@@ -167,6 +167,15 @@ class TestVerify:
         assert "all_passed=true" in report
         assert "cert_contraction=true" in report
 
+    def test_failed_run_creates_no_output_directory(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = main([
+            "verify", "--problem", QUAD, "--b0", "500", "--out-dir", str(out),
+        ])
+        assert code == 2
+        assert "error: SpectrumViolation" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bfgs_not_applicable_exits_zero(self, tmp_path):
         code = run_cli(
             tmp_path, "verify", "--problem", QUAD, "--method", "bfgs",

@@ -1,0 +1,48 @@
+"""The trace contract: a fixed spec, method and config give a byte-identical
+`cli.trace_csv`, pinned here by its full SHA-256.
+
+The digests depend on floating-point rounding, so a BLAS or LAPACK upgrade,
+or an intended change of the arithmetic, may move them. Such a change
+re-pins the values below and must say so, with the reason, in CHANGES.md.
+"""
+
+import hashlib
+
+import pytest
+
+from qnpe import SolverConfig
+from qnpe.cli import parse_problem, run_method, trace_csv
+
+#: (method, problem spec, config fields, SHA-256 of the trace CSV)
+PINNED = [
+    (
+        "qnpe", "quadratic:d=50,mu=1,l1=1000,seed=7", {},
+        "9dd32aa225cf62860164ece2063b16b913c5668007b59c5c94f75acf60d1f229",
+    ),
+    (
+        "qnpe", "logistic:n=200,d=20,lambda=0.01,seed=3", {},
+        "3b5c75bd713b8991d08ce129094ca43045b98dd5a995c3580b52cada2bfa55d4",
+    ),
+    (
+        "qnpe", "quadratic:d=30,mu=1,l1=100,seed=0", {"oracle_mode": "exact"},
+        "4fff6b4d2da732c2d83d8a249dde57f96f9a0cf316f67a520d29e272e259925a",
+    ),
+    (
+        "gd", "quadratic:d=50,mu=1,l1=1000,seed=7", {},
+        "2d7105bcacb8375a0ad4d24df548c62e779514aac4c56de2891840fe7619bcc9",
+    ),
+    (
+        "bfgs", "quadratic:d=50,mu=1,l1=1000,seed=7", {},
+        "82b3e43230536029c9eb12f6d36c5c497f1204c3b93d84ff048bbfeb37343340",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "method, spec, fields, digest", PINNED,
+    ids=[f"{m}@{spec}" + ("-exact" if f else "") for m, spec, f, _ in PINNED],
+)
+def test_trace_digest_is_pinned(method, spec, fields, digest):
+    obj, _ = parse_problem(spec)
+    report = run_method(method, obj, SolverConfig(**fields))
+    assert hashlib.sha256(trace_csv(report).encode()).hexdigest() == digest

@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import qnpe.learner
+from qnpe.core import SolverConfig, default_delta
 from qnpe.errors import DegenerateCurvature, StateMismatch, ZeroDisplacement
 from qnpe.learner import (
     HessianLearner,
@@ -151,7 +155,7 @@ class TestLearner:
     def make(self, b0, **kw):
         defaults = dict(rho=1.0 / 18.0, delta=0.5, p=0.05, oracle_mode="exact")
         defaults.update(kw)
-        return HessianLearner(b0, self.MU, self.L1, **defaults)
+        return HessianLearner(b0, self.MU, self.L1, SolverConfig(**defaults))
 
     def test_round_zero_plays_b0_verbatim(self):
         b0 = np.diag([1.0, 2.0])
@@ -220,7 +224,7 @@ class TestLearner:
         grad = (2.0 / (self.L1 - self.MU)) * np.array(
             [[-(2.1 - b[0, 0]), 0.0], [0.0, 0.0]]
         )
-        expected = learner.w - learner.rho * grad
+        expected = learner.w - learner.cfg.rho * grad
         learner.update_round(sample)
         assert np.linalg.norm(expected) <= np.sqrt(2)
         assert np.allclose(learner.w, expected, atol=1e-14)
@@ -260,7 +264,7 @@ class TestLearner:
             hinge = max(0.0, -float(np.tensordot(grad, to_hat(b, self.MU, self.L1))))
             assert hinge > 0.0
             surrogate = grad + hinge * separator(outcome)
-        stepped = w_before - learner.rho * surrogate
+        stepped = w_before - learner.cfg.rho * surrogate
         assert (np.linalg.norm(stepped) > np.sqrt(d)) == active
         expected = project_frobenius_ball(stepped, np.sqrt(d))
         learner.update_round(sample)
@@ -320,10 +324,7 @@ class TestLearner:
 
     def test_feasibility_invariants_lanczos_mode(self):
         # logged extremes are Ritz estimates, inside the true spectrum
-        learner = self.make(
-            self.L1 * np.eye(8), oracle_mode="lanczos",
-            rng=np.random.default_rng(0),
-        )
+        learner = self.make(self.L1 * np.eye(8), oracle_mode="lanczos", seed=0)
         self.check_feasibility(learner, 8)
         assert learner.round_log[0].b_min == learner.round_log[0].b_max == self.L1
 
@@ -359,7 +360,7 @@ class TestLearner:
             # the learner's actual step must match the reconstructed
             # surrogate (hinge on the transformed action)
             expected_w = project_frobenius_ball(
-                w_before - learner.rho * surrogate, np.sqrt(d)
+                w_before - learner.cfg.rho * surrogate, np.sqrt(d)
             )
             assert np.allclose(learner.w, expected_w, atol=1e-13)
             for comp in competitors:
@@ -389,8 +390,8 @@ class TestLearner:
 
     def test_degenerate_band_freezes_b(self):
         learner = HessianLearner(
-            np.eye(3), 1.0, 1.0, rho=1.0 / 18.0, delta=1.0, p=0.05,
-            oracle_mode="exact",
+            np.eye(3), 1.0, 1.0,
+            SolverConfig(rho=1.0 / 18.0, delta=1.0, p=0.05, oracle_mode="exact"),
         )
         rng = np.random.default_rng(0)
         for _ in range(5):
@@ -401,12 +402,73 @@ class TestLearner:
 
     def test_lanczos_mode_runs(self):
         rng = np.random.default_rng(0)
-        learner = self.make(
-            self.L1 * np.eye(5), oracle_mode="lanczos",
-            rng=np.random.default_rng(42),
-        )
+        learner = self.make(self.L1 * np.eye(5), oracle_mode="lanczos", seed=42)
         for _ in range(10):
             learner.predict()
             learner.update_round(random_sample(5, rng))
         assert learner.matvecs > 0
         assert np.linalg.norm(learner.w) <= np.sqrt(5) + 1e-12
+
+    def test_lanczos_queries_follow_the_config(self, monkeypatch):
+        # delta, q_t = failure_budget(p, t) and the generator come from cfg
+        queries = []
+        oracle = qnpe.learner.ext_evec_lanczos
+
+        def spy(w, delta, q, rng):
+            queries.append((delta, q, rng.bit_generator.state))
+            return oracle(w, delta, q, rng)
+
+        monkeypatch.setattr(qnpe.learner, "ext_evec_lanczos", spy)
+        learner = self.make(
+            self.L1 * np.eye(4), oracle_mode="lanczos", delta=0.3, p=0.01, seed=9
+        )
+        rng = np.random.default_rng(1)
+        for _ in range(4):
+            learner.predict()
+            learner.update_round(random_sample(4, rng))
+        assert [(delta, q) for delta, q, _ in queries] == [
+            (0.3, failure_budget(0.01, t)) for t in (1, 2, 3)
+        ]
+        assert queries[0][2] == np.random.default_rng(9).bit_generator.state
+
+
+class TestBand:
+    """The matrix the learner plays stays in the band of the paper's
+    analysis. Exact mode divides W by its operator norm, so B lies in
+    [mu, L1] up to rounding; in Lanczos mode gamma may fall short of
+    ||W||_op by the factor 1 + delta with probability at most q_t, and
+    delta <= mu / (L1 - mu) widens the band by at most mu/2 on each side.
+    The logged Ritz extremes lie inside the true spectrum, so only the
+    played matrix itself can show a step out of the band."""
+
+    ROUNDS = 40
+
+    @pytest.mark.parametrize("mode", ["exact", "lanczos"])
+    @settings(max_examples=150)
+    @given(
+        d=st.integers(1, 12),
+        kappa=st.floats(1.5, 1e4),
+        scale=st.floats(1.0, 100.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_played_matrix_stays_in_band(self, mode, d, kappa, scale, seed):
+        mu, l1 = 1.0, kappa
+        rng = np.random.default_rng(seed)
+        basis, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        b0 = (basis * rng.uniform(mu, l1, size=d)) @ basis.T
+        cfg = SolverConfig(
+            p=1e-6, delta=default_delta(mu, l1), oracle_mode=mode, seed=seed
+        )
+        if mode == "exact":
+            low, high = mu - 1e-9 * l1, l1 + 1e-9 * l1
+        else:
+            low, high = mu / 2.0, l1 + mu / 2.0
+        learner = HessianLearner(0.5 * (b0 + b0.T), mu, l1, cfg)
+        for t in range(self.ROUNDS + 1):
+            eigs = np.linalg.eigvalsh(learner.predict())
+            assert low <= eigs[0] and eigs[-1] <= high, t
+            # adversarial secant pairs: y unrelated to s and large against
+            # L1 s, so most rounds push W out of the unit ball
+            s = rng.standard_normal(d)
+            y = scale * l1 * rng.standard_normal(d)
+            learner.update_round(LossSample(s, y))

@@ -3,11 +3,15 @@ benchmark imports, and code that only tests need stays out of the package
 (its dense references live in tests/reference.py)."""
 
 import ast
+import dataclasses
+import inspect
 from pathlib import Path
 
 import pytest
 
 import qnpe
+from qnpe.extevec import SepOutcome
+from qnpe.verify import Certificate
 
 PACKAGE = Path(qnpe.__file__).parent
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -95,3 +99,22 @@ def test_removed_names_are_not_defined():
     for path in sorted(PACKAGE.glob("*.py")):
         leftover = defined_names(path) & set(REMOVED)
         assert not leftover, f"{path.name} defines {sorted(leftover)}"
+
+
+def test_learner_takes_its_settings_from_the_config():
+    params = inspect.signature(qnpe.HessianLearner).parameters
+    assert list(params) == ["b0", "mu", "l1", "cfg"]
+    assert all(p.default is inspect.Parameter.empty for p in params.values())
+
+
+@pytest.mark.parametrize(
+    "record, names",
+    [
+        (SepOutcome, ["lam_min", "lam_max", "vector", "matvecs"]),
+        (Certificate, ["name", "passed", "margin", "detail"]),
+    ],
+    ids=["SepOutcome", "Certificate"],
+)
+def test_records_store_no_derived_fields(record, names):
+    # gamma, sign, inside and applicable are computed from these
+    assert [f.name for f in dataclasses.fields(record)] == names

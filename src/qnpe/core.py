@@ -8,15 +8,17 @@ from __future__ import annotations
 
 import math
 import typing
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Optional, Union
 
 import numpy as np
+from scipy.linalg import blas
 
 from .errors import (
     DegenerateCurvature,
     ParameterConflict,
     SpectrumViolation,
+    StateMismatch,
     StepSeedTooSmall,
 )
 
@@ -64,6 +66,58 @@ class Objective:
             return None
         diff = x - self.minimizer
         return float(diff @ diff)
+
+
+def symv(
+    alpha: float, a: Array, x: Array, beta: float = 0.0, y: Optional[Array] = None
+) -> Array:
+    """alpha A x + beta y for a symmetric A, as one BLAS symv that reads one
+    triangle of A; y is left unchanged. A C-ordered A is passed as its
+    transpose, the same matrix in Fortran order, so A is never copied."""
+    if not a.flags.f_contiguous:
+        a = a.T
+    if y is None:
+        return blas.dsymv(alpha, a, x)
+    return blas.dsymv(alpha, a, x, beta=beta, y=y)
+
+
+def _always_current() -> bool:
+    return True
+
+
+@dataclass(frozen=True)
+class PlayedMatrix:
+    """The curvature matrix B = scale * base + shift * I, applied through
+    products only. `base` must be symmetric: each product is one `symv`
+    that reads one triangle of it.
+
+    The operator holds `base` by reference. An owner that changes `base` in
+    place passes a `current` check that turns False once the operator is
+    out of date (for the learner: once `update_round` has run), and every
+    product raises StateMismatch from then on.
+    """
+
+    base: Array
+    scale: float = 1.0
+    shift: float = 0.0
+    current: Callable[[], bool] = field(
+        default=_always_current, compare=False, repr=False
+    )
+
+    def _checked_base(self) -> Array:
+        if not self.current():
+            raise StateMismatch("stale played matrix: its round is over")
+        return self.base
+
+    def shifted(self, eta: float, v: Array) -> Array:
+        """v + eta B v, the operator of the system (I + eta B) s = -eta g."""
+        base = self._checked_base()
+        return symv(eta * self.scale, base, v, 1.0 + eta * self.shift, v)
+
+    def residual(self, y: Array, s: Array) -> Array:
+        """y - B s."""
+        base = self._checked_base()
+        return symv(-self.scale, base, s, 1.0, y - self.shift * s)
 
 
 @dataclass(frozen=True)

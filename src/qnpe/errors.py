@@ -77,7 +77,8 @@ class ZeroDisplacement(SolverError):
 
 
 class StateMismatch(SolverError):
-    """Learner round update without a preceding prediction."""
+    """Learner round update without a preceding prediction, or a played
+    matrix used after the learner changed its base in place."""
 
 
 # --- line search ---

@@ -21,6 +21,7 @@ from typing import Optional
 import numpy as np
 from scipy.linalg import lapack
 
+from .core import symv
 from .errors import EigFailure
 
 Array = np.ndarray
@@ -167,6 +168,7 @@ def ext_evec_lanczos(
     """Randomized oracle: Lanczos with a uniform random unit start.
 
     Runs at most the budgeted N iterations with full reorthogonalization,
+    one `symv` per step (W must be symmetric: it reads one triangle),
     takes the extreme Ritz pair of the tridiagonal matrix, and maps the
     Ritz vector back to R^d. With probability >= 1 - q the returned gamma
     satisfies ||W||_op <= (1 + delta) * max(gamma, 1). The recurrence stops
@@ -196,7 +198,7 @@ def ext_evec_lanczos(
 
     for k in range(n):
         basis[k] = v
-        work = w @ v - beta_prev * v_prev
+        work = symv(1.0, w, v, -beta_prev, v_prev)
         a = float(work @ v)
         work -= a * v
         # full reorthogonalization against all prior Lanczos vectors

@@ -11,14 +11,20 @@ separation oracle instead of eigendecomposition projections.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 from scipy.linalg import blas
 
-from .core import SolverConfig
-from .errors import DegenerateCurvature, StateMismatch, ZeroDisplacement
+from .core import PlayedMatrix, SolverConfig, symv
+from .errors import (
+    DegenerateCurvature,
+    ParameterConflict,
+    StateMismatch,
+    ZeroDisplacement,
+)
 from .extevec import SepOutcome, ext_evec_exact, ext_evec_lanczos
 
 Array = np.ndarray
@@ -53,20 +59,6 @@ def to_hat(b: Array, mu: float, l1: float) -> Array:
     return b_hat
 
 
-def from_hat(
-    b_hat: Array, mu: float, l1: float, *, overwrite: bool = False
-) -> Array:
-    """Inverse of `to_hat`; with `overwrite`, b_hat is mapped in place and
-    returned. Both forms give bitwise the same matrix."""
-    if overwrite:
-        b = b_hat
-        b *= 0.5 * (l1 - mu)
-    else:
-        b = (0.5 * (l1 - mu)) * b_hat
-    b.flat[:: b.shape[0] + 1] += 0.5 * (l1 + mu)
-    return b
-
-
 def failure_budget(p: float, t: int) -> float:
     """Per-round oracle failure probability q_t = p / (2.5 (t+1) ln^2(t+1)).
 
@@ -94,20 +86,33 @@ class RoundLog:
 class HessianLearner:
     """Single-owner mutable learner state.
 
-    `predict` returns the matrix to play this round (B_0 verbatim at round 0,
-    oracle-corrected afterwards) and caches the oracle outcome;
-    `update_round` consumes one loss sample, performs the surrogate-gradient
-    step with projection onto the Frobenius ball of radius sqrt(d), and
-    advances the round counter. Rounds count backtracked iterations only:
-    callers skip `update_round` when the first trial step was accepted, and
-    repeated `predict` calls between updates return the cached prediction.
+    `predict` returns the matrix to play this round as a `PlayedMatrix`:
+    B_0 verbatim at round 0 and when mu = L1, and afterwards the inverse
+    spectral map of W / gamma, B = (L1 - mu) / (2 gamma) W + (L1 + mu) / 2 I
+    with gamma = 1 when the oracle finds W inside the unit ball. The
+    operator reads W itself, so no d x d matrix is formed. `update_round`
+    consumes one loss sample, performs the surrogate-gradient step with
+    projection onto the Frobenius ball of radius sqrt(d) in place, and
+    advances the round counter; the round's operator is stale from then on
+    and raises StateMismatch when used. Rounds count backtracked iterations
+    only: callers skip `update_round` when the first trial step was
+    accepted, and repeated `predict` calls between updates return the
+    cached prediction.
 
     The step rho, oracle slack delta, failure budget p and oracle mode are
-    read from `cfg`, whose delta must be set (`validate_config` fills it);
-    the Lanczos oracle draws from `np.random.default_rng(cfg.seed)`.
+    read from `cfg`, whose delta must be set in Lanczos mode
+    (`validate_config` fills it); the Lanczos oracle draws from
+    `np.random.default_rng(cfg.seed)`.
+
+    Raises:
+        ParameterConflict: Lanczos mode with `cfg.delta` None.
     """
 
     def __init__(self, b0: Array, mu: float, l1: float, cfg: SolverConfig):
+        if cfg.oracle_mode == "lanczos" and cfg.delta is None:
+            raise ParameterConflict(
+                "the Lanczos oracle needs cfg.delta; validate_config fills it"
+            )
         self.mu = float(mu)
         self.l1 = float(l1)
         self.cfg = cfg
@@ -116,53 +121,64 @@ class HessianLearner:
         # mu == L1 pins the admissible band to the single point mu*I: the
         # normalized coordinates are undefined and learning is vacuous.
         self.degenerate = self.l1 <= self.mu
-        self.b_current = np.array(b0, dtype=float)
-        self.w = None if self.degenerate else to_hat(self.b_current, mu, l1)
+        self.b0 = np.array(b0, dtype=float)
+        self.w = None if self.degenerate else to_hat(self.b0, mu, l1)
         self.t = 0
         self.matvecs = 0
         self.round_log: list[RoundLog] = []
-        self._predicted = False
+        # the pending prediction, None until `predict` runs in a round
+        self._played: Optional[PlayedMatrix] = None
         # oracle outcome of the pending prediction; None at round 0 and when
         # the band is degenerate, as no oracle runs then
         self._outcome: Optional[SepOutcome] = None
 
-    def predict(self) -> Array:
-        """Matrix to play this round; caches the oracle outcome for the
-        matching `update_round` call."""
-        if self._predicted:
-            return self.b_current
-        self._predicted = True
-        if self.degenerate or self.t == 0:
-            return self.b_current
+    def predict(self) -> PlayedMatrix:
+        """Operator of the matrix to play this round; caches it and the
+        oracle outcome for the matching `update_round` call."""
+        if self._played is not None:
+            return self._played
+        t = self.t
+        # a weak reference: the learner holds its operator, and a cycle
+        # would keep W alive past the run until the cyclic collector runs
+        owner = weakref.ref(self)
+
+        def current() -> bool:
+            learner = owner()
+            return learner is None or learner.t == t
+
+        if self.degenerate or t == 0:
+            self._played = PlayedMatrix(self.b0, current=current)
+            return self._played
         if self.cfg.oracle_mode == "exact":
             outcome = ext_evec_exact(self.w)
         else:
-            q = failure_budget(self.cfg.p, self.t)
+            q = failure_budget(self.cfg.p, t)
             outcome = ext_evec_lanczos(self.w, self.cfg.delta, q, self.rng)
         self.matvecs += outcome.matvecs
-        if outcome.inside:
-            self.b_current = from_hat(self.w, self.mu, self.l1)
-        else:
-            # the fresh quotient is mapped in place: one d x d allocation
-            b_hat = self.w / outcome.gamma
-            self.b_current = from_hat(b_hat, self.mu, self.l1, overwrite=True)
+        gamma = 1.0 if outcome.inside else outcome.gamma
+        self._played = PlayedMatrix(
+            self.w,
+            0.5 * (self.l1 - self.mu) / gamma,
+            0.5 * (self.l1 + self.mu),
+            current,
+        )
         self._outcome = outcome
-        return self.b_current
+        return self._played
 
     def update_round(self, sample: LossSample) -> float:
         """Consume the round's loss sample and advance; returns the loss
         value incurred by the played matrix."""
-        if not self._predicted:
+        if self._played is None:
             raise StateMismatch("update_round without a preceding predict")
         outcome = self._outcome
         s = sample.s
         ss = float(s @ s)
-        resid = sample.y - self.b_current @ s
+        resid = self._played.residual(sample.y, s)
         value = float(resid @ resid) / (2.0 * ss)
         w_fro = 0.0 if self.degenerate else self._step(outcome, s, resid, ss)
         self._log_round(outcome, w_fro)
         self.t += 1
-        self._predicted = False
+        self._played = None
         self._outcome = None
         return value
 
@@ -180,15 +196,17 @@ class HessianLearner:
         tests/reference.py, without d x d temporaries. Every term is a
         symmetric rank-one update q q^T with coefficient +-1, run as BLAS
         ger on W^T (W itself in Fortran order): entries (i, j) and (j, i)
-        then receive the same product, so W stays exactly symmetric. A
-        rounding-level asymmetry would delay the Lanczos breakdown test and
-        cost oracle matvecs.
+        then receive the same product, so W stays exactly symmetric. The
+        products with W read one triangle (`symv`), but the exact oracle's
+        `sytrd` reads one triangle too, not necessarily the same, and
+        ||W||_F reads both: only an exactly symmetric W is the same matrix
+        to all three.
         """
         c = 1.0 / ((self.l1 - self.mu) * ss)
         rho = self.cfg.rho
         w_t = self.w.T
         if outcome is not None and not outcome.inside:
-            b_hat_s = (self.w @ s) / outcome.gamma
+            b_hat_s = symv(1.0 / outcome.gamma, self.w, s)
             hinge = max(0.0, 2.0 * c * float(resid @ b_hat_s))
             if hinge > 0.0:
                 g = math.sqrt(rho * hinge) * outcome.vector
@@ -216,7 +234,7 @@ class HessianLearner:
             b_min = b_max = self.mu
         elif outcome is None:
             # round 0 plays b0 as given
-            eigs = np.linalg.eigvalsh(self.b_current)
+            eigs = np.linalg.eigvalsh(self.b0)
             b_min, b_max = float(eigs[0]), float(eigs[-1])
         else:
             lo, hi = outcome.lam_min, outcome.lam_max

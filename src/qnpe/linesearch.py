@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Objective, SolverConfig
+from .core import Objective, PlayedMatrix, SolverConfig
 from .errors import BacktrackCapExceeded
 from .linsolve import conjugate_residual, cr_iteration_cap
 
@@ -59,15 +59,16 @@ def attempt_cap(sigma: float, l1: float, alpha2: float, beta: float, slack: int)
 def backtrack(
     x: Array,
     g: Array,
-    b_mat: Array,
+    played: PlayedMatrix,
     sigma: float,
     cfg: SolverConfig,
     obj: Objective,
 ) -> LineSearchOutcome:
     """Largest admissible step in {sigma * beta^i : i >= 0}.
 
-    Requires a validated config; `b_mat` must have spectrum inside the
-    widened band [mu/2, L1 + mu/2] for the iteration caps to be trustworthy.
+    Requires a validated config; the played matrix B must have spectrum
+    inside the widened band [mu/2, L1 + mu/2] for the iteration caps to be
+    trustworthy.
 
     Raises:
         BacktrackCapExceeded: attempt budget exhausted (invalid metadata).
@@ -87,14 +88,14 @@ def backtrack(
         lam_min = 1.0 + eta * 0.5 * mu
         cr_cap = cr_iteration_cap(d, lam_max, lam_max / lam_min, alpha1)
         result = conjugate_residual(
-            lambda v: v + eta * (b_mat @ v), -eta * g, alpha1, cr_cap
+            lambda v: played.shifted(eta, v), -eta * g, alpha1, cr_cap
         )
         matvecs += result.matvecs
         s = result.s
         x_hat = x + s
         grad_hat = obj.grad(x_hat)
         attempts += 1
-        err = grad_hat - g - b_mat @ s
+        err = played.residual(grad_hat - g, s)
         if eta * float(np.linalg.norm(err)) <= alpha2 * float(np.linalg.norm(s)):
             return LineSearchOutcome(
                 eta, x_hat, grad_hat, attempts, matvecs, x_tilde, grad_tilde

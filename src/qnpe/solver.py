@@ -135,10 +135,10 @@ def solve(
     def step(x, g):
         nonlocal sigma
         mv_before = learner.matvecs
-        b = learner.predict()
+        played = learner.predict()
         mv_extevec = learner.matvecs - mv_before
 
-        ls = backtrack(x, g, b, sigma, cfg, obj)
+        ls = backtrack(x, g, played, sigma, cfg, obj)
         x_next = extragradient_step(x, ls.x_hat, ls.grad_x_hat, ls.eta, mu)
         sigma = ls.eta / cfg.beta
 

@@ -1,13 +1,28 @@
 """Dense references that the tests compare the package against.
 
 The package computes these objects implicitly (the learner's in-place
-rank-one step, the CR recurrence) or not at all; the tests build them here
-in their textbook form.
+rank-one step, the played matrix as an operator, the CR recurrence) or not
+at all; the tests build them here in their textbook form.
 """
 
 import numpy as np
 
 from qnpe.linsolve import conjugate_residual
+
+
+def from_hat(b_hat, mu, l1):
+    """Inverse of `qnpe.learner.to_hat`:
+    (L1-mu)/2 * b_hat + (L1+mu)/2 * I."""
+    b = (0.5 * (l1 - mu)) * b_hat
+    b.flat[:: b.shape[0] + 1] += 0.5 * (l1 + mu)
+    return b
+
+
+def played_dense(op):
+    """The matrix scale * base + shift * I that a `PlayedMatrix` applies."""
+    b = op.scale * np.asarray(op.base)
+    b.flat[:: b.shape[0] + 1] += op.shift
+    return b
 
 
 def loss_gradient(b, sample):

@@ -17,15 +17,15 @@ from qnpe.cli import parse_problem, run_method, trace_csv
 PINNED = [
     (
         "qnpe", "quadratic:d=50,mu=1,l1=1000,seed=7", {},
-        "9dd32aa225cf62860164ece2063b16b913c5668007b59c5c94f75acf60d1f229",
+        "ccd9841427dadcb243d94e27bba91a5f1b6845d8d42a29b64696311a475f2f72",
     ),
     (
         "qnpe", "logistic:n=200,d=20,lambda=0.01,seed=3", {},
-        "3b5c75bd713b8991d08ce129094ca43045b98dd5a995c3580b52cada2bfa55d4",
+        "57f664af055b8a79352e2e04bfcd04620c8c692be622ce1912493e0623311d25",
     ),
     (
         "qnpe", "quadratic:d=30,mu=1,l1=100,seed=0", {"oracle_mode": "exact"},
-        "4fff6b4d2da732c2d83d8a249dde57f96f9a0cf316f67a520d29e272e259925a",
+        "1ebc10788030815ad242c33ba41f7d5b65be57cfebc5f7d517538960bd0c1bbe",
     ),
     (
         "gd", "quadratic:d=50,mu=1,l1=1000,seed=7", {},

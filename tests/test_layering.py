@@ -1,6 +1,8 @@
 """Import layering of the package: the solver and the problem generators
-do not depend on the certificate checker, and neither the generators nor
-the checker depend on the solver."""
+do not depend on the certificate checker, neither the generators nor the
+checker depend on the solver, and the line search and the separation
+oracle apply the played matrix without depending on the learner that
+plays it."""
 
 import ast
 from pathlib import Path
@@ -16,6 +18,8 @@ FORBIDDEN = [
     ("problems", "verify"),
     ("problems", "solver"),
     ("verify", "solver"),
+    ("linesearch", "learner"),
+    ("extevec", "learner"),
 ]
 
 

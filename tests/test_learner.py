@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,16 +8,20 @@ from hypothesis import strategies as st
 
 import qnpe.learner
 from qnpe.core import SolverConfig, default_delta
-from qnpe.errors import DegenerateCurvature, StateMismatch, ZeroDisplacement
-from qnpe.learner import (
-    HessianLearner,
-    LossSample,
-    failure_budget,
-    from_hat,
-    loss,
-    to_hat,
+from qnpe.errors import (
+    DegenerateCurvature,
+    ParameterConflict,
+    StateMismatch,
+    ZeroDisplacement,
 )
-from reference import loss_gradient, project_frobenius_ball, separator
+from qnpe.learner import HessianLearner, LossSample, failure_budget, loss, to_hat
+from reference import (
+    from_hat,
+    loss_gradient,
+    played_dense,
+    project_frobenius_ball,
+    separator,
+)
 
 
 def random_sample(d, rng):
@@ -160,14 +167,17 @@ class TestLearner:
     def test_round_zero_plays_b0_verbatim(self):
         b0 = np.diag([1.0, 2.0])
         learner = self.make(b0)
-        assert np.array_equal(learner.predict(), b0)
+        op = learner.predict()
+        assert np.array_equal(op.base, b0)
+        assert (op.scale, op.shift) == (1.0, 0.0)
+        assert np.array_equal(played_dense(op), b0)
 
     def test_zero_w_maps_to_band_center(self):
         learner = self.make(2.0 * np.eye(2))
         learner.predict()
         learner.update_round(LossSample(np.array([1.0, 0.0]), np.array([2.0, 0.0])))
         learner.w = np.zeros((2, 2))
-        b = learner.predict()
+        b = played_dense(learner.predict())
         assert np.allclose(b, 0.5 * (self.L1 + self.MU) * np.eye(2), atol=1e-14)
 
     def test_scalar_round_trace(self):
@@ -179,7 +189,7 @@ class TestLearner:
         learner.update_round(LossSample(np.array([1.0]), np.array([3.0])))
         learner.w = np.array([[2.0]])
         learner.t = 1
-        b = learner.predict()
+        b = played_dense(learner.predict())
         assert b[0, 0] == pytest.approx(3.0)
         value = learner.update_round(LossSample(np.array([1.0]), np.array([1.0])))
         assert value == pytest.approx(2.0)
@@ -198,7 +208,7 @@ class TestLearner:
         learner.update_round(LossSample(np.array([1.0, 0.0]), np.array([2.0, 0.0])))
         learner.w = np.diag([1.2, -0.4])
         learner.t = 1
-        b = learner.predict()
+        b = played_dense(learner.predict())
         assert np.allclose(b, np.diag([3.0, 5.0 / 3.0]), atol=1e-14)
         value = learner.update_round(
             LossSample(np.array([0.0, 1.0]), np.array([0.0, -1.0]))
@@ -211,7 +221,7 @@ class TestLearner:
         rng = np.random.default_rng(3)
         b0 = 2.0 * np.eye(3)
         learner = self.make(b0)
-        b = learner.predict()
+        b = played_dense(learner.predict())
         s = rng.standard_normal(3)
         w_before = learner.w.copy()
         learner.update_round(LossSample(s, b @ s))
@@ -219,7 +229,7 @@ class TestLearner:
 
     def test_projection_inactive_inside_ball(self):
         learner = self.make(2.0 * np.eye(2))
-        b = learner.predict()
+        b = played_dense(learner.predict())
         sample = LossSample(np.array([1.0, 0.0]), np.array([2.1, 0.0]))
         grad = (2.0 / (self.L1 - self.MU)) * np.array(
             [[-(2.1 - b[0, 0]), 0.0], [0.0, 0.0]]
@@ -251,8 +261,8 @@ class TestLearner:
         learner.w = 0.5 * (w + w.T)
         learner.t = 1
         w_before = learner.w.copy()
-        b = learner.predict()
-        b_played = b.copy()
+        op = learner.predict()
+        b = played_dense(op)
         outcome = learner._outcome
         assert outcome.inside == inside
         # the top eigenvector of W makes the hinge fire when W is outside
@@ -270,10 +280,15 @@ class TestLearner:
         learner.update_round(sample)
         error = np.linalg.norm(learner.w - expected)
         assert error <= 1e-12 * np.linalg.norm(expected)
-        # the Lanczos breakdown test needs W exactly, not nearly, symmetric
+        # the oracle and the products read one triangle each, the norm both
         assert np.array_equal(learner.w, learner.w.T)
-        # W is updated in place, never through the matrix predict handed out
-        assert np.array_equal(b, b_played)
+        # W is updated in place, under the operator predict handed out, and
+        # that operator refuses to run on the changed W
+        assert np.shares_memory(op.base, learner.w)
+        with pytest.raises(StateMismatch):
+            op.shifted(1.0, s)
+        with pytest.raises(StateMismatch):
+            op.residual(sample.y, s)
 
     @pytest.mark.parametrize("case", ["inside-inactive", "outside-inactive"])
     def test_prediction_matches_reference_formula(self, case):
@@ -286,20 +301,65 @@ class TestLearner:
         w = (basis * eigs) @ basis.T
         # Fortran order, the layout `update_round` leaves W in
         learner.w = np.asfortranarray(0.5 * (w + w.T))
-        b = learner.predict()
+        op = learner.predict()
         outcome = learner._outcome
         assert outcome.inside == inside
+        gamma = 1.0 if inside else outcome.gamma
+        # the operator is W itself under the exact map constants, no copy
+        assert op.base is learner.w
+        assert op.scale == 0.5 * (self.L1 - self.MU) / gamma
+        assert op.shift == 0.5 * (self.L1 + self.MU)
         b_hat = learner.w if inside else learner.w / outcome.gamma
-        assert np.array_equal(b, from_hat(b_hat, self.MU, self.L1))
-        assert not np.shares_memory(b, learner.w)
+        expected = from_hat(b_hat, self.MU, self.L1)
+        error = np.abs(played_dense(op) - expected).max()
+        assert error <= 4.0 * np.finfo(float).eps * np.abs(expected).max()
 
     def test_round_zero_prediction_not_aliased_by_update(self):
         b0 = np.diag([1.5, 2.0, 2.5])
         learner = self.make(b0)
-        b = learner.predict()
-        learner.update_round(LossSample(np.ones(3), np.array([3.0, 1.0, 2.0])))
-        assert np.array_equal(b, b0)
+        op = learner.predict()
+        sample = LossSample(np.ones(3), np.array([3.0, 1.0, 2.0]))
+        learner.update_round(sample)
+        # the step moved W, not the learner's copy of b0 that op reads
+        assert np.array_equal(op.base, b0)
         assert not np.array_equal(learner.w, to_hat(b0, self.MU, self.L1))
+        # but a round-0 operator after the update is a stale prediction
+        with pytest.raises(StateMismatch):
+            op.shifted(1.0, sample.s)
+        with pytest.raises(StateMismatch):
+            op.residual(sample.y, sample.s)
+        assert learner.predict() is not op
+
+    def test_repeated_predict_returns_the_live_operator(self):
+        learner = self.make(2.0 * np.eye(3))
+        op = learner.predict()
+        assert learner.predict() is op
+        s = np.ones(3)
+        assert np.array_equal(op.shifted(1.0, s), 3.0 * s)
+
+    def test_operator_does_not_keep_its_learner_alive(self):
+        # a reference cycle would hold W until the cyclic collector runs,
+        # which raised the benchmark's peak memory
+        learner = self.make(2.0 * np.eye(3))
+        op = learner.predict()
+        owner = weakref.ref(learner)
+        gc.disable()
+        try:
+            del learner
+            assert owner() is None
+        finally:
+            gc.enable()
+        # with its learner gone, nothing can change the base any more
+        assert np.array_equal(op.shifted(1.0, np.ones(3)), np.full(3, 3.0))
+
+    def test_lanczos_mode_needs_delta(self):
+        # an unvalidated SolverConfig() leaves delta None; the repro used to
+        # reach lanczos_budget and fail there with a bare TypeError
+        with pytest.raises(ParameterConflict, match="delta"):
+            learner = HessianLearner(3 * np.eye(4), 1.0, 3.0, SolverConfig())
+            learner.predict()
+            learner.update_round(LossSample(np.ones(4), np.ones(4)))
+            learner.predict()
 
     def test_update_without_predict(self):
         learner = self.make(2.0 * np.eye(2))
@@ -343,7 +403,7 @@ class TestLearner:
             lam = np.clip(lam, -1.0, 1.0)
             competitors.append((vecs * lam) @ vecs.T)
         for _ in range(40):
-            b = learner.predict()
+            b = played_dense(learner.predict())
             outcome = learner._outcome
             b_hat = to_hat(b, self.MU, self.L1)
             w_before = learner.w.copy()
@@ -395,8 +455,9 @@ class TestLearner:
         )
         rng = np.random.default_rng(0)
         for _ in range(5):
-            b = learner.predict()
-            assert np.array_equal(b, np.eye(3))
+            op = learner.predict()
+            assert (op.scale, op.shift) == (1.0, 0.0)
+            assert np.array_equal(played_dense(op), np.eye(3))
             learner.update_round(random_sample(3, rng))
         assert learner.t == 5
 
@@ -465,10 +526,87 @@ class TestBand:
             low, high = mu / 2.0, l1 + mu / 2.0
         learner = HessianLearner(0.5 * (b0 + b0.T), mu, l1, cfg)
         for t in range(self.ROUNDS + 1):
-            eigs = np.linalg.eigvalsh(learner.predict())
+            eigs = np.linalg.eigvalsh(played_dense(learner.predict()))
             assert low <= eigs[0] and eigs[-1] <= high, t
             # adversarial secant pairs: y unrelated to s and large against
             # L1 s, so most rounds push W out of the unit ball
             s = rng.standard_normal(d)
             y = scale * l1 * rng.standard_normal(d)
             learner.update_round(LossSample(s, y))
+
+
+def assert_products_match(op, dense, size, rng):
+    """op.shifted and op.residual against the dense products, to 1e-13
+    relative to the size of their terms; `size` bounds the norm of each
+    term of the dense matrix, which near mu is a difference of two terms of
+    size about L1."""
+    d = dense.shape[0]
+    v, s, y = rng.standard_normal((3, d))
+    eta = rng.uniform(0.01, 10.0) / size
+    nv, ns, ny = (float(np.linalg.norm(u)) for u in (v, s, y))
+    got = op.shifted(eta, v)
+    want = v + eta * (dense @ v)
+    assert np.linalg.norm(got - want) <= 1e-13 * nv * (1.0 + eta * size)
+    got = op.residual(y, s)
+    want = y - dense @ s
+    assert np.linalg.norm(got - want) <= 1e-13 * (ny + size * ns)
+
+
+class TestPlayedOperator:
+    """The operator `predict` returns applies the paper's played matrix:
+    B_0 at round 0 and when mu = L1, from_hat(W / gamma) afterwards
+    (gamma = 1 inside), although it forms neither and reads one triangle."""
+
+    ROUNDS = 6
+
+    @pytest.mark.parametrize("mode", ["exact", "lanczos"])
+    @pytest.mark.parametrize(
+        "case", ["default-b0", "explicit-b0", "inside", "outside", "mu-equals-l1"]
+    )
+    @settings(max_examples=25)
+    @given(
+        d=st.integers(1, 12),
+        kappa=st.floats(1.5, 1e4),
+        norm=st.floats(0.05, 0.95),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_products_match_dense_reference(self, mode, case, d, kappa, norm, seed):
+        rng = np.random.default_rng(seed)
+        mu = 1.0
+        l1 = mu if case == "mu-equals-l1" else kappa
+        basis, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        if case in ("explicit-b0", "mu-equals-l1"):
+            b0 = (basis * rng.uniform(mu, kappa, size=d)) @ basis.T
+            b0 = 0.5 * (b0 + b0.T)
+        else:
+            b0 = l1 * np.eye(d)
+        cfg = SolverConfig(
+            p=0.05, delta=default_delta(mu, l1), oracle_mode=mode, seed=seed
+        )
+        learner = HessianLearner(b0, mu, l1, cfg)
+        op = learner.predict()
+        b0_size = np.linalg.norm(b0, 2)
+        assert_products_match(op, b0, b0_size, rng)
+        if case in ("inside", "outside"):
+            # a W of chosen operator norm, below or above the unit ball
+            learner.update_round(random_sample(d, rng))
+            radius = norm if case == "inside" else 1.0 + 20.0 * norm
+            eigs = radius * rng.uniform(-1.0, 1.0, size=d)
+            eigs[0] = radius
+            w = (basis * eigs) @ basis.T
+            learner.w = 0.5 * (w + w.T)
+            learner.predict()
+            assert learner._outcome.inside == (case == "inside")
+        for _ in range(self.ROUNDS):
+            op = learner.predict()
+            if learner.degenerate or learner.t == 0:
+                dense, size = b0, b0_size
+            else:
+                outcome = learner._outcome
+                gamma = 1.0 if outcome.inside else outcome.gamma
+                dense = from_hat(learner.w / gamma, mu, l1)
+                w_norm = np.linalg.norm(learner.w, 2) / gamma
+                size = 0.5 * (l1 - mu) * w_norm + 0.5 * (l1 + mu)
+            assert_products_match(op, dense, size, rng)
+            s = rng.standard_normal(d)
+            learner.update_round(LossSample(s, l1 * rng.standard_normal(d)))

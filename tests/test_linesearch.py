@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qnpe.core import Objective, SolverConfig, validate_config
+from qnpe.core import Objective, PlayedMatrix, SolverConfig, validate_config
 from qnpe.errors import BacktrackCapExceeded
 from qnpe.linesearch import attempt_cap, backtrack
 from qnpe.problems import make_quadratic
@@ -21,7 +21,7 @@ class TestBacktrack:
         rng = np.random.default_rng(1)
         for sigma in (cfg.sigma0, 1.0, 37.5):
             x = rng.standard_normal(6)
-            out = backtrack(x, obj.grad(x), a, sigma, cfg, obj)
+            out = backtrack(x, obj.grad(x), PlayedMatrix(a), sigma, cfg, obj)
             assert out.eta == sigma
             assert out.ls_steps == 1
             assert not out.backtracked
@@ -33,7 +33,9 @@ class TestBacktrack:
         obj = scalar_objective(4.0, 1.0, 4.0)
         cfg = validate_config(SolverConfig(alpha1=0.0, sigma0=1.0), obj)
         b = np.array([[1.0]])
-        out = backtrack(np.array([1.0]), np.array([4.0]), b, 1.0, cfg, obj)
+        out = backtrack(
+            np.array([1.0]), np.array([4.0]), PlayedMatrix(b), 1.0, cfg, obj
+        )
         assert out.eta == pytest.approx(1.0 / 16.0)
         assert out.ls_steps == 5
         assert out.backtracked
@@ -51,7 +53,8 @@ class TestBacktrack:
         obj = scalar_objective(2.0, 1.0, 2.0)
         cfg = validate_config(SolverConfig(), obj)
         out = backtrack(
-            np.array([0.0]), np.array([0.0]), np.array([[1.0]]), 1.0, cfg, obj
+            np.array([0.0]), np.array([0.0]), PlayedMatrix(np.array([[1.0]])),
+            1.0, cfg, obj,
         )
         assert out.eta == 1.0
         assert np.array_equal(out.x_hat, np.array([0.0]))
@@ -64,7 +67,7 @@ class TestBacktrack:
         cfg = validate_config(SolverConfig(max_backtracks_slack=0), obj)
         with pytest.raises(BacktrackCapExceeded):
             backtrack(
-                np.array([1.0]), np.array([100.0]), np.array([[1.0]]),
+                np.array([1.0]), np.array([100.0]), PlayedMatrix(np.array([[1.0]])),
                 cfg.sigma0, cfg, obj,
             )
 
@@ -76,7 +79,7 @@ class TestInvariants:
         b = obj.l1 * np.eye(10)  # crude model forces backtracking
         rng = np.random.default_rng(seed + 100)
         x = rng.standard_normal(10)
-        out = backtrack(x, obj.grad(x), b, sigma, cfg, obj)
+        out = backtrack(x, obj.grad(x), PlayedMatrix(b), sigma, cfg, obj)
         return obj, cfg, x, b, out
 
     @pytest.mark.parametrize("seed", range(6))

@@ -96,7 +96,7 @@ def backtrack(
         grad_hat = obj.grad(x_hat)
         attempts += 1
         err = played.residual(grad_hat - g, s)
-        if eta * float(np.linalg.norm(err)) <= alpha2 * float(np.linalg.norm(s)):
+        if eta * math.sqrt(err @ err) <= alpha2 * math.sqrt(s @ s):
             return LineSearchOutcome(
                 eta, x_hat, grad_hat, attempts, matvecs, x_tilde, grad_tilde
             )

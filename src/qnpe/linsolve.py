@@ -60,7 +60,8 @@ def conjugate_residual(
     Parameters
     ----------
     matvec : v -> A v for a symmetric positive definite A; the k-th call
-        receives the residual r_k.
+        receives the residual r_k, which is updated in place after the
+        call returns, so a matvec that keeps it must copy it.
     b : right-hand side, shape (d,).
     alpha : relative stopping factor in [0, 1).
     max_iters : iteration cap; defaults to 20 * d.
@@ -80,7 +81,7 @@ def conjugate_residual(
 
     s = np.zeros(d)
     r = b.copy()
-    r_norm = float(np.linalg.norm(r))
+    r_norm = math.sqrt(r @ r)
     s_norm = 0.0
     floor = RESIDUAL_FLOOR * r_norm
     ap_floor = floor * floor
@@ -110,15 +111,19 @@ def conjugate_residual(
             # p ~ 0 implies r ~ 0 for a definite operator: converged
             return CrResult(s, r_norm, iters, matvecs)
         step = r_ar / ap_ap
-        s = s + step * p
-        r = r - step * a_p
+        # in place, with the rounding of s + step p and r - step A p
+        s += step * p
+        r -= step * a_p
         a_r = matvec(r)
         matvecs += 1
         r_ar_next = float(r @ a_r)
         scale = r_ar_next / r_ar
         r_ar = r_ar_next
-        p = r + scale * p
-        a_p = a_r + scale * a_p
+        # scale p + r rounds as r + scale p
+        p *= scale
+        p += r
+        a_p *= scale
+        a_p += a_r
         iters += 1
-        r_norm = float(np.linalg.norm(r))
-        s_norm = float(np.linalg.norm(s))
+        r_norm = math.sqrt(r @ r)
+        s_norm = math.sqrt(s @ s)

@@ -4,6 +4,7 @@ conditional learner round, and full trace recording."""
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import replace
 from typing import Callable, Optional
@@ -77,7 +78,7 @@ def run_loop(
             f"gradient at the start point has shape {np.shape(g)}, expected ({d},)"
         )
     _require_finite(g, "gradient at the start point")
-    grad_norm = float(np.linalg.norm(g))
+    grad_norm = math.sqrt(g @ g)
 
     for k in range(cfg.max_iters):
         dist_sq = obj.dist_sq(x)
@@ -100,7 +101,7 @@ def run_loop(
         )
         stall_run = stall_run + 1 if np.array_equal(x_next, x) else 0
         x = x_next
-        grad_norm = float(np.linalg.norm(g))
+        grad_norm = math.sqrt(g @ g)
         if stall_run >= _STALL_LIMIT:
             termination = "stalled"
             break

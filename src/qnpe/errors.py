@@ -66,8 +66,10 @@ class IterationCapExceeded(SolverError):
 # --- eigenvalue oracle ---
 
 class EigFailure(SolverError):
-    """A LAPACK routine of the separation oracle (tridiagonal reduction,
-    eigenvalues, inverse iteration or back-map) reported failure."""
+    """A LAPACK routine of the separation oracle reported failure: the
+    tridiagonal reduction or the QR eigenvalues, which run only after
+    bisection failed, raise from the oracle call; inverse iteration or the
+    back-map raise at the first read of `SepOutcome.vector`."""
 
 
 # --- online learner ---

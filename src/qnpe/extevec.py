@@ -7,16 +7,21 @@ variant estimates the eigenpair by Lanczos with a random start, an
 iteration budget and a near-invariance early stop, both set by the query's
 failure probability; the exact variant reduces W to tridiagonal
 form (Householder, LAPACK sytrd) and is the deterministic test reference.
-Both variants end in one tridiagonal kernel, every eigenvalue by root-free
-QR (sterf) and the one wanted eigenvector by inverse iteration (stein),
-followed by a map of that vector back to R^d.
+Both variants end in one tridiagonal kernel that finds only the two
+extreme eigenvalues, each by bisection with Sturm counts (stebz), with
+root-free QR over the whole spectrum (sterf) as the fallback when
+bisection reports failure. The separator's vector is computed on demand,
+on the first read of `SepOutcome.vector`: inverse iteration (stein) for
+the tridiagonal eigenvector, then a map of it back to R^d. A caller that
+finds W inside, or does not need the separator, never pays for it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, field
+from functools import cached_property, partial
+from typing import Callable, Optional
 
 import numpy as np
 from scipy.linalg import lapack
@@ -30,18 +35,25 @@ Array = np.ndarray
 @dataclass(frozen=True)
 class SepOutcome:
     """Oracle answer: the (estimated) extreme eigenvalues lam_min and
-    lam_max of W, a unit eigenvector for the end of larger magnitude, and
-    the matrix-vector products spent.
+    lam_max of W, the matrix-vector products spent, and the function that
+    computes `vector`, a unit eigenvector for the end of larger magnitude.
 
     gamma = max(lam_max, -lam_min); W is certified inside when gamma <= 1,
     and otherwise separated by S = sign * outer(vector, vector), which has
-    ||S||_F = 1. sign is None for the inside case.
+    ||S||_F = 1. sign is None for the inside case. The vector is computed
+    on its first read and cached; the outcome holds the factors it needs
+    (the sytrd reflectors or the Lanczos basis) until then, so a LAPACK
+    failure of that step raises EigFailure at the first read.
     """
 
     lam_min: float
     lam_max: float
-    vector: Array
     matvecs: int
+    _vector: Callable[[], Array] = field(repr=False, compare=False)
+
+    @cached_property
+    def vector(self) -> Array:
+        return self._vector()
 
     @property
     def gamma(self) -> float:
@@ -118,48 +130,93 @@ def _lapack(routine: str, *args, **kwargs):
     return out
 
 
-def _tridiag_extremes(alphas: Array, betas: Array):
-    """Extreme eigenvalues (lo, hi) of the symmetric tridiagonal matrix with
-    diagonal alphas and off-diagonal betas, and a unit eigenvector z for the
-    end of larger magnitude (hi on ties).
+def _tridiag_extremes(alphas: Array, betas: Array) -> tuple[float, float]:
+    """Extreme eigenvalues (lo, hi) of the symmetric tridiagonal matrix T
+    with diagonal alphas and off-diagonal betas.
 
-    All eigenvalues come from sterf and the one vector from inverse
-    iteration (stein). Index-selected bisection (stebz) and MRRR (stemr)
-    fail on the large eigenvalue cluster at 1.0 that the learner's
-    identity-plus-low-rank iterates carry.
+    Each is found on its own by bisection with Sturm counts (stebz, index
+    il = iu = 1 and il = iu = m, abstol 0, which LAPACK reads as eps times
+    the Gershgorin bound on ||T||), which costs O(m) per halving and
+    computes no other eigenvalue (Demmel, Applied Numerical Linear Algebra,
+    sec. 5.3). On the large eigenvalue cluster at 1.0 that the learner's
+    identity-plus-low-rank iterates carry, index-selected bisection can
+    report that it did not converge (info = 2); LAPACK's documented cure is
+    to compute the whole spectrum instead, so any nonzero info falls back
+    to root-free QR (sterf).
     """
     m = alphas.shape[0]
     if m == 1:
-        return float(alphas[0]), float(alphas[0]), np.ones(1)
-    (vals,) = _lapack("dsterf", alphas, betas)
-    lo, hi = float(vals[0]), float(vals[-1])
-    target = hi if hi >= -lo else lo
+        return float(alphas[0]), float(alphas[0])
+    ends = []
+    for index in (1, m):
+        # range 2 selects eigenvalues il..iu by index; vl and vu are unused
+        _, vals, _, _, info = lapack.dstebz(
+            alphas, betas, 2, 0.0, 0.0, index, index, 0.0, "E"
+        )
+        if info != 0:
+            (vals,) = _lapack("dsterf", alphas, betas)
+            return float(vals[0]), float(vals[-1])
+        ends.append(float(vals[0]))
+    return ends[0], ends[1]
+
+
+def _extreme(lo: float, hi: float) -> float:
+    """The end of larger magnitude, hi on ties."""
+    return hi if hi >= -lo else lo
+
+
+def _tridiag_vector(alphas: Array, betas: Array, target: float) -> Array:
+    """Unit eigenvector of the tridiagonal matrix for its eigenvalue
+    `target`, by inverse iteration (stein)."""
+    m = alphas.shape[0]
+    if m == 1:
+        return np.ones(1)
     iblock = np.ones(m, dtype=np.int32)
     isplit = np.zeros(m, dtype=np.int32)
     isplit[0] = m
     (z,) = _lapack("dstein", alphas, betas, np.array([target]), iblock, isplit)
-    return lo, hi, z[:, 0]
+    return z[:, 0]
+
+
+def _householder_vector(
+    c: Array, tau: Array, diag: Array, off: Array, target: float
+) -> Array:
+    """The eigenvector of W for `target` from its sytrd factors: the
+    tridiagonal eigenvector z mapped back as Q z, Q = H(1)...H(d-1)."""
+    z = _tridiag_vector(diag, off, target)
+    if z.shape[0] > 1:
+        # this is ormtr for the lower case, which scipy does not wrap; one
+        # column needs lwork = 1
+        qz, _ = _lapack("dormqr", "L", "N", c[1:, :-1], tau, z[1:, None], 1)
+        z[1:] = qz[:, 0]
+    return z
+
+
+def _ritz_vector(
+    alphas: Array, betas: Array, basis: Array, target: float
+) -> Array:
+    """The unit Ritz vector for `target`: the tridiagonal eigenvector
+    combined over the Lanczos vectors, the rows of `basis`."""
+    u = _tridiag_vector(alphas, betas, target) @ basis
+    u /= math.sqrt(u @ u)
+    return u
 
 
 def ext_evec_exact(w: Array) -> SepOutcome:
-    """Deterministic oracle: Householder tridiagonalization (sytrd), the
-    tridiagonal extremes kernel, and a back-map of the one eigenvector.
+    """Deterministic oracle: Householder tridiagonalization (sytrd) and the
+    tridiagonal extremes kernel; the vector, on demand, from inverse
+    iteration and a back-map through the reflectors.
 
     gamma equals ||W||_op to rounding, the separator comes from the extreme
     unit eigenvector, and the guarantees hold with zero slack. W must be
     symmetric: sytrd reads one triangle.
     """
     w = np.asarray(w, dtype=float)
-    d = w.shape[0]
     # W is symmetric, so its transpose is the same matrix in Fortran order
     c, diag, off, tau = _lapack("dsytrd", w.T, lower=1)
-    lo, hi, z = _tridiag_extremes(diag, off)
-    if d > 1:
-        # Q z with Q = H(1)...H(d-1) from sytrd; this is ormtr for the lower
-        # case, which scipy does not wrap. One column needs lwork = 1.
-        qz, _ = _lapack("dormqr", "L", "N", c[1:, :-1], tau, z[1:, None], 1)
-        z[1:] = qz[:, 0]
-    return SepOutcome(lo, hi, z, 0)
+    lo, hi = _tridiag_extremes(diag, off)
+    vector = partial(_householder_vector, c, tau, diag, off, _extreme(lo, hi))
+    return SepOutcome(lo, hi, 0, vector)
 
 
 def ext_evec_lanczos(
@@ -168,15 +225,16 @@ def ext_evec_lanczos(
     """Randomized oracle: Lanczos with a uniform random unit start.
 
     Runs at most the budgeted N iterations with full reorthogonalization,
-    one `symv` per step (W must be symmetric: it reads one triangle),
-    takes the extreme Ritz pair of the tridiagonal matrix, and maps the
-    Ritz vector back to R^d. With probability >= 1 - q the returned gamma
-    satisfies ||W||_op <= (1 + delta) * max(gamma, 1). The recurrence stops
-    early when its residual b falls to `tolerance * scale`, scale the
-    running bound max(1, |alpha_k| + beta_{k-1}) on ||W||: the Krylov space
-    is then invariant for a matrix within b of W. `lanczos_budget` splits q
-    between the N-step bound and this near-invariance stop and derives the
-    tolerance from the failure budget, not from rounding.
+    one `symv` per step (W must be symmetric: it reads one triangle), and
+    takes the extreme Ritz values of the tridiagonal matrix; the Ritz
+    vector is mapped back to R^d on demand. With probability >= 1 - q the
+    returned gamma satisfies ||W||_op <= (1 + delta) * max(gamma, 1). The
+    recurrence stops early when its residual b falls to `tolerance * scale`,
+    scale the running bound max(1, |alpha_k| + beta_{k-1}) on ||W||: the
+    Krylov space is then invariant for a matrix within b of W.
+    `lanczos_budget` splits q between the N-step bound and this
+    near-invariance stop and derives the tolerance from the failure budget,
+    not from rounding.
     """
     w = np.asarray(w, dtype=float)
     d = w.shape[0]
@@ -217,8 +275,8 @@ def ext_evec_lanczos(
         beta_prev = b
         v = work / b
 
-    lo, hi, z = _tridiag_extremes(alphas[:m], betas[: m - 1])
-    u = z @ basis[:m]
-    u /= math.sqrt(u @ u)
+    alphas, betas, basis = alphas[:m], betas[: m - 1], basis[:m]
+    lo, hi = _tridiag_extremes(alphas, betas)
+    vector = partial(_ritz_vector, alphas, betas, basis, _extreme(lo, hi))
     # one matrix-vector product per Lanczos step
-    return SepOutcome(lo, hi, u, m)
+    return SepOutcome(lo, hi, m, vector)

@@ -17,15 +17,15 @@ from qnpe.cli import parse_problem, run_method, trace_csv
 PINNED = [
     (
         "qnpe", "quadratic:d=50,mu=1,l1=1000,seed=7", {},
-        "ccd9841427dadcb243d94e27bba91a5f1b6845d8d42a29b64696311a475f2f72",
+        "4c983a35c2534455a56363659e49a215c8d6a097c72be653cf34fbf64fc81ebe",
     ),
     (
         "qnpe", "logistic:n=200,d=20,lambda=0.01,seed=3", {},
-        "57f664af055b8a79352e2e04bfcd04620c8c692be622ce1912493e0623311d25",
+        "b4b00022bd43071d3f068a55dace8ef93f3a3846c6916bbcb8a454795de1e42b",
     ),
     (
         "qnpe", "quadratic:d=30,mu=1,l1=100,seed=0", {"oracle_mode": "exact"},
-        "1ebc10788030815ad242c33ba41f7d5b65be57cfebc5f7d517538960bd0c1bbe",
+        "c03c9c31f1d33e2d2b2802f2d4f4f5b421606b8a47d9a2d019fac062dbac4160",
     ),
     (
         "gd", "quadratic:d=50,mu=1,l1=1000,seed=7", {},

@@ -1,4 +1,7 @@
+import gc
 import math
+import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -8,16 +11,19 @@ from scipy.linalg import lapack
 
 import qnpe.extevec
 import qnpe.learner
+from qnpe.cli import parse_problem
 from qnpe.core import SolverConfig
 from qnpe.errors import EigFailure
 from qnpe.extevec import (
+    _tridiag_extremes,
     ext_evec_exact,
     ext_evec_lanczos,
     lanczos_budget,
 )
+from qnpe.learner import HessianLearner, LossSample, to_hat
 from qnpe.problems import make_quadratic
 from qnpe.solver import solve
-from reference import separator, separator_action
+from reference import played_dense, separator, separator_action
 
 
 def random_symmetric(d, seed, scale=1.0):
@@ -175,8 +181,11 @@ CLUSTERED = [
 
 class TestClusteredSpectrum:
     """The learner's W = I + low rank has a 40-90-fold eigenvalue cluster
-    at 1.0, on which index-selected bisection (stebz) fails to converge and
-    index-selected MRRR (stemr) misses the extreme eigenvalue."""
+    at 1.0. Index-selected MRRR (stemr) misses the extreme eigenvalue there,
+    and index-selected bisection (stebz), which the kernel uses, reports on
+    some of these cases that it did not converge (info = 2); the kernel then
+    falls back to root-free QR (sterf). Both paths must match the dense
+    reference."""
 
     @pytest.mark.parametrize("w", CLUSTERED)
     def test_exact_matches_dense_reference(self, w):
@@ -191,37 +200,239 @@ class TestClusteredSpectrum:
         assert np.linalg.norm(w @ u - sign * out.gamma * u) <= 1e-12
 
 
-class FailingLapack:
-    """scipy's LAPACK wrappers with `routine` reporting info = 1."""
+class LapackSpy:
+    """scipy's LAPACK wrappers with a count of calls per routine in `calls`;
+    each routine named in `fail` reports that info in place of its own."""
 
-    def __init__(self, routine):
-        self.routine = routine
+    def __init__(self, fail=None):
+        self.fail = fail or {}
+        self.calls = Counter()
 
     def __getattr__(self, name):
         real = getattr(lapack, name)
-        if name != self.routine:
-            return real
 
-        def failing(*args, **kwargs):
-            *out, _ = real(*args, **kwargs)
-            return (*out, 1)
+        def counted(*args, **kwargs):
+            self.calls[name] += 1
+            *out, info = real(*args, **kwargs)
+            return (*out, self.fail.get(name, info))
 
-        return failing
+        return counted
+
+
+def sterf_extremes(alphas, betas):
+    if alphas.shape[0] == 1:
+        return float(alphas[0]), float(alphas[0])
+    vals, info = lapack.dsterf(alphas, betas)
+    assert info == 0
+    return float(vals[0]), float(vals[-1])
+
+
+def assert_extremes_match_sterf(alphas, betas):
+    """The kernel's extremes agree with sterf's to (8 + m) eps ||T||_inf.
+
+    The m eps is sterf's own error, which grows with m. On the cases of
+    largest disagreement among 20 000 random tridiagonals with m <= 60,
+    sterf was up to 12.5 eps ||T||_inf from 40-digit reference eigenvalues
+    and bisection under 1 eps ||T||_inf.
+    """
+    m = alphas.shape[0]
+    lo, hi = _tridiag_extremes(alphas, betas)
+    ref_lo, ref_hi = sterf_extremes(alphas, betas)
+    off = np.abs(betas)
+    norm = (np.abs(alphas) + np.r_[off, 0.0] + np.r_[0.0, off]).max()
+    tol = (8 + m) * np.finfo(float).eps * norm
+    assert abs(lo - ref_lo) <= tol
+    assert abs(hi - ref_hi) <= tol
+
+
+def sytrd_tridiagonal(w):
+    _, diag, off, _, info = lapack.dsytrd(w.T, lower=1)
+    assert info == 0
+    return diag, off
+
+
+class TestBisection:
+    """`_tridiag_extremes` finds the two extremes by index-selected
+    bisection (stebz) and falls back to sterf when stebz reports failure."""
+
+    @settings(max_examples=150)
+    @given(
+        m=st.integers(1, 60),
+        seed=st.integers(0, 2**32 - 1),
+        center=st.sampled_from([0.0, 1.0]),
+        spread=st.sampled_from([1e-12, 1e-6, 1e-2, 1.0, 1e3]),
+        splits=st.sampled_from([0.0, 0.3]),
+    )
+    def test_random_tridiagonal_matches_sterf(self, m, seed, center, spread, splits):
+        # center 1 with a small spread is the learner's cluster at 1.0;
+        # zeroed off-diagonals split T into independent blocks
+        rng = np.random.default_rng(seed)
+        alphas = center + spread * rng.standard_normal(m)
+        betas = spread * rng.standard_normal(m - 1)
+        betas[rng.random(m - 1) < splits] = 0.0
+        assert_extremes_match_sterf(alphas, betas)
+
+    @pytest.mark.parametrize("m", [2, 3, 17, 60])
+    @pytest.mark.parametrize("a, b", [(0.0, 1.0), (1.0, 1e-9), (-3.0, 1e3)])
+    def test_toeplitz_closed_form(self, m, a, b):
+        # tridiag(b, a, b) has eigenvalues a + 2 b cos(k pi / (m + 1))
+        lo, hi = _tridiag_extremes(np.full(m, a), np.full(m - 1, b))
+        ends = a + 2.0 * abs(b) * np.cos(np.array([m, 1]) * np.pi / (m + 1))
+        tol = 8.0 * np.finfo(float).eps * max(abs(a), abs(b))
+        assert abs(lo - ends[0]) <= tol
+        assert abs(hi - ends[1]) <= tol
+
+    @pytest.mark.parametrize("w", CLUSTERED)
+    def test_clustered_tridiagonal_matches_sterf(self, w):
+        assert_extremes_match_sterf(*sytrd_tridiagonal(w))
+
+    def test_clustered_cases_take_both_paths(self, monkeypatch):
+        # the clustered regression covers bisection and the sterf fallback
+        spy = LapackSpy()
+        monkeypatch.setattr(qnpe.extevec, "lapack", spy)
+        for param in CLUSTERED:
+            ext_evec_exact(param.values[0])
+        assert 0 < spy.calls["dsterf"] < len(CLUSTERED)
+
+    @pytest.mark.parametrize("info", [2, 4])
+    @pytest.mark.parametrize("w", CLUSTERED[:3] + [random_symmetric(20, 1)])
+    def test_bisection_failure_returns_sterf_extremes(self, monkeypatch, info, w):
+        diag, off = sytrd_tridiagonal(w)
+        spy = LapackSpy({"dstebz": info})
+        monkeypatch.setattr(qnpe.extevec, "lapack", spy)
+        assert _tridiag_extremes(diag, off) == sterf_extremes(diag, off)
+        assert spy.calls["dsterf"] == 1
+
+
+#: the failures that make `routine` the one that raises: sterf runs only
+#: when bisection has failed
+RAISING = {
+    "dsytrd": {"dsytrd": 1},
+    "dsterf": {"dstebz": 2, "dsterf": 1},
+    "dstein": {"dstein": 1},
+    "dormqr": {"dormqr": 1},
+}
 
 
 class TestLapackFailure:
     @pytest.mark.parametrize("routine", ["dsytrd", "dsterf", "dstein", "dormqr"])
     def test_exact_oracle_raises_typed_error(self, monkeypatch, routine):
-        monkeypatch.setattr(qnpe.extevec, "lapack", FailingLapack(routine))
+        monkeypatch.setattr(qnpe.extevec, "lapack", LapackSpy(RAISING[routine]))
         with pytest.raises(EigFailure, match=routine):
-            ext_evec_exact(random_symmetric(6, 0, scale=3.0))
+            ext_evec_exact(random_symmetric(6, 0, scale=3.0)).vector
 
     @pytest.mark.parametrize("routine", ["dsterf", "dstein"])
     def test_lanczos_oracle_raises_typed_error(self, monkeypatch, routine):
-        monkeypatch.setattr(qnpe.extevec, "lapack", FailingLapack(routine))
+        monkeypatch.setattr(qnpe.extevec, "lapack", LapackSpy(RAISING[routine]))
         w = random_symmetric(6, 0, scale=3.0)
         with pytest.raises(EigFailure, match=routine):
-            ext_evec_lanczos(w, 1.0, 0.1, np.random.default_rng(0))
+            ext_evec_lanczos(w, 1.0, 0.1, np.random.default_rng(0)).vector
+
+    @pytest.mark.parametrize(
+        "oracle, routine",
+        [("exact", "dstein"), ("exact", "dormqr"), ("lanczos", "dstein")],
+    )
+    def test_vector_failure_raises_at_first_read(self, monkeypatch, oracle, routine):
+        w = random_symmetric(6, 0, scale=3.0)
+        monkeypatch.setattr(qnpe.extevec, "lapack", LapackSpy(RAISING[routine]))
+        if oracle == "exact":
+            out = ext_evec_exact(w)
+        else:
+            out = ext_evec_lanczos(w, 0.5, 1e-12, np.random.default_rng(0))
+        assert out.gamma == pytest.approx(np.linalg.norm(w, 2), rel=1e-12)
+        with pytest.raises(EigFailure, match=routine):
+            out.vector
+
+
+def vector_arrays(outcome):
+    """The arrays an outcome holds for its on-demand vector, and the buffers
+    they are views of."""
+    arrays = [a for a in outcome._vector.args if isinstance(a, np.ndarray)]
+    return arrays + [a.base for a in arrays if a.base is not None]
+
+
+class TestOnDemandVector:
+    """The separator vector is computed on the first read of
+    `SepOutcome.vector`, and the factors it needs live only as long as the
+    outcome."""
+
+    @pytest.mark.parametrize("oracle", ["exact", "lanczos"])
+    def test_computed_once_on_first_read(self, monkeypatch, oracle):
+        spy = LapackSpy()
+        monkeypatch.setattr(qnpe.extevec, "lapack", spy)
+        w = random_symmetric(12, 4, scale=3.0)
+        if oracle == "exact":
+            out = ext_evec_exact(w)
+        else:
+            out = ext_evec_lanczos(w, 0.5, 0.1, np.random.default_rng(4))
+        assert spy.calls["dstein"] == 0
+        first = out.vector
+        assert out.vector is first
+        assert spy.calls["dstein"] == 1
+
+    def test_exact_solve_reads_the_vector_only_for_a_positive_hinge(
+        self, monkeypatch
+    ):
+        # the learner needs the separator only when W is outside and the
+        # hinge max(0, 2 c r^T Bhat s) is positive; count those rounds from
+        # the dense played matrix
+        spy = LapackSpy()
+        monkeypatch.setattr(qnpe.extevec, "lapack", spy)
+        update = HessianLearner.update_round
+        active = 0
+
+        def counting_update(learner, sample):
+            nonlocal active
+            outcome = learner._outcome
+            if outcome is not None and not outcome.inside:
+                b = played_dense(learner._played)
+                resid = sample.y - b @ sample.s
+                b_hat = to_hat(b, learner.mu, learner.l1)
+                active += float(resid @ (b_hat @ sample.s)) > 0.0
+            return update(learner, sample)
+
+        monkeypatch.setattr(HessianLearner, "update_round", counting_update)
+        obj, _ = parse_problem("quadratic:d=30,mu=1,l1=100,seed=0")
+        solve(obj, SolverConfig(oracle_mode="exact"))
+        assert 0 < active < spy.calls["dsytrd"]
+        assert spy.calls["dstein"] == active
+
+    @pytest.mark.parametrize("mode", ["exact", "lanczos"])
+    def test_round_factors_die_with_the_round(self, monkeypatch, mode):
+        # the learner drops its outcome in update_round, and with it the
+        # sytrd factors or the Lanczos basis; no cycle may keep them alive
+        name = f"ext_evec_{mode}"
+        oracle = getattr(qnpe.learner, name)
+        refs = []
+
+        def spy(*args):
+            out = oracle(*args)
+            refs.extend(weakref.ref(a) for a in vector_arrays(out))
+            return out
+
+        monkeypatch.setattr(qnpe.learner, name, spy)
+        d = 8
+        learner = HessianLearner(
+            3.0 * np.eye(d), 1.0, 3.0,
+            SolverConfig(delta=0.5, oracle_mode=mode, seed=0),
+        )
+        rng = np.random.default_rng(2)
+        gc.disable()
+        try:
+            for _ in range(6):
+                learner.predict()
+                outcome = learner._outcome
+                if outcome is not None:
+                    outcome.vector
+                    del outcome
+                s = rng.standard_normal(d)
+                learner.update_round(LossSample(s, 2.0 * s + rng.standard_normal(d)))
+                assert learner._outcome is None
+                assert all(ref() is None for ref in refs)
+        finally:
+            gc.enable()
+        # round 0 runs no oracle
+        assert len(refs) >= 5
 
 
 class TestLanczosOracle:

@@ -65,24 +65,30 @@ class Objective:
         if self.minimizer is None:
             return None
         diff = x - self.minimizer
-        return float(diff @ diff)
+        return blas.ddot(diff, diff)
+
+
+def _fortran(a: Array) -> Array:
+    """A symmetric A in Fortran order: a C-ordered A is its own transpose,
+    so the view is the same matrix and nothing is copied."""
+    return a if a.flags.f_contiguous else a.T
 
 
 def symv(
     alpha: float, a: Array, x: Array, beta: float = 0.0, y: Optional[Array] = None
 ) -> Array:
     """alpha A x + beta y for a symmetric A, as one BLAS symv that reads one
-    triangle of A; y is left unchanged. A C-ordered A is passed as its
-    transpose, the same matrix in Fortran order, so A is never copied."""
-    if not a.flags.f_contiguous:
-        a = a.T
+    triangle of A; y is left unchanged and A is never copied."""
     if y is None:
-        return blas.dsymv(alpha, a, x)
-    return blas.dsymv(alpha, a, x, beta=beta, y=y)
+        return blas.dsymv(alpha, _fortran(a), x)
+    return blas.dsymv(alpha, _fortran(a), x, beta=beta, y=y)
 
 
 def _always_current() -> bool:
     return True
+
+
+_STALE = "stale played matrix: its round is over"
 
 
 @dataclass(frozen=True)
@@ -104,20 +110,30 @@ class PlayedMatrix:
         default=_always_current, compare=False, repr=False
     )
 
-    def _checked_base(self) -> Array:
-        if not self.current():
-            raise StateMismatch("stale played matrix: its round is over")
-        return self.base
+    def shifted_matvec(self, eta: float) -> Callable[[Array], Array]:
+        """v -> v + eta B v, the operator of the system (I + eta B) s = -eta g.
 
-    def shifted(self, eta: float, v: Array) -> Array:
-        """v + eta B v, the operator of the system (I + eta B) s = -eta g."""
-        base = self._checked_base()
-        return symv(eta * self.scale, base, v, 1.0 + eta * self.shift, v)
+        The coefficients and the Fortran view of `base` are fixed once, so
+        each product is the freshness check and one `dsymv`, which leaves v
+        unchanged and returns a new vector."""
+        alpha = eta * self.scale
+        beta = 1.0 + eta * self.shift
+        base = _fortran(self.base)
+        current = self.current
+        dsymv = blas.dsymv
+
+        def matvec(v: Array) -> Array:
+            if not current():
+                raise StateMismatch(_STALE)
+            return dsymv(alpha, base, v, beta=beta, y=v)
+
+        return matvec
 
     def residual(self, y: Array, s: Array) -> Array:
         """y - B s."""
-        base = self._checked_base()
-        return symv(-self.scale, base, s, 1.0, y - self.shift * s)
+        if not self.current():
+            raise StateMismatch(_STALE)
+        return symv(-self.scale, self.base, s, 1.0, y - self.shift * s)
 
 
 @dataclass(frozen=True)

@@ -25,6 +25,7 @@ from typing import Callable, Optional
 
 import numpy as np
 from scipy.linalg import lapack
+from scipy.linalg.blas import ddot
 
 from .core import symv
 from .errors import EigFailure
@@ -220,7 +221,11 @@ def ext_evec_exact(w: Array) -> SepOutcome:
 
 
 def ext_evec_lanczos(
-    w: Array, delta: float, q: float, rng: np.random.Generator
+    w: Array,
+    delta: float,
+    q: float,
+    rng: np.random.Generator,
+    rows: Optional[Callable[[int], Array]] = None,
 ) -> SepOutcome:
     """Randomized oracle: Lanczos with a uniform random unit start.
 
@@ -235,17 +240,24 @@ def ext_evec_lanczos(
     `lanczos_budget` splits q between the N-step bound and this
     near-invariance stop and derives the tolerance from the failure budget,
     not from rounding.
+
+    `rows(N)`, when given, returns a C-ordered float buffer of at least N
+    rows of length d to hold the Lanczos vectors, so that a caller making
+    many queries allocates the basis once; the outcome keeps a copy of the
+    rows it used, never the buffer, so the caller may reuse the buffer at
+    once. Without it a fresh basis is allocated.
     """
     w = np.asarray(w, dtype=float)
     d = w.shape[0]
     budget = lanczos_budget(d, delta, q)
     n = budget.n_iters
 
+    # one Lanczos vector per row, so reorthogonalization reads contiguous
+    # rows; every row is written before it is read
+    basis = np.empty((n, d)) if rows is None else rows(n)
     v = rng.standard_normal(d)
-    v /= math.sqrt(v @ v)
+    np.divide(v, math.sqrt(ddot(v, v)), out=basis[0])
 
-    # one Lanczos vector per row, so reorthogonalization reads contiguous rows
-    basis = np.zeros((n, d))
     alphas = np.zeros(n)
     betas = np.zeros(max(n - 1, 0))
     tolerance = budget.tolerance
@@ -255,9 +267,9 @@ def ext_evec_lanczos(
     v_prev = np.zeros(d)
 
     for k in range(n):
-        basis[k] = v
+        v = basis[k]
         work = symv(1.0, w, v, -beta_prev, v_prev)
-        a = float(work @ v)
+        a = ddot(work, v)
         work -= a * v
         # full reorthogonalization against all prior Lanczos vectors
         prior = basis[: k + 1]
@@ -266,17 +278,20 @@ def ext_evec_lanczos(
         scale = max(scale, abs(a) + beta_prev)
         if k == n - 1:
             break
-        b = math.sqrt(work @ work)
+        b = math.sqrt(ddot(work, work))
         if b <= tolerance * scale:
             m = k + 1
             break
         betas[k] = b
         v_prev = v
         beta_prev = b
-        v = work / b
+        np.divide(work, b, out=basis[k + 1])
 
-    alphas, betas, basis = alphas[:m], betas[: m - 1], basis[:m]
+    alphas, betas = alphas[:m], betas[: m - 1]
     lo, hi = _tridiag_extremes(alphas, betas)
-    vector = partial(_ritz_vector, alphas, betas, basis, _extreme(lo, hi))
+    # a copy of the m rows used: the buffer belongs to the next query
+    vector = partial(
+        _ritz_vector, alphas, betas, basis[:m].copy(), _extreme(lo, hi)
+    )
     # one matrix-vector product per Lanczos step
     return SepOutcome(lo, hi, m, vector)

@@ -17,6 +17,7 @@ from typing import Optional
 
 import numpy as np
 from scipy.linalg import blas
+from scipy.linalg.blas import ddot
 
 from .core import PlayedMatrix, SolverConfig, symv
 from .errors import (
@@ -38,7 +39,7 @@ class LossSample:
     y: Array
 
     def __post_init__(self):
-        if float(self.s @ self.s) == 0.0:
+        if ddot(self.s, self.s) == 0.0:
             raise ZeroDisplacement("loss sample has zero displacement")
 
 
@@ -83,6 +84,19 @@ class RoundLog:
     w_fro_after: float
 
 
+def _spectrum_ends(b: Array) -> tuple[float, float]:
+    """Smallest and largest eigenvalue of the symmetric matrix b. The
+    default b0 = L1 I and a scalar b0 = c I are scaled identities, whose
+    ends are the diagonal entry: that case reads it without an O(d^3)
+    eigensolve."""
+    diag = np.diagonal(b)
+    c = float(diag[0])
+    if (diag == c).all() and np.count_nonzero(b) == np.count_nonzero(diag):
+        return c, c
+    eigs = np.linalg.eigvalsh(b)
+    return float(eigs[0]), float(eigs[-1])
+
+
 class HessianLearner:
     """Single-owner mutable learner state.
 
@@ -123,6 +137,8 @@ class HessianLearner:
         self.degenerate = self.l1 <= self.mu
         self.b0 = np.array(b0, dtype=float)
         self.w = None if self.degenerate else to_hat(self.b0, mu, l1)
+        # the Lanczos oracle's basis, grown to the largest budget so far
+        self._basis = np.empty((0, b0.shape[0]))
         self.t = 0
         self.matvecs = 0
         self.round_log: list[RoundLog] = []
@@ -153,7 +169,9 @@ class HessianLearner:
             outcome = ext_evec_exact(self.w)
         else:
             q = failure_budget(self.cfg.p, t)
-            outcome = ext_evec_lanczos(self.w, self.cfg.delta, q, self.rng)
+            outcome = ext_evec_lanczos(
+                self.w, self.cfg.delta, q, self.rng, self._lanczos_rows
+            )
         self.matvecs += outcome.matvecs
         gamma = 1.0 if outcome.inside else outcome.gamma
         self._played = PlayedMatrix(
@@ -165,6 +183,12 @@ class HessianLearner:
         self._outcome = outcome
         return self._played
 
+    def _lanczos_rows(self, n: int) -> Array:
+        """The Lanczos basis buffer, with at least n rows."""
+        if self._basis.shape[0] < n:
+            self._basis = np.empty((n, self._basis.shape[1]))
+        return self._basis
+
     def update_round(self, sample: LossSample) -> float:
         """Consume the round's loss sample and advance; returns the loss
         value incurred by the played matrix."""
@@ -172,9 +196,9 @@ class HessianLearner:
             raise StateMismatch("update_round without a preceding predict")
         outcome = self._outcome
         s = sample.s
-        ss = float(s @ s)
+        ss = ddot(s, s)
         resid = self._played.residual(sample.y, s)
-        value = float(resid @ resid) / (2.0 * ss)
+        value = ddot(resid, resid) / (2.0 * ss)
         w_fro = 0.0 if self.degenerate else self._step(outcome, s, resid, ss)
         self._log_round(outcome, w_fro)
         self.t += 1
@@ -207,11 +231,11 @@ class HessianLearner:
         w_t = self.w.T
         if outcome is not None and not outcome.inside:
             b_hat_s = symv(1.0 / outcome.gamma, self.w, s)
-            hinge = max(0.0, 2.0 * c * float(resid @ b_hat_s))
+            hinge = max(0.0, 2.0 * c * ddot(resid, b_hat_s))
             if hinge > 0.0:
                 g = math.sqrt(rho * hinge) * outcome.vector
                 w_t = blas.dger(-float(outcome.sign), g, g, a=w_t, overwrite_a=True)
-        rr = float(resid @ resid)
+        rr = ddot(resid, resid)
         if rr > 0.0:
             # rho c (s r^T + r s^T) = p p^T - m m^T with p, m = x +- y, where
             # x y^T = (rho c / 2) s r^T and ||x|| = ||y|| against cancellation
@@ -234,8 +258,7 @@ class HessianLearner:
             b_min = b_max = self.mu
         elif outcome is None:
             # round 0 plays b0 as given
-            eigs = np.linalg.eigvalsh(self.b0)
-            b_min, b_max = float(eigs[0]), float(eigs[-1])
+            b_min, b_max = _spectrum_ends(self.b0)
         else:
             lo, hi = outcome.lam_min, outcome.lam_max
             if not outcome.inside:

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from scipy.linalg.blas import ddot
 
 from .core import Objective, PlayedMatrix, SolverConfig
 from .errors import BacktrackCapExceeded
@@ -88,7 +89,7 @@ def backtrack(
         lam_min = 1.0 + eta * 0.5 * mu
         cr_cap = cr_iteration_cap(d, lam_max, lam_max / lam_min, alpha1)
         result = conjugate_residual(
-            lambda v: played.shifted(eta, v), -eta * g, alpha1, cr_cap
+            played.shifted_matvec(eta), -eta * g, alpha1, cr_cap
         )
         matvecs += result.matvecs
         s = result.s
@@ -96,7 +97,7 @@ def backtrack(
         grad_hat = obj.grad(x_hat)
         attempts += 1
         err = played.residual(grad_hat - g, s)
-        if eta * math.sqrt(err @ err) <= alpha2 * math.sqrt(s @ s):
+        if eta * math.sqrt(ddot(err, err)) <= alpha2 * math.sqrt(ddot(s, s)):
             return LineSearchOutcome(
                 eta, x_hat, grad_hat, attempts, matvecs, x_tilde, grad_tilde
             )

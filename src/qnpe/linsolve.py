@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
+from scipy.linalg.blas import dscal, ddot
 
 from .errors import IterationCapExceeded
 
@@ -81,10 +82,12 @@ def conjugate_residual(
 
     s = np.zeros(d)
     r = b.copy()
-    r_norm = math.sqrt(r @ r)
+    r_norm = math.sqrt(ddot(r, r))
     s_norm = 0.0
     floor = RESIDUAL_FLOOR * r_norm
     ap_floor = floor * floor
+    # holds step * p, then step * A p
+    work = np.empty(d)
 
     iters = 0
     matvecs = 0
@@ -104,26 +107,29 @@ def conjugate_residual(
             matvecs += 1
             p = r.copy()
             a_p = a_r.copy()
-            r_ar = float(r @ a_r)
+            r_ar = ddot(r, a_r)
 
-        ap_ap = float(a_p @ a_p)
+        ap_ap = ddot(a_p, a_p)
         if ap_ap <= ap_floor or r_ar <= 0.0:
             # p ~ 0 implies r ~ 0 for a definite operator: converged
             return CrResult(s, r_norm, iters, matvecs)
         step = r_ar / ap_ap
-        # in place, with the rounding of s + step p and r - step A p
-        s += step * p
-        r -= step * a_p
+        # in place, with the rounding of s + step p and r - step A p; daxpy
+        # would fuse the multiply and the add and round differently
+        np.multiply(step, p, out=work)
+        s += work
+        np.multiply(step, a_p, out=work)
+        r -= work
         a_r = matvec(r)
         matvecs += 1
-        r_ar_next = float(r @ a_r)
+        r_ar_next = ddot(r, a_r)
         scale = r_ar_next / r_ar
         r_ar = r_ar_next
-        # scale p + r rounds as r + scale p
-        p *= scale
+        # scale p + r rounds as r + scale p; dscal scales in place
+        p = dscal(scale, p)
         p += r
-        a_p *= scale
+        a_p = dscal(scale, a_p)
         a_p += a_r
         iters += 1
-        r_norm = math.sqrt(r @ r)
-        s_norm = math.sqrt(s @ s)
+        r_norm = math.sqrt(ddot(r, r))
+        s_norm = math.sqrt(ddot(s, s))

@@ -10,6 +10,7 @@ from dataclasses import replace
 from typing import Callable, Optional
 
 import numpy as np
+from scipy.linalg.blas import ddot
 
 from .core import (
     IterationRecord,
@@ -78,7 +79,7 @@ def run_loop(
             f"gradient at the start point has shape {np.shape(g)}, expected ({d},)"
         )
     _require_finite(g, "gradient at the start point")
-    grad_norm = math.sqrt(g @ g)
+    grad_norm = math.sqrt(ddot(g, g))
 
     for k in range(cfg.max_iters):
         dist_sq = obj.dist_sq(x)
@@ -94,14 +95,20 @@ def run_loop(
             break
 
         x_next, g, fields = step(x, g)
-        _require_finite(x_next, f"iterate at k={k}")
-        _require_finite(g, f"gradient at k={k + 1}")
+        # a finite squared norm proves every entry finite, so only a
+        # non-finite one (NaN, Inf, or finite entries that overflow) pays
+        # for the full scan, which raises on the same inputs as before
+        if not math.isfinite(ddot(x_next, x_next)):
+            _require_finite(x_next, f"iterate at k={k}")
+        g_sq = ddot(g, g)
+        if not math.isfinite(g_sq):
+            _require_finite(g, f"gradient at k={k + 1}")
         records.append(
             IterationRecord(k=k, grad_norm=grad_norm, dist_sq=dist_sq, **fields)
         )
-        stall_run = stall_run + 1 if np.array_equal(x_next, x) else 0
+        stall_run = stall_run + 1 if (x_next == x).all() else 0
         x = x_next
-        grad_norm = math.sqrt(g @ g)
+        grad_norm = math.sqrt(g_sq)
         if stall_run >= _STALL_LIMIT:
             termination = "stalled"
             break
@@ -145,10 +152,11 @@ def solve(
 
         loss_value = None
         # a rejected trial that rounds to x itself carries no curvature
-        if ls.backtracked and not np.array_equal(ls.x_tilde, x):
+        if ls.backtracked and not (ls.x_tilde == x).all():
             sample = LossSample(ls.x_tilde - x, ls.grad_x_tilde - g)
             loss_value = learner.update_round(sample)
             samples.append((sample.s, sample.y))
+        disp = ls.x_hat - x
         return x_next, obj.grad(x_next), dict(
             eta=ls.eta,
             backtracked=ls.backtracked,
@@ -157,7 +165,7 @@ def solve(
             matvecs_linsolve=ls.matvecs,
             matvecs_extevec=mv_extevec,
             loss_value=loss_value,
-            hat_disp=float(np.linalg.norm(ls.x_hat - x)),
+            hat_disp=math.sqrt(ddot(disp, disp)),
         )
 
     return replace(

@@ -2,12 +2,27 @@
 
 The package computes these objects implicitly (the learner's in-place
 rank-one step, the played matrix as an operator, the CR recurrence) or not
-at all; the tests build them here in their textbook form.
+at all; the tests build them here in their textbook form. The CR and
+Lanczos loops here are the package's loops written with NumPy operators
+instead of BLAS level-1 calls and a reused basis buffer; the package must
+match them bit for bit.
 """
+
+import math
+from functools import partial
 
 import numpy as np
 
-from qnpe.linsolve import conjugate_residual
+from qnpe.core import symv
+from qnpe.extevec import (
+    SepOutcome,
+    _extreme,
+    _ritz_vector,
+    _tridiag_extremes,
+    lanczos_budget,
+)
+from qnpe.errors import IterationCapExceeded
+from qnpe.linsolve import RESIDUAL_FLOOR, CrResult, conjugate_residual
 
 
 def from_hat(b_hat, mu, l1):
@@ -79,3 +94,89 @@ def cr_with_history(mat, b, alpha, max_iters=None):
     assert r_norms[-1] == res.residual_norm
     steps = np.linalg.solve(mat, b[:, None] - np.array(residuals).T)
     return res, r_norms, np.linalg.norm(steps, axis=0)
+
+
+def cr_numpy(matvec, b, alpha, max_iters=None):
+    """`conjugate_residual` with NumPy operators for every vector step."""
+    b = np.asarray(b, dtype=float)
+    d = b.shape[0]
+    if max_iters is None:
+        max_iters = 20 * d
+    s = np.zeros(d)
+    r = b.copy()
+    r_norm = math.sqrt(r @ r)
+    s_norm = 0.0
+    floor = RESIDUAL_FLOOR * r_norm
+    ap_floor = floor * floor
+    iters = matvecs = 0
+    p = a_p = None
+    r_ar = 0.0
+    while True:
+        if r_norm <= alpha * s_norm or r_norm <= floor:
+            return CrResult(s, r_norm, iters, matvecs)
+        if iters >= max_iters:
+            raise IterationCapExceeded(f"cap {max_iters}")
+        if iters == 0:
+            a_r = matvec(r)
+            matvecs += 1
+            p = r.copy()
+            a_p = a_r.copy()
+            r_ar = float(r @ a_r)
+        ap_ap = float(a_p @ a_p)
+        if ap_ap <= ap_floor or r_ar <= 0.0:
+            return CrResult(s, r_norm, iters, matvecs)
+        step = r_ar / ap_ap
+        s += step * p
+        r -= step * a_p
+        a_r = matvec(r)
+        matvecs += 1
+        r_ar_next = float(r @ a_r)
+        scale = r_ar_next / r_ar
+        r_ar = r_ar_next
+        p *= scale
+        p += r
+        a_p *= scale
+        a_p += a_r
+        iters += 1
+        r_norm = math.sqrt(r @ r)
+        s_norm = math.sqrt(s @ s)
+
+
+def lanczos_numpy(w, delta, q, rng):
+    """`ext_evec_lanczos` with NumPy operators and a fresh zeroed basis."""
+    w = np.asarray(w, dtype=float)
+    d = w.shape[0]
+    budget = lanczos_budget(d, delta, q)
+    n = budget.n_iters
+    v = rng.standard_normal(d)
+    v /= math.sqrt(v @ v)
+    basis = np.zeros((n, d))
+    alphas = np.zeros(n)
+    betas = np.zeros(max(n - 1, 0))
+    scale = 1.0
+    m = n
+    beta_prev = 0.0
+    v_prev = np.zeros(d)
+    for k in range(n):
+        basis[k] = v
+        work = symv(1.0, w, v, -beta_prev, v_prev)
+        a = float(work @ v)
+        work -= a * v
+        prior = basis[: k + 1]
+        work -= (prior @ work) @ prior
+        alphas[k] = a
+        scale = max(scale, abs(a) + beta_prev)
+        if k == n - 1:
+            break
+        b = math.sqrt(work @ work)
+        if b <= budget.tolerance * scale:
+            m = k + 1
+            break
+        betas[k] = b
+        v_prev = v
+        beta_prev = b
+        v = work / b
+    alphas, betas, basis = alphas[:m], betas[: m - 1], basis[:m]
+    lo, hi = _tridiag_extremes(alphas, betas)
+    vector = partial(_ritz_vector, alphas, betas, basis, _extreme(lo, hi))
+    return SepOutcome(lo, hi, m, vector)

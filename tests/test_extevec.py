@@ -23,7 +23,7 @@ from qnpe.extevec import (
 from qnpe.learner import HessianLearner, LossSample, to_hat
 from qnpe.problems import make_quadratic
 from qnpe.solver import solve
-from reference import played_dense, separator, separator_action
+from reference import lanczos_numpy, played_dense, separator, separator_action
 
 
 def random_symmetric(d, seed, scale=1.0):
@@ -543,6 +543,98 @@ class TestLanczosOracle:
             assert np.linalg.norm(separator(out)) == pytest.approx(1.0)
 
 
+class NanRows:
+    """A basis buffer that queries share, as the learner's is, grown to the
+    largest N asked for. It starts NaN-filled, so a row read before it is
+    written would poison the answer."""
+
+    def __init__(self, d):
+        self.buffer = np.full((0, d), np.nan)
+
+    def __call__(self, n):
+        if self.buffer.shape[0] < n:
+            self.buffer = np.full((n, self.buffer.shape[1]), np.nan)
+        return self.buffer
+
+
+def assert_same_outcome(got, want):
+    assert got.lam_min == want.lam_min
+    assert got.lam_max == want.lam_max
+    assert got.matvecs == want.matvecs
+    assert np.array_equal(got.vector, want.vector)
+
+
+class TestLanczosBitForBit:
+    """The oracle with BLAS level-1 calls and a reused basis buffer rounds
+    exactly as the NumPy-operator loop in tests/reference.py."""
+
+    # (kind, d, delta, q, stop): "cap" runs all N < d steps, "full" has
+    # N = d, "early" stops on the near-invariance test before N
+    CASES = [
+        ("random", 1, 0.5, 0.1, "full"),
+        ("random", 2, 0.5, 0.1, "full"),
+        ("random", 30, 0.05, 1e-12, "full"),
+        ("random", 120, 0.5, 0.1, "cap"),
+        ("random", 300, 0.01, 1e-3, "cap"),
+        ("clustered", 50, 1e-3, 1e-2, "early"),
+        ("clustered", 200, 1e-2, 1e-4, "early"),
+    ]
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("kind, d, delta, q, stop", CASES)
+    def test_matches_numpy_loop(self, kind, d, delta, q, stop, seed):
+        if kind == "random":
+            w = random_symmetric(d, seed, scale=3.0)
+        else:
+            w = identity_plus_low_rank(d, 3, 0.2, seed)
+        rows = NanRows(d)
+        # a buffer already grown by a longer query on another matrix
+        rows(d)
+        ext_evec_lanczos(random_symmetric(d, seed + 7), 0.05, 1e-12,
+                         np.random.default_rng(seed), rows)
+        got = ext_evec_lanczos(w, delta, q, np.random.default_rng(seed), rows)
+        want = lanczos_numpy(w, delta, q, np.random.default_rng(seed))
+        assert_same_outcome(got, want)
+        n = lanczos_budget(d, delta, q).n_iters
+        stops = {
+            "full": got.matvecs == n == d,
+            "cap": got.matvecs == n < d,
+            "early": got.matvecs < n,
+        }
+        assert stops[stop]
+
+    def test_without_a_buffer(self):
+        w = random_symmetric(60, 3, scale=2.0)
+        got = ext_evec_lanczos(w, 0.5, 0.1, np.random.default_rng(3))
+        want = lanczos_numpy(w, 0.5, 0.1, np.random.default_rng(3))
+        assert_same_outcome(got, want)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_vector_survives_a_later_query_on_the_buffer(self, seed):
+        # the learner reuses one buffer across rounds; an outcome read after
+        # a later query on another W must still give its own Ritz vector
+        d, delta, q = 40, 0.5, 0.1
+        rows = NanRows(d)
+        w = random_symmetric(d, seed, scale=3.0)
+        first = ext_evec_lanczos(w, delta, q, np.random.default_rng(seed), rows)
+        buffer = rows.buffer
+        later = ext_evec_lanczos(
+            random_symmetric(d, seed + 50, scale=5.0), delta, q,
+            np.random.default_rng(seed + 50), rows,
+        )
+        assert rows.buffer is buffer and later.matvecs >= first.matvecs
+        assert not any(
+            np.shares_memory(a, buffer) for a in vector_arrays(first)
+        )
+        u = first.vector
+        want = lanczos_numpy(w, delta, q, np.random.default_rng(seed))
+        assert np.array_equal(u, want.vector)
+        # a unit vector whose Rayleigh quotient is the extreme Ritz value
+        theta = first.lam_max if first.lam_max >= -first.lam_min else first.lam_min
+        assert float(u @ u) == pytest.approx(1.0, abs=1e-14)
+        assert float(u @ (w @ u)) == pytest.approx(theta, rel=1e-10)
+
+
 class TestCountRepeatability:
     """The learner's W = I + low rank plus rounding carries a near-degenerate
     cluster at 1.0. A stop test at rounding level let a rounding-level change
@@ -553,9 +645,9 @@ class TestCountRepeatability:
         d, queries = 100, []
         oracle = qnpe.learner.ext_evec_lanczos
 
-        def spy(w, delta, q, rng):
+        def spy(w, delta, q, rng, rows):
             queries.append((w.copy(), delta, q))
-            return oracle(w, delta, q, rng)
+            return oracle(w, delta, q, rng, rows)
 
         monkeypatch.setattr(qnpe.learner, "ext_evec_lanczos", spy)
         solve(

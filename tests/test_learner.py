@@ -15,6 +15,8 @@ from qnpe.errors import (
     ZeroDisplacement,
 )
 from qnpe.learner import HessianLearner, LossSample, failure_budget, loss, to_hat
+from qnpe.problems import make_quadratic
+from qnpe.solver import solve
 from reference import (
     from_hat,
     loss_gradient,
@@ -172,6 +174,32 @@ class TestLearner:
         assert (op.scale, op.shift) == (1.0, 0.0)
         assert np.array_equal(played_dense(op), b0)
 
+    @pytest.mark.parametrize("b0", [None, 2.5], ids=["default", "scalar"])
+    def test_round_zero_log_of_scaled_identity_runs_no_eigensolve(
+        self, monkeypatch, b0
+    ):
+        # b0 = L1 I or c I: its extremes are the diagonal entry, and an
+        # eigvalsh costs O(d^3) (12 ms at d = 400)
+        def no_eigensolve(*args, **kwargs):
+            raise AssertionError("eigvalsh ran")
+
+        obj = make_quadratic(20, 1.0, 10.0, seed=1)
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_eigensolve)
+        report = solve(obj, SolverConfig(b0=b0, oracle_mode="exact", max_iters=40))
+        first = report.learner_rounds[0]
+        assert first.t == 0
+        assert first.b_min == first.b_max == (obj.l1 if b0 is None else b0)
+
+    def test_round_zero_log_of_explicit_b0_reads_its_spectrum(self):
+        b0 = np.diag([1.5, 2.0, 2.5])
+        b0[0, 2] = b0[2, 0] = 0.25
+        learner = self.make(b0)
+        learner.predict()
+        learner.update_round(LossSample(np.ones(3), np.array([3.0, 1.0, 2.0])))
+        eigs = np.linalg.eigvalsh(b0)
+        assert learner.round_log[0].b_min == eigs[0]
+        assert learner.round_log[0].b_max == eigs[-1]
+
     def test_zero_w_maps_to_band_center(self):
         learner = self.make(2.0 * np.eye(2))
         learner.predict()
@@ -277,6 +305,8 @@ class TestLearner:
         stepped = w_before - learner.cfg.rho * surrogate
         assert (np.linalg.norm(stepped) > np.sqrt(d)) == active
         expected = project_frobenius_ball(stepped, np.sqrt(d))
+        # made in the round, as the line search makes one per attempt
+        matvec = op.shifted_matvec(1.0)
         learner.update_round(sample)
         error = np.linalg.norm(learner.w - expected)
         assert error <= 1e-12 * np.linalg.norm(expected)
@@ -286,7 +316,9 @@ class TestLearner:
         # that operator refuses to run on the changed W
         assert np.shares_memory(op.base, learner.w)
         with pytest.raises(StateMismatch):
-            op.shifted(1.0, s)
+            matvec(s)
+        with pytest.raises(StateMismatch):
+            op.shifted_matvec(1.0)(s)
         with pytest.raises(StateMismatch):
             op.residual(sample.y, s)
 
@@ -325,7 +357,7 @@ class TestLearner:
         assert not np.array_equal(learner.w, to_hat(b0, self.MU, self.L1))
         # but a round-0 operator after the update is a stale prediction
         with pytest.raises(StateMismatch):
-            op.shifted(1.0, sample.s)
+            op.shifted_matvec(1.0)(sample.s)
         with pytest.raises(StateMismatch):
             op.residual(sample.y, sample.s)
         assert learner.predict() is not op
@@ -335,7 +367,7 @@ class TestLearner:
         op = learner.predict()
         assert learner.predict() is op
         s = np.ones(3)
-        assert np.array_equal(op.shifted(1.0, s), 3.0 * s)
+        assert np.array_equal(op.shifted_matvec(1.0)(s), 3.0 * s)
 
     def test_operator_does_not_keep_its_learner_alive(self):
         # a reference cycle would hold W until the cyclic collector runs,
@@ -350,7 +382,7 @@ class TestLearner:
         finally:
             gc.enable()
         # with its learner gone, nothing can change the base any more
-        assert np.array_equal(op.shifted(1.0, np.ones(3)), np.full(3, 3.0))
+        assert np.array_equal(op.shifted_matvec(1.0)(np.ones(3)), np.full(3, 3.0))
 
     def test_lanczos_mode_needs_delta(self):
         # an unvalidated SolverConfig() leaves delta None; the repro used to
@@ -475,9 +507,9 @@ class TestLearner:
         queries = []
         oracle = qnpe.learner.ext_evec_lanczos
 
-        def spy(w, delta, q, rng):
+        def spy(w, delta, q, rng, rows):
             queries.append((delta, q, rng.bit_generator.state))
-            return oracle(w, delta, q, rng)
+            return oracle(w, delta, q, rng, rows)
 
         monkeypatch.setattr(qnpe.learner, "ext_evec_lanczos", spy)
         learner = self.make(
@@ -536,7 +568,7 @@ class TestBand:
 
 
 def assert_products_match(op, dense, size, rng):
-    """op.shifted and op.residual against the dense products, to 1e-13
+    """op.shifted_matvec and op.residual against the dense products, to 1e-13
     relative to the size of their terms; `size` bounds the norm of each
     term of the dense matrix, which near mu is a difference of two terms of
     size about L1."""
@@ -544,7 +576,7 @@ def assert_products_match(op, dense, size, rng):
     v, s, y = rng.standard_normal((3, d))
     eta = rng.uniform(0.01, 10.0) / size
     nv, ns, ny = (float(np.linalg.norm(u)) for u in (v, s, y))
-    got = op.shifted(eta, v)
+    got = op.shifted_matvec(eta)(v)
     want = v + eta * (dense @ v)
     assert np.linalg.norm(got - want) <= 1e-13 * nv * (1.0 + eta * size)
     got = op.residual(y, s)

@@ -3,9 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qnpe.core import PlayedMatrix
 from qnpe.errors import IterationCapExceeded
 from qnpe.linsolve import RESIDUAL_FLOOR, conjugate_residual
-from reference import cr_with_history
+from reference import cr_numpy, cr_with_history
 
 
 def random_spd(d, kappa, seed, lam_max=None):
@@ -136,3 +137,59 @@ class TestInvariants:
         res = conjugate_residual(lambda v: mat @ v, b, alpha=0.0)
         assert res.iterations <= 3
         assert res.residual_norm <= 1e-10 * np.linalg.norm(b)
+
+
+class TestBitForBit:
+    """The BLAS level-1 CR loop rounds exactly as the NumPy-operator loop
+    in tests/reference.py, on the line search's own operator v + eta B v."""
+
+    CASES = [
+        # (d, kappa, alpha): the alpha rule, the rounding floor (alpha = 0)
+        # and one-dimensional systems
+        (1, 1.0, 0.25),
+        (1, 1.0, 0.0),
+        (2, 10.0, 0.0),
+        (7, 1e2, 0.5),
+        (40, 1e3, 0.25),
+        (40, 1e3, 1e-10),
+        (100, 1e3, 0.25),
+        (100, 1e4, 0.0),
+        (200, 1e2, 1e-6),
+    ]
+
+    @staticmethod
+    def system(d, kappa, seed):
+        mat, lam = random_spd(d, kappa, seed)
+        mat = 0.5 * (mat + mat.T)
+        rng = np.random.default_rng(seed + 500)
+        eta = rng.uniform(0.01, 10.0) / lam[-1]
+        op = PlayedMatrix(mat, rng.uniform(0.5, 2.0), rng.uniform(0.0, 1.0))
+        return op.shifted_matvec(eta), rng.standard_normal(d) * eta
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("d, kappa, alpha", CASES)
+    def test_matches_numpy_loop(self, d, kappa, alpha, seed):
+        matvec, b = self.system(d, kappa, seed)
+        got = conjugate_residual(matvec, b, alpha)
+        want = cr_numpy(matvec, b, alpha)
+        assert np.array_equal(got.s, want.s)
+        assert got.residual_norm == want.residual_norm
+        assert got.iterations == want.iterations
+        assert got.matvecs == want.matvecs
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_iteration_cap_is_hit_alike(self, seed):
+        matvec, b = self.system(60, 1e4, seed)
+        full = cr_numpy(matvec, b, 0.0)
+        cap = full.iterations - 1
+        assert cap >= 1
+        with pytest.raises(IterationCapExceeded):
+            conjugate_residual(matvec, b, 0.0, cap)
+        with pytest.raises(IterationCapExceeded):
+            cr_numpy(matvec, b, 0.0, cap)
+        # exactly at the cap both still return the same iterate
+        got = conjugate_residual(matvec, b, 0.0, full.iterations)
+        assert np.array_equal(got.s, full.s)
+        assert (got.residual_norm, got.iterations, got.matvecs) == (
+            full.residual_norm, full.iterations, full.matvecs,
+        )

@@ -40,6 +40,7 @@ REMOVED = [
     "LinearOperator",
     "from_matrix",
     "shifted_operator",
+    "shifted",
     "residual_norms",
     "step_norms",
     "gd_step",

@@ -221,11 +221,7 @@ def ext_evec_exact(w: Array) -> SepOutcome:
 
 
 def ext_evec_lanczos(
-    w: Array,
-    delta: float,
-    q: float,
-    rng: np.random.Generator,
-    rows: Optional[Callable[[int], Array]] = None,
+    w: Array, delta: float, q: float, rng: np.random.Generator
 ) -> SepOutcome:
     """Randomized oracle: Lanczos with a uniform random unit start.
 
@@ -240,12 +236,6 @@ def ext_evec_lanczos(
     `lanczos_budget` splits q between the N-step bound and this
     near-invariance stop and derives the tolerance from the failure budget,
     not from rounding.
-
-    `rows(N)`, when given, returns a C-ordered float buffer of at least N
-    rows of length d to hold the Lanczos vectors, so that a caller making
-    many queries allocates the basis once; the outcome keeps a copy of the
-    rows it used, never the buffer, so the caller may reuse the buffer at
-    once. Without it a fresh basis is allocated.
     """
     w = np.asarray(w, dtype=float)
     d = w.shape[0]
@@ -254,7 +244,7 @@ def ext_evec_lanczos(
 
     # one Lanczos vector per row, so reorthogonalization reads contiguous
     # rows; every row is written before it is read
-    basis = np.empty((n, d)) if rows is None else rows(n)
+    basis = np.empty((n, d))
     v = rng.standard_normal(d)
     np.divide(v, math.sqrt(ddot(v, v)), out=basis[0])
 
@@ -287,11 +277,8 @@ def ext_evec_lanczos(
         beta_prev = b
         np.divide(work, b, out=basis[k + 1])
 
-    alphas, betas = alphas[:m], betas[: m - 1]
+    alphas, betas, basis = alphas[:m], betas[: m - 1], basis[:m]
     lo, hi = _tridiag_extremes(alphas, betas)
-    # a copy of the m rows used: the buffer belongs to the next query
-    vector = partial(
-        _ritz_vector, alphas, betas, basis[:m].copy(), _extreme(lo, hi)
-    )
+    vector = partial(_ritz_vector, alphas, betas, basis, _extreme(lo, hi))
     # one matrix-vector product per Lanczos step
     return SepOutcome(lo, hi, m, vector)

@@ -137,8 +137,6 @@ class HessianLearner:
         self.degenerate = self.l1 <= self.mu
         self.b0 = np.array(b0, dtype=float)
         self.w = None if self.degenerate else to_hat(self.b0, mu, l1)
-        # the Lanczos oracle's basis, grown to the largest budget so far
-        self._basis = np.empty((0, b0.shape[0]))
         self.t = 0
         self.matvecs = 0
         self.round_log: list[RoundLog] = []
@@ -169,9 +167,7 @@ class HessianLearner:
             outcome = ext_evec_exact(self.w)
         else:
             q = failure_budget(self.cfg.p, t)
-            outcome = ext_evec_lanczos(
-                self.w, self.cfg.delta, q, self.rng, self._lanczos_rows
-            )
+            outcome = ext_evec_lanczos(self.w, self.cfg.delta, q, self.rng)
         self.matvecs += outcome.matvecs
         gamma = 1.0 if outcome.inside else outcome.gamma
         self._played = PlayedMatrix(
@@ -182,12 +178,6 @@ class HessianLearner:
         )
         self._outcome = outcome
         return self._played
-
-    def _lanczos_rows(self, n: int) -> Array:
-        """The Lanczos basis buffer, with at least n rows."""
-        if self._basis.shape[0] < n:
-            self._basis = np.empty((n, self._basis.shape[1]))
-        return self._basis
 
     def update_round(self, sample: LossSample) -> float:
         """Consume the round's loss sample and advance; returns the loss

@@ -4,14 +4,18 @@ The package computes these objects implicitly (the learner's in-place
 rank-one step, the played matrix as an operator, the CR recurrence) or not
 at all; the tests build them here in their textbook form. The CR and
 Lanczos loops here are the package's loops written with NumPy operators
-instead of BLAS level-1 calls and a reused basis buffer; the package must
-match them bit for bit.
+instead of BLAS level-1 calls and an uninitialized basis; the package must
+match them bit for bit. That holds only when NumPy and SciPy call the same
+BLAS, which `require_shared_blas` checks before either loop runs.
 """
 
 import math
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
+import pytest
+import scipy
+from scipy.linalg.blas import ddot
 
 from qnpe.core import symv
 from qnpe.extevec import (
@@ -96,8 +100,39 @@ def cr_with_history(mat, b, alpha, max_iters=None):
     return res, r_norms, np.linalg.norm(steps, axis=0)
 
 
+@cache
+def require_shared_blas():
+    """Fail unless NumPy and SciPy call the same BLAS.
+
+    The package takes dot products with SciPy's `ddot` where the loops below
+    use NumPy's `@`, so the two agree bit for bit only when both libraries
+    link the same BLAS kernels (both link scipy-openblas in the pinned
+    environment). Where they differ, the comparison tests that pair of
+    libraries, not the package. The build info names each library's BLAS;
+    a probe then compares the two dot products on random vectors.
+    """
+    names = []
+    for lib in (np, scipy):
+        try:
+            names.append(
+                lib.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+            )
+        except (TypeError, KeyError):  # build info without a BLAS entry
+            names.append("unknown")
+    rng = np.random.default_rng(0)
+    probe = [rng.standard_normal((2, d)) for d in (1, 7, 64, 401) for _ in range(8)]
+    if names[0] != names[1] or any(ddot(v, w) != v @ w for v, w in probe):
+        pytest.fail(
+            "bit-for-bit comparison needs NumPy and SciPy on the same BLAS: "
+            f"NumPy links {names[0]}, SciPy links {names[1]}, and their dot "
+            "products must round alike",
+            pytrace=False,
+        )
+
+
 def cr_numpy(matvec, b, alpha, max_iters=None):
     """`conjugate_residual` with NumPy operators for every vector step."""
+    require_shared_blas()
     b = np.asarray(b, dtype=float)
     d = b.shape[0]
     if max_iters is None:
@@ -144,6 +179,7 @@ def cr_numpy(matvec, b, alpha, max_iters=None):
 
 def lanczos_numpy(w, delta, q, rng):
     """`ext_evec_lanczos` with NumPy operators and a fresh zeroed basis."""
+    require_shared_blas()
     w = np.asarray(w, dtype=float)
     d = w.shape[0]
     budget = lanczos_budget(d, delta, q)

@@ -543,20 +543,6 @@ class TestLanczosOracle:
             assert np.linalg.norm(separator(out)) == pytest.approx(1.0)
 
 
-class NanRows:
-    """A basis buffer that queries share, as the learner's is, grown to the
-    largest N asked for. It starts NaN-filled, so a row read before it is
-    written would poison the answer."""
-
-    def __init__(self, d):
-        self.buffer = np.full((0, d), np.nan)
-
-    def __call__(self, n):
-        if self.buffer.shape[0] < n:
-            self.buffer = np.full((n, self.buffer.shape[1]), np.nan)
-        return self.buffer
-
-
 def assert_same_outcome(got, want):
     assert got.lam_min == want.lam_min
     assert got.lam_max == want.lam_max
@@ -565,8 +551,9 @@ def assert_same_outcome(got, want):
 
 
 class TestLanczosBitForBit:
-    """The oracle with BLAS level-1 calls and a reused basis buffer rounds
-    exactly as the NumPy-operator loop in tests/reference.py."""
+    """The oracle with BLAS level-1 calls, writing each Lanczos vector into
+    its row of an uninitialized basis, rounds exactly as the NumPy-operator
+    loop in tests/reference.py."""
 
     # (kind, d, delta, q, stop): "cap" runs all N < d steps, "full" has
     # N = d, "early" stops on the near-invariance test before N
@@ -587,12 +574,7 @@ class TestLanczosBitForBit:
             w = random_symmetric(d, seed, scale=3.0)
         else:
             w = identity_plus_low_rank(d, 3, 0.2, seed)
-        rows = NanRows(d)
-        # a buffer already grown by a longer query on another matrix
-        rows(d)
-        ext_evec_lanczos(random_symmetric(d, seed + 7), 0.05, 1e-12,
-                         np.random.default_rng(seed), rows)
-        got = ext_evec_lanczos(w, delta, q, np.random.default_rng(seed), rows)
+        got = ext_evec_lanczos(w, delta, q, np.random.default_rng(seed))
         want = lanczos_numpy(w, delta, q, np.random.default_rng(seed))
         assert_same_outcome(got, want)
         n = lanczos_budget(d, delta, q).n_iters
@@ -603,29 +585,17 @@ class TestLanczosBitForBit:
         }
         assert stops[stop]
 
-    def test_without_a_buffer(self):
-        w = random_symmetric(60, 3, scale=2.0)
-        got = ext_evec_lanczos(w, 0.5, 0.1, np.random.default_rng(3))
-        want = lanczos_numpy(w, 0.5, 0.1, np.random.default_rng(3))
-        assert_same_outcome(got, want)
-
     @pytest.mark.parametrize("seed", range(4))
-    def test_vector_survives_a_later_query_on_the_buffer(self, seed):
-        # the learner reuses one buffer across rounds; an outcome read after
-        # a later query on another W must still give its own Ritz vector
+    def test_vector_survives_a_later_query(self, seed):
+        # an outcome shares no storage with a later query: read after a
+        # later query on another W, its vector is still its own Ritz vector
         d, delta, q = 40, 0.5, 0.1
-        rows = NanRows(d)
         w = random_symmetric(d, seed, scale=3.0)
-        first = ext_evec_lanczos(w, delta, q, np.random.default_rng(seed), rows)
-        buffer = rows.buffer
-        later = ext_evec_lanczos(
+        first = ext_evec_lanczos(w, delta, q, np.random.default_rng(seed))
+        ext_evec_lanczos(
             random_symmetric(d, seed + 50, scale=5.0), delta, q,
-            np.random.default_rng(seed + 50), rows,
-        )
-        assert rows.buffer is buffer and later.matvecs >= first.matvecs
-        assert not any(
-            np.shares_memory(a, buffer) for a in vector_arrays(first)
-        )
+            np.random.default_rng(seed + 50),
+        ).vector
         u = first.vector
         want = lanczos_numpy(w, delta, q, np.random.default_rng(seed))
         assert np.array_equal(u, want.vector)
@@ -645,9 +615,9 @@ class TestCountRepeatability:
         d, queries = 100, []
         oracle = qnpe.learner.ext_evec_lanczos
 
-        def spy(w, delta, q, rng, rows):
+        def spy(w, delta, q, rng):
             queries.append((w.copy(), delta, q))
-            return oracle(w, delta, q, rng, rows)
+            return oracle(w, delta, q, rng)
 
         monkeypatch.setattr(qnpe.learner, "ext_evec_lanczos", spy)
         solve(

@@ -507,9 +507,9 @@ class TestLearner:
         queries = []
         oracle = qnpe.learner.ext_evec_lanczos
 
-        def spy(w, delta, q, rng, rows):
+        def spy(w, delta, q, rng):
             queries.append((delta, q, rng.bit_generator.state))
-            return oracle(w, delta, q, rng, rows)
+            return oracle(w, delta, q, rng)
 
         monkeypatch.setattr(qnpe.learner, "ext_evec_lanczos", spy)
         learner = self.make(

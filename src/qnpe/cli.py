@@ -73,7 +73,18 @@ def parse_problem(spec: str) -> tuple:
     extra = [k for k in params if k not in kinds]
     if extra:
         raise ProblemMismatch(f"{spec!r} has unknown keys {', '.join(extra)}")
-    obj = factory(*(kind(params[k]) for k, kind in kinds.items()))
+    values = {}
+    for key, kind in kinds.items():
+        try:
+            values[key] = kind(params[key])
+        except ValueError:
+            raise ProblemMismatch(
+                f"problem parameter {key}={params[key]!r} is not {kind.__name__}"
+            ) from None
+    # default_rng rejects a negative seed with a bare ValueError
+    if values["seed"] < 0:
+        raise ProblemMismatch(f"problem parameter seed={values['seed']} is negative")
+    obj = factory(*values.values())
     return obj, name + ":" + ",".join(f"{k}={params[k]}" for k in kinds)
 
 

@@ -200,11 +200,10 @@ class IterationRecord:
 class SolverReport:
     """Full outcome of one solver run.
 
-    `records` hold the per-iteration trace; `loss_samples` the (s, y) pairs
-    fed to the learner (one per backtracked iteration, in round order);
-    `learner_rounds` per-round learner diagnostics
-    (t, b_min, b_max, w_fro_after). The counter properties are computed
-    from the records.
+    `records` hold the per-iteration trace; `loss_samples` the
+    `LossSample`s the learner consumed, in round order: one per iteration
+    with a `loss_value`, which is a backtracked iteration whose rejected
+    trial moved x. The counter properties are computed from the records.
     """
 
     method: str
@@ -216,7 +215,6 @@ class SolverReport:
     x0: Array
     b0: Optional[Array] = None
     loss_samples: tuple = ()
-    learner_rounds: tuple = ()
     wall_time: float = 0.0
 
     @property

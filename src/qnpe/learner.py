@@ -70,33 +70,6 @@ def failure_budget(p: float, t: int) -> float:
     return p / (2.5 * (t + 1) * math.log(t + 1) ** 2)
 
 
-@dataclass(frozen=True)
-class RoundLog:
-    """Per-round diagnostics: the extreme eigenvalues of the played matrix
-    and the Frobenius norm of the internal iterate after the projected
-    update. Round 0 logs the exact extremes of b0; later rounds map the
-    oracle's extremes of W, which in Lanczos mode are Ritz estimates and
-    so lie inside the true ones."""
-
-    t: int
-    b_min: float
-    b_max: float
-    w_fro_after: float
-
-
-def _spectrum_ends(b: Array) -> tuple[float, float]:
-    """Smallest and largest eigenvalue of the symmetric matrix b. The
-    default b0 = L1 I and a scalar b0 = c I are scaled identities, whose
-    ends are the diagonal entry: that case reads it without an O(d^3)
-    eigensolve."""
-    diag = np.diagonal(b)
-    c = float(diag[0])
-    if (diag == c).all() and np.count_nonzero(b) == np.count_nonzero(diag):
-        return c, c
-    eigs = np.linalg.eigvalsh(b)
-    return float(eigs[0]), float(eigs[-1])
-
-
 class HessianLearner:
     """Single-owner mutable learner state.
 
@@ -110,8 +83,8 @@ class HessianLearner:
     advances the round counter; the round's operator is stale from then on
     and raises StateMismatch when used. Rounds count backtracked iterations
     only: callers skip `update_round` when the first trial step was
-    accepted, and repeated `predict` calls between updates return the
-    cached prediction.
+    accepted or the rejected trial rounds to x, and repeated `predict`
+    calls between updates return the cached prediction.
 
     The step rho, oracle slack delta, failure budget p and oracle mode are
     read from `cfg`, whose delta must be set in Lanczos mode
@@ -139,7 +112,6 @@ class HessianLearner:
         self.w = None if self.degenerate else to_hat(self.b0, mu, l1)
         self.t = 0
         self.matvecs = 0
-        self.round_log: list[RoundLog] = []
         # the pending prediction, None until `predict` runs in a round
         self._played: Optional[PlayedMatrix] = None
         # oracle outcome of the pending prediction; None at round 0 and when
@@ -189,8 +161,8 @@ class HessianLearner:
         ss = ddot(s, s)
         resid = self._played.residual(sample.y, s)
         value = ddot(resid, resid) / (2.0 * ss)
-        w_fro = 0.0 if self.degenerate else self._step(outcome, s, resid, ss)
-        self._log_round(outcome, w_fro)
+        if not self.degenerate:
+            self._step(outcome, s, resid, ss)
         self.t += 1
         self._played = None
         self._outcome = None
@@ -198,9 +170,8 @@ class HessianLearner:
 
     def _step(
         self, outcome: Optional[SepOutcome], s: Array, resid: Array, ss: float
-    ) -> float:
-        """W <- proj(W - rho * (G + hinge * S)) in place; returns ||W||_F
-        after the step.
+    ):
+        """W <- proj(W - rho * (G + hinge * S)) in place.
 
         G = -c (s r^T + r s^T) with c = 1 / ((L1 - mu) ||s||^2) and
         r = y - B s is the transformed loss gradient, and the hinge
@@ -240,20 +211,3 @@ class HessianLearner:
         norm = float(np.linalg.norm(self.w))
         if norm > self.radius:
             self.w *= self.radius / norm
-            return self.radius
-        return norm
-
-    def _log_round(self, outcome: Optional[SepOutcome], w_fro: float):
-        if self.degenerate:
-            b_min = b_max = self.mu
-        elif outcome is None:
-            # round 0 plays b0 as given
-            b_min, b_max = _spectrum_ends(self.b0)
-        else:
-            lo, hi = outcome.lam_min, outcome.lam_max
-            if not outcome.inside:
-                lo, hi = lo / outcome.gamma, hi / outcome.gamma
-            half_span = 0.5 * (self.l1 - self.mu)
-            center = 0.5 * (self.l1 + self.mu)
-            b_min, b_max = half_span * lo + center, half_span * hi + center
-        self.round_log.append(RoundLog(self.t, b_min, b_max, w_fro))

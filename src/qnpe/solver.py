@@ -155,7 +155,7 @@ def solve(
         if ls.backtracked and not (ls.x_tilde == x).all():
             sample = LossSample(ls.x_tilde - x, ls.grad_x_tilde - g)
             loss_value = learner.update_round(sample)
-            samples.append((sample.s, sample.y))
+            samples.append(sample)
         disp = ls.x_hat - x
         return x_next, obj.grad(x_next), dict(
             eta=ls.eta,
@@ -172,7 +172,6 @@ def solve(
         run_loop("qnpe", obj, cfg, x0, step),
         b0=b0,
         loss_samples=tuple(samples),
-        learner_rounds=tuple(learner.round_log),
     )
 
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from .core import Objective, SolverReport, budget_log_term
 from .errors import MissingGroundTruth
-from .learner import LossSample, loss
+from .learner import loss
 
 Array = np.ndarray
 
@@ -280,9 +280,7 @@ _REGRET_RHO = 1.0 / 18.0
 def _regret_gap(run, competitor: Array) -> float:
     """||B0 - H||_F^2 / rho + 2 sum_t l_t(H) - sum_t l_t(B_t) at
     rho = `_REGRET_RHO`."""
-    competitor_total = sum(
-        loss(competitor, LossSample(s, y)) for s, y in run.report.loss_samples
-    )
+    competitor_total = sum(loss(competitor, s) for s in run.report.loss_samples)
     gap_fro_sq = float(np.linalg.norm(run.report.b0 - competitor) ** 2)
     return 1.0 / _REGRET_RHO * gap_fro_sq + 2.0 * competitor_total - run.learner_loss
 

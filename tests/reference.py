@@ -11,6 +11,7 @@ BLAS, which `require_shared_blas` checks before either loop runs.
 
 import math
 from functools import cache, partial
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from qnpe.extevec import (
     lanczos_budget,
 )
 from qnpe.errors import IterationCapExceeded
+from qnpe.learner import HessianLearner
 from qnpe.linsolve import RESIDUAL_FLOOR, CrResult, conjugate_residual
 
 
@@ -42,6 +44,33 @@ def played_dense(op):
     b = op.scale * np.asarray(op.base)
     b.flat[:: b.shape[0] + 1] += op.shift
     return b
+
+
+class ReplayedRound(NamedTuple):
+    """One learner round: the dense matrix B_t it played, the loss
+    l_t(B_t) it returned, and ||W||_F after its update (0 when mu = L1,
+    where the learner keeps no W)."""
+
+    played: np.ndarray
+    loss_value: float
+    w_fro_after: float
+
+
+def replay_rounds(report, obj):
+    """Yield the learner rounds of the qnpe run `report` on `obj`.
+
+    A fresh `HessianLearner(report.b0, obj.mu, obj.l1, report.config)`
+    consumes `report.loss_samples` in order. The solver's learner predicts
+    once per round (later calls return the cached prediction) and consumes
+    the same samples, so the replay repeats its rounds, its Lanczos draws
+    included, and its losses match the trace's `loss_value` column bit for
+    bit."""
+    learner = HessianLearner(report.b0, obj.mu, obj.l1, report.config)
+    for sample in report.loss_samples:
+        played = played_dense(learner.predict())
+        value = learner.update_round(sample)
+        w_fro = 0.0 if learner.degenerate else float(np.linalg.norm(learner.w))
+        yield ReplayedRound(played, value, w_fro)
 
 
 def loss_gradient(b, sample):

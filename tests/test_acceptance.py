@@ -18,7 +18,12 @@ from qnpe.extevec import ext_evec_exact, ext_evec_lanczos, lanczos_budget
 from qnpe.learner import LossSample, loss
 from qnpe.problems import make_logistic, make_quadratic, quadratic_objective
 from qnpe.solver import solve
-from reference import cr_with_history, loss_gradient, separator_action
+from reference import (
+    cr_with_history,
+    loss_gradient,
+    replay_rounds,
+    separator_action,
+)
 
 
 @contextmanager
@@ -142,9 +147,8 @@ class TestCriteria:
             rng = np.random.default_rng(2024)
             for obj, report in all_runs:
                 learner_total = sum(
-                    r.loss_value for r in report.records if r.backtracked
+                    r.loss_value for r in report.records if r.loss_value is not None
                 )
-                samples = [LossSample(s, y) for s, y in report.loss_samples]
                 competitors = [obj.hessian(obj.minimizer)]
                 for _ in range(10):
                     basis, _ = np.linalg.qr(
@@ -153,7 +157,7 @@ class TestCriteria:
                     lam = rng.uniform(obj.mu, obj.l1, size=obj.dim)
                     competitors.append((basis * lam) @ basis.T)
                 for h in competitors:
-                    competitor_total = sum(loss(h, s) for s in samples)
+                    competitor_total = sum(loss(h, s) for s in report.loss_samples)
                     bound = 18.0 * np.linalg.norm(report.b0 - h) ** 2
                     bound += 2.0 * competitor_total
                     assert learner_total <= bound
@@ -288,11 +292,17 @@ class TestCriteria:
                 sqrt_d = math.sqrt(obj.dim)
                 lo = obj.mu / 2.0 - 1e-10
                 hi = obj.l1 + obj.mu / 2.0 + 1e-10
-                assert len(report.learner_rounds) > 0
-                for entry in report.learner_rounds:
+                logged = [
+                    r.loss_value for r in report.records if r.loss_value is not None
+                ]
+                rounds = list(replay_rounds(report, obj))
+                assert rounds
+                assert [r.loss_value for r in rounds] == logged
+                for entry in rounds:
                     assert entry.w_fro_after <= sqrt_d + 1e-12
-                    assert entry.b_min >= lo
-                    assert entry.b_max <= hi
+                    eigs = np.linalg.eigvalsh(entry.played)
+                    assert eigs[0] >= lo
+                    assert eigs[-1] <= hi
 
     def test_12_cli_determinism(self, tmp_path):
         with criterion(12, "CLI determinism"):

@@ -115,6 +115,24 @@ class TestRun:
         assert bad == 2
         assert "SpectrumViolation" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            "quadratic:d=abc,mu=1,l1=10,seed=1",
+            "quadratic:d=4,mu=1,l1=10,seed=1.5",
+            "quadratic:d=4,mu=1,l1=10,seed=-1",
+            "logistic:n=20,d=4,lambda=x,seed=1",
+        ],
+        ids=["d_abc", "seed_float", "seed_negative", "lambda_x"],
+    )
+    def test_malformed_spec_value_exits_2(self, tmp_path, capsys, spec):
+        code = run_cli(tmp_path, "run", "--problem", spec)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error: ProblemMismatch" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "trace.csv").exists()
+
     def test_missing_seed_rejected(self, tmp_path, capsys):
         code = run_cli(
             tmp_path, "run", "--problem", "quadratic:d=4,mu=1,l1=2",
@@ -326,3 +344,19 @@ class TestParseProblem:
         assert obj.dim == 4
         assert obj.mu == 0.5
         assert np.linalg.norm(obj.grad(obj.minimizer)) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "spec, key",
+        [
+            ("quadratic:d=abc,mu=1,l1=10,seed=1", "d"),
+            ("quadratic:d=4,mu=1,l1=10,seed=1.5", "seed"),
+            ("quadratic:d=4,mu=1,l1=10,seed=-1", "seed"),
+            ("logistic:n=20,d=4,lambda=x,seed=1", "lambda"),
+        ],
+        ids=["d_abc", "seed_float", "seed_negative", "lambda_x"],
+    )
+    def test_malformed_value_names_its_key(self, spec, key):
+        from qnpe.errors import ProblemMismatch
+
+        with pytest.raises(ProblemMismatch, match=f"parameter {key}="):
+            parse_problem(spec)

@@ -22,6 +22,7 @@ from reference import (
     loss_gradient,
     played_dense,
     project_frobenius_ball,
+    replay_rounds,
     separator,
 )
 
@@ -178,27 +179,19 @@ class TestLearner:
     def test_round_zero_log_of_scaled_identity_runs_no_eigensolve(
         self, monkeypatch, b0
     ):
-        # b0 = L1 I or c I: its extremes are the diagonal entry, and an
-        # eigvalsh costs O(d^3) (12 ms at d = 400)
+        # b0 = L1 I or c I is in the band by its factor alone, and an
+        # eigvalsh costs O(d^3) (12 ms at d = 400); round 0 plays it as is
         def no_eigensolve(*args, **kwargs):
             raise AssertionError("eigvalsh ran")
 
         obj = make_quadratic(20, 1.0, 10.0, seed=1)
         monkeypatch.setattr(np.linalg, "eigvalsh", no_eigensolve)
         report = solve(obj, SolverConfig(b0=b0, oracle_mode="exact", max_iters=40))
-        first = report.learner_rounds[0]
-        assert first.t == 0
-        assert first.b_min == first.b_max == (obj.l1 if b0 is None else b0)
-
-    def test_round_zero_log_of_explicit_b0_reads_its_spectrum(self):
-        b0 = np.diag([1.5, 2.0, 2.5])
-        b0[0, 2] = b0[2, 0] = 0.25
-        learner = self.make(b0)
-        learner.predict()
-        learner.update_round(LossSample(np.ones(3), np.array([3.0, 1.0, 2.0])))
-        eigs = np.linalg.eigvalsh(b0)
-        assert learner.round_log[0].b_min == eigs[0]
-        assert learner.round_log[0].b_max == eigs[-1]
+        first = next(replay_rounds(report, obj))
+        c = obj.l1 if b0 is None else b0
+        assert np.array_equal(first.played, c * np.eye(20))
+        logged = [r.loss_value for r in report.records if r.loss_value is not None]
+        assert first.loss_value == logged[0]
 
     def test_zero_w_maps_to_band_center(self):
         learner = self.make(2.0 * np.eye(2))
@@ -399,26 +392,30 @@ class TestLearner:
             learner.update_round(LossSample(np.ones(2), np.ones(2)))
 
     def check_feasibility(self, learner, d):
+        """Play 60 random rounds; checks the exact spectrum of each played
+        matrix against the widened band and ||W||_F after each update
+        against sqrt(d), and returns the played matrices."""
         rng = np.random.default_rng(7)
-        for _ in range(60):
-            learner.predict()
-            learner.update_round(random_sample(d, rng))
-        assert np.array_equal(learner.w, learner.w.T)
         sqrt_d = np.sqrt(d)
-        assert len(learner.round_log) == 60
-        for entry in learner.round_log:
-            assert entry.w_fro_after <= sqrt_d + 1e-12
-            assert entry.b_min >= self.MU / 2.0 - 1e-10
-            assert entry.b_max <= self.L1 + self.MU / 2.0 + 1e-10
+        played = []
+        for _ in range(60):
+            played.append(played_dense(learner.predict()))
+            learner.update_round(random_sample(d, rng))
+            assert np.linalg.norm(learner.w) <= sqrt_d + 1e-12
+        assert np.array_equal(learner.w, learner.w.T)
+        for b in played:
+            eigs = np.linalg.eigvalsh(b)
+            assert eigs[0] >= self.MU / 2.0 - 1e-10
+            assert eigs[-1] <= self.L1 + self.MU / 2.0 + 1e-10
+        return played
 
     def test_feasibility_invariants_exact_mode(self):
         self.check_feasibility(self.make(self.L1 * np.eye(8)), 8)
 
     def test_feasibility_invariants_lanczos_mode(self):
-        # logged extremes are Ritz estimates, inside the true spectrum
         learner = self.make(self.L1 * np.eye(8), oracle_mode="lanczos", seed=0)
-        self.check_feasibility(learner, 8)
-        assert learner.round_log[0].b_min == learner.round_log[0].b_max == self.L1
+        played = self.check_feasibility(learner, 8)
+        assert np.array_equal(played[0], self.L1 * np.eye(8))
 
     @pytest.mark.parametrize("seed", range(3))
     def test_per_round_surrogate_domination(self, seed):
@@ -523,6 +520,28 @@ class TestLearner:
             (0.3, failure_budget(0.01, t)) for t in (1, 2, 3)
         ]
         assert queries[0][2] == np.random.default_rng(9).bit_generator.state
+
+
+class TestReplay:
+    """The report holds everything the learner did: a fresh learner fed
+    `report.loss_samples` returns the trace's losses bit for bit."""
+
+    @pytest.mark.parametrize("mode", ["exact", "lanczos"])
+    @pytest.mark.parametrize("explicit", [False, True], ids=["l1_eye", "explicit"])
+    def test_replay_reproduces_loss_column(self, mode, explicit):
+        obj = make_quadratic(20, 1.0, 100.0, seed=0)
+        b0 = None
+        if explicit:
+            rng = np.random.default_rng(5)
+            q, _ = np.linalg.qr(rng.standard_normal((20, 20)))
+            b0 = (q * rng.uniform(obj.mu, obj.l1, size=20)) @ q.T
+            b0 = 0.5 * (b0 + b0.T)
+        report = solve(obj, SolverConfig(oracle_mode=mode, b0=b0))
+        logged = [r.loss_value for r in report.records if r.loss_value is not None]
+        rounds = list(replay_rounds(report, obj))
+        assert len(logged) > 100
+        assert [r.loss_value for r in rounds] == logged
+        assert np.array_equal(rounds[0].played, report.b0)
 
 
 class TestBand:

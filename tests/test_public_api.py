@@ -50,6 +50,11 @@ REMOVED = [
     "project_frobenius_ball",
     "separator",
     "separator_action",
+    "RoundLog",
+    "round_log",
+    "learner_rounds",
+    "_spectrum_ends",
+    "_log_round",
 ]
 
 

@@ -70,10 +70,7 @@ def solve_gd(
 
     def step(x, g):
         x_next = x - eta * g
-        return x_next, obj.grad(x_next), dict(
-            eta=eta, backtracked=False, ls_steps=1, grad_evals=1,
-            matvecs_linsolve=0, matvecs_extevec=0,
-        )
+        return x_next, obj.grad(x_next), dict(eta=eta)
 
     return run_loop("gd", obj, cfg, x0, step)
 
@@ -90,9 +87,6 @@ def solve_bfgs(
     def step(x, g):
         nonlocal h
         x_new, g_new, h, eta, attempts = bfgs_step(x, h, g, obj)
-        return x_new, g_new, dict(
-            eta=eta, backtracked=attempts > 1, ls_steps=attempts, grad_evals=1,
-            matvecs_linsolve=0, matvecs_extevec=0,
-        )
+        return x_new, g_new, dict(eta=eta, backtracked=attempts > 1, ls_steps=attempts)
 
     return run_loop("bfgs", obj, cfg, x0, step)

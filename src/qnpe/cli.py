@@ -17,16 +17,23 @@ import sys
 from typing import Optional
 
 from .baselines import solve_bfgs, solve_gd
-from .core import CONFIG_FIELDS, ORACLE_MODES, Objective, SolverConfig, SolverReport
+from .core import (
+    CONFIG_FIELDS,
+    ORACLE_MODES,
+    IterationRecord,
+    Objective,
+    SolverConfig,
+    SolverReport,
+)
 from .errors import ProblemMismatch, SolverError
 from .problems import load_matrix_market, make_logistic, make_quadratic
 from .solver import solve
 from .verify import iteration_complexity_bound, transition, verify_trace
 
-CSV_HEADER = (
-    "k,eta,backtracked,ls_steps,grad_evals,mv_linsolve,mv_extevec,"
-    "loss,dist_sq,grad_norm"
-)
+#: the trace CSV columns: every `IterationRecord` field but the last,
+#: `hat_disp`, in field order
+TRACE_COLUMNS = IterationRecord._fields[:-1]
+CSV_HEADER = ",".join(TRACE_COLUMNS)
 
 OUT_DIR_ENV = "QNPE_OUT_DIR"
 
@@ -40,6 +47,15 @@ def _fmt(value) -> str:
     if value is None:
         return "NA"
     return repr(float(value))
+
+
+def _cell(value) -> str:
+    """A trace cell: a flag as 1/0, a counter as itself, else `_fmt`."""
+    if isinstance(value, bool):
+        return "1" if value else "0"
+    if isinstance(value, int):
+        return str(value)
+    return _fmt(value)
 
 
 #: generator name -> (factory, its spec parameters in call order with their
@@ -63,7 +79,10 @@ def parse_problem(spec: str) -> tuple:
             key, _, val = item.partition("=")
             if not val:
                 raise ProblemMismatch(f"malformed problem parameter {item!r}")
-            params[key.strip()] = val.strip()
+            key, val = key.strip(), val.strip()
+            if key in params:
+                raise ProblemMismatch(f"problem parameter {key}={val!r} is repeated")
+            params[key] = val
     if name not in GENERATORS:
         raise ProblemMismatch(f"unknown problem generator {name!r}")
     factory, kinds = GENERATORS[name]
@@ -104,38 +123,20 @@ def run_method(method: str, obj: Objective, cfg: SolverConfig) -> SolverReport:
 
 
 def trace_csv(report: SolverReport) -> str:
+    width = len(TRACE_COLUMNS)
     lines = [CSV_HEADER]
     for r in report.records:
-        lines.append(
-            ",".join(
-                (
-                    str(r.k),
-                    _fmt(r.eta),
-                    "1" if r.backtracked else "0",
-                    str(r.ls_steps),
-                    str(r.grad_evals),
-                    str(r.matvecs_linsolve),
-                    str(r.matvecs_extevec),
-                    _fmt(r.loss_value),
-                    _fmt(r.dist_sq),
-                    _fmt(r.grad_norm),
-                )
-            )
-        )
+        lines.append(",".join(map(_cell, r[:width])))
     return "\n".join(lines) + "\n"
 
 
 def summary_kv(report: SolverReport, obj: Objective, problem_key: str) -> str:
-    totals = report.totals()
     pairs = [
         ("method", report.method),
         ("problem", problem_key),
         ("termination", report.termination),
         ("iterations", str(report.iterations)),
-        ("grad_evals", str(totals["grad_evals"])),
-        ("ls_steps", str(totals["ls_steps"])),
-        ("mv_linsolve", str(totals["mv_linsolve"])),
-        ("mv_extevec", str(totals["mv_extevec"])),
+        *((name, str(total)) for name, total in report.totals().items()),
         ("final_grad_norm", _fmt(report.final_grad_norm)),
         ("final_dist_sq", _fmt(report.final_dist_sq(obj))),
         ("inv_eta_sq_sum", _fmt(report.inv_eta_sq_sum)),
@@ -242,14 +243,10 @@ def cmd_compare(args) -> int:
     obj, key = parse_problem(parsed[0][1])
     reports = [(method, run_method(method, obj, cfg)) for method, _ in parsed]
 
-    use_dist = obj.minimizer is not None
-    metric = "dist_sq" if use_dist else "grad_norm"
-    columns = []
-    for _, report in reports:
-        vals = [
-            (r.dist_sq if use_dist else r.grad_norm) for r in report.records
-        ]
-        columns.append(vals)
+    metric = "dist_sq" if obj.minimizer is not None else "grad_norm"
+    columns = [
+        [getattr(r, metric) for r in report.records] for _, report in reports
+    ]
     depth = max(len(c) for c in columns)
 
     lines = [f"# problem {key}", f"# metric {metric}"]

@@ -164,36 +164,29 @@ class SolverConfig:
     max_backtracks_slack: int = 20
 
 
-@dataclass(frozen=True)
-class IterationRecord:
-    """One row of the per-iteration trace.
+class IterationRecord(typing.NamedTuple):
+    """One row of the per-iteration trace; every field but the last is a
+    trace CSV column of the same name, in column order.
 
-    Counters are per-iteration (the report totals are their column sums).
-    `loss_value` is the learner loss of the round, set only on backtracked
-    iterations; `dist_sq` is ||x_k - x*||^2 when the minimizer is known.
-    `hat_disp` is ||x_hat_k - x_k||, kept for the displacement certificate
-    (not part of the CSV wire schema).
+    Counters are per-iteration (the report totals are their column sums),
+    and each defaults to what a method without that phase reports. `loss`
+    is the learner loss of the round, set only on backtracked iterations;
+    `dist_sq` is ||x_k - x*||^2 when the minimizer is known. The run loop
+    always sets `grad_norm`. `hat_disp` is ||x_hat_k - x_k||, kept for the
+    displacement certificate (not part of the CSV wire schema).
     """
 
     k: int
     eta: float
-    backtracked: bool
-    ls_steps: int
-    grad_evals: int
-    matvecs_linsolve: int
-    matvecs_extevec: int
-    grad_norm: float
-    loss_value: Optional[float] = None
+    backtracked: bool = False
+    ls_steps: int = 1
+    grad_evals: int = 1
+    mv_linsolve: int = 0
+    mv_extevec: int = 0
+    loss: Optional[float] = None
     dist_sq: Optional[float] = None
+    grad_norm: float = math.nan
     hat_disp: Optional[float] = None
-
-    def __post_init__(self):
-        if not self.eta > 0:
-            raise ValueError("eta must be positive")
-        if self.ls_steps < 1:
-            raise ValueError("ls_steps must be >= 1")
-        if min(self.grad_evals, self.matvecs_linsolve, self.matvecs_extevec) < 0:
-            raise ValueError("counters must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -202,7 +195,7 @@ class SolverReport:
 
     `records` hold the per-iteration trace; `loss_samples` the
     `LossSample`s the learner consumed, in round order: one per iteration
-    with a `loss_value`, which is a backtracked iteration whose rejected
+    with a `loss`, which is a backtracked iteration whose rejected
     trial moved x. The counter properties are computed from the records.
     """
 
@@ -234,12 +227,10 @@ class SolverReport:
         return 1 + sum(r.grad_evals for r in self.records)
 
     def totals(self) -> dict:
-        """Column sums of the trace counters."""
+        """Column sums of the trace counters, by column name."""
         return {
-            "grad_evals": sum(r.grad_evals for r in self.records),
-            "ls_steps": sum(r.ls_steps for r in self.records),
-            "mv_linsolve": sum(r.matvecs_linsolve for r in self.records),
-            "mv_extevec": sum(r.matvecs_extevec for r in self.records),
+            name: sum(getattr(r, name) for r in self.records)
+            for name in ("grad_evals", "ls_steps", "mv_linsolve", "mv_extevec")
         }
 
     def final_dist_sq(self, obj: Objective) -> Optional[float]:
@@ -297,15 +288,18 @@ def validate_config(cfg: Optional[SolverConfig], obj: Objective) -> SolverConfig
     Idempotent: validating an already-validated config returns an equal one.
 
     Raises:
-        DegenerateCurvature: L1 < mu or mu <= 0.
-        ParameterConflict: parameter range violations, alpha1 + alpha2 >= 1.
+        DegenerateCurvature: L1 < mu, mu <= 0, or mu or L1 not finite.
+        ParameterConflict: parameter range violations, alpha1 + alpha2 >= 1,
+            a negative seed, or a sigma0 whose attempt budget overflows.
         StepSeedTooSmall: sigma0 < alpha2*beta/L1.
         SpectrumViolation: b0 spectrum outside [mu, L1].
     """
     cfg = SolverConfig() if cfg is None else cfg
     mu, l1 = float(obj.mu), float(obj.l1)
-    if mu <= 0 or l1 < mu:
-        raise DegenerateCurvature(f"need 0 < mu <= L1, got mu={mu}, L1={l1}")
+    # chained and negated so that NaN, which fails every comparison, and
+    # an infinite L1 are rejected too
+    if not 0.0 < mu <= l1 < math.inf:
+        raise DegenerateCurvature(f"need 0 < mu <= L1 < inf, got mu={mu}, L1={l1}")
 
     alpha1 = 0.25 if cfg.alpha1 is None else float(cfg.alpha1)
     alpha2 = 0.25 if cfg.alpha2 is None else float(cfg.alpha2)
@@ -331,6 +325,9 @@ def validate_config(cfg: Optional[SolverConfig], obj: Objective) -> SolverConfig
         raise ParameterConflict(f"p must be in (0, 1), got {cfg.p}")
     if cfg.oracle_mode not in ORACLE_MODES:
         raise ParameterConflict(f"unknown oracle_mode {cfg.oracle_mode!r}")
+    # default_rng rejects a negative seed with a bare ValueError
+    if cfg.seed < 0:
+        raise ParameterConflict(f"seed must be >= 0, got {cfg.seed}")
     if cfg.max_iters < 1:
         raise ParameterConflict("max_iters must be >= 1")
     # negated so that NaN, which fails every comparison, is rejected too
@@ -346,6 +343,13 @@ def validate_config(cfg: Optional[SolverConfig], obj: Objective) -> SolverConfig
         raise StepSeedTooSmall(
             f"sigma0={sigma0:.6g} below the step floor "
             f"alpha2*beta/L1={alpha2 * beta / l1:.6g}"
+        )
+    # the line search's attempt budget takes the log of sigma0*L1/(alpha2*beta),
+    # and alpha2*beta can underflow to zero
+    alpha2_beta = alpha2 * beta
+    if not (alpha2_beta > 0.0 and math.isfinite(sigma0 * l1 / alpha2_beta)):
+        raise ParameterConflict(
+            f"sigma0={sigma0:.6g} makes sigma0*L1/(alpha2*beta) non-finite"
         )
     _check_b0(cfg.b0, mu, l1)
 

@@ -74,12 +74,12 @@ def make_quadratic(d: int, mu: float, l1: float, seed: int) -> Objective:
     b is seeded Gaussian.
 
     Raises:
-        InvalidSpectrum: mu <= 0 or mu > L1.
+        InvalidSpectrum: mu <= 0, mu > L1, or mu or L1 not finite.
     """
     if d < 1:
         raise InvalidSpectrum("d must be >= 1")
-    if not (0.0 < mu <= l1):
-        raise InvalidSpectrum(f"need 0 < mu <= L1, got mu={mu}, L1={l1}")
+    if not (0.0 < mu <= l1 < np.inf):
+        raise InvalidSpectrum(f"need 0 < mu <= L1 < inf, got mu={mu}, L1={l1}")
     rng = np.random.default_rng(seed)
     lam = np.geomspace(mu, l1, d)
     lam[0], lam[-1] = mu, l1
@@ -102,8 +102,8 @@ def logistic_objective(
     """
     a = np.asarray(features, dtype=float)
     y = np.asarray(labels, dtype=float)
-    if lam <= 0.0:
-        raise InvalidSpectrum("lam must be positive")
+    if not 0.0 < lam < np.inf:
+        raise InvalidSpectrum(f"lam must be positive and finite, got {lam}")
     n, d = a.shape
     signed = a * y[:, None]
 
@@ -185,7 +185,7 @@ def make_logistic(n: int, d: int, lam: float, seed: int) -> Objective:
     Hessian from x = 0 to a 1e-12 gradient norm, not by the solver.
 
     Raises:
-        InvalidSpectrum: n < 1, d < 1 or lam <= 0.
+        InvalidSpectrum: n < 1, d < 1, or lam not in (0, inf).
         MinimizerStall: the Newton minimizer did not reach its tolerance.
     """
     if n < 1 or d < 1:

@@ -51,7 +51,8 @@ def run_loop(
     stopping rules; `cfg` must be validated.
 
     `step(x, g)` returns (x_next, grad at x_next, fields), where `fields`
-    holds the `IterationRecord` entries other than k, grad_norm and dist_sq.
+    holds the `IterationRecord` entries the method sets other than k,
+    grad_norm and dist_sq; the rest keep their defaults.
     The loop stops with `termination` set to "grad_tol" when
     ||grad|| <= grad_tol, "dist_tol" when ||x - x*||^2 <= dist_tol (if both
     are available), "stalled" after `_STALL_LIMIT` consecutive steps that
@@ -150,11 +151,11 @@ def solve(
         x_next = extragradient_step(x, ls.x_hat, ls.grad_x_hat, ls.eta, mu)
         sigma = ls.eta / cfg.beta
 
-        loss_value = None
+        loss = None
         # a rejected trial that rounds to x itself carries no curvature
         if ls.backtracked and not (ls.x_tilde == x).all():
             sample = LossSample(ls.x_tilde - x, ls.grad_x_tilde - g)
-            loss_value = learner.update_round(sample)
+            loss = learner.update_round(sample)
             samples.append(sample)
         disp = ls.x_hat - x
         return x_next, obj.grad(x_next), dict(
@@ -162,9 +163,9 @@ def solve(
             backtracked=ls.backtracked,
             ls_steps=ls.ls_steps,
             grad_evals=1 + ls.ls_steps,
-            matvecs_linsolve=ls.matvecs,
-            matvecs_extevec=mv_extevec,
-            loss_value=loss_value,
+            mv_linsolve=ls.matvecs,
+            mv_extevec=mv_extevec,
+            loss=loss,
             hat_disp=math.sqrt(ddot(disp, disp)),
         )
 

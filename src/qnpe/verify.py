@@ -154,11 +154,7 @@ class _Replay:
     @cached_property
     def learner_loss(self) -> float:
         """sum_t l_t(B_t) over the learner rounds."""
-        return sum(
-            r.loss_value
-            for r in self.records
-            if r.backtracked and r.loss_value is not None
-        )
+        return sum(r.loss for r in self.records if r.loss is not None)
 
 
 def verify_trace(

@@ -52,7 +52,7 @@ class ReplayedRound(NamedTuple):
     where the learner keeps no W)."""
 
     played: np.ndarray
-    loss_value: float
+    loss: float
     w_fro_after: float
 
 
@@ -63,8 +63,7 @@ def replay_rounds(report, obj):
     consumes `report.loss_samples` in order. The solver's learner predicts
     once per round (later calls return the cached prediction) and consumes
     the same samples, so the replay repeats its rounds, its Lanczos draws
-    included, and its losses match the trace's `loss_value` column bit for
-    bit."""
+    included, and its losses match the trace's `loss` column bit for bit."""
     learner = HessianLearner(report.b0, obj.mu, obj.l1, report.config)
     for sample in report.loss_samples:
         played = played_dense(learner.predict())

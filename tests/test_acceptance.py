@@ -147,7 +147,7 @@ class TestCriteria:
             rng = np.random.default_rng(2024)
             for obj, report in all_runs:
                 learner_total = sum(
-                    r.loss_value for r in report.records if r.loss_value is not None
+                    r.loss for r in report.records if r.loss is not None
                 )
                 competitors = [obj.hessian(obj.minimizer)]
                 for _ in range(10):
@@ -170,7 +170,7 @@ class TestCriteria:
                 geo = 1.0 - cfg.beta**2
                 rhs = 1.0 / (geo * cfg.sigma0**2)
                 rhs += sum(
-                    2.0 * r.loss_value for r in report.records if r.backtracked
+                    2.0 * r.loss for r in report.records if r.backtracked
                 ) / (geo * cfg.alpha2**2 * cfg.beta**2)
                 assert lhs <= rhs
 
@@ -292,12 +292,10 @@ class TestCriteria:
                 sqrt_d = math.sqrt(obj.dim)
                 lo = obj.mu / 2.0 - 1e-10
                 hi = obj.l1 + obj.mu / 2.0 + 1e-10
-                logged = [
-                    r.loss_value for r in report.records if r.loss_value is not None
-                ]
+                logged = [r.loss for r in report.records if r.loss is not None]
                 rounds = list(replay_rounds(report, obj))
                 assert rounds
-                assert [r.loss_value for r in rounds] == logged
+                assert [r.loss for r in rounds] == logged
                 for entry in rounds:
                     assert entry.w_fro_after <= sqrt_d + 1e-12
                     eigs = np.linalg.eigvalsh(entry.played)

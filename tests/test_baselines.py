@@ -117,6 +117,6 @@ class TestBfgs:
         report = solve_bfgs(obj, SolverConfig(grad_tol=1e-8, max_iters=100))
         assert report.method == "bfgs"
         for rec in report.records:
-            assert rec.matvecs_linsolve == 0
-            assert rec.loss_value is None
+            assert rec.mv_linsolve == 0
+            assert rec.loss is None
             assert rec.dist_sq is not None

@@ -8,7 +8,7 @@ import pytest
 import qnpe.cli
 import qnpe.problems
 from qnpe.cli import CSV_HEADER, build_parser, main, parse_problem
-from qnpe.core import SolverConfig
+from qnpe.core import IterationRecord, SolverConfig
 from qnpe.verify import verify_trace
 
 QUAD = "quadratic:d=8,mu=1,l1=50,seed=3"
@@ -68,6 +68,42 @@ class TestRun:
         assert "error: ParameterConflict" in capsys.readouterr().err
         assert not (tmp_path / "trace.csv").exists()
 
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (["--sigma0", "inf"], "sigma0"),
+            (["--sigma0", "1e308"], "sigma0"),
+            (["--seed", "-1"], "seed"),
+            (["--seed", "-1", "--oracle-mode", "exact"], "seed"),
+            (["--seed", "-1", "--method", "gd"], "seed"),
+        ],
+        ids=["sigma0_inf", "sigma0_huge", "seed_lanczos", "seed_exact", "seed_gd"],
+    )
+    def test_config_out_of_range_exits_2(self, tmp_path, capsys, argv, name):
+        code = run_cli(
+            tmp_path, "run", "--problem", "quadratic:d=5,mu=1,l1=10,seed=1", *argv
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"error: ParameterConflict: {name}" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "trace.csv").exists()
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            "quadratic:d=4,mu=1,l1=inf,seed=1",
+            "quadratic:d=4,mu=nan,l1=10,seed=1",
+            "logistic:n=20,d=4,lambda=nan,seed=1",
+            "logistic:n=20,d=4,lambda=inf,seed=1",
+        ],
+        ids=["l1_inf", "mu_nan", "lambda_nan", "lambda_inf"],
+    )
+    def test_non_finite_constant_exits_2(self, tmp_path, capsys, spec):
+        code = run_cli(tmp_path, "run", "--problem", spec)
+        assert code == 2
+        assert "error: InvalidSpectrum" in capsys.readouterr().err
+
     def test_minimizer_stall_exits_2(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(qnpe.problems, "NEWTON_MAX_STEPS", 1)
         code = run_cli(
@@ -122,8 +158,9 @@ class TestRun:
             "quadratic:d=4,mu=1,l1=10,seed=1.5",
             "quadratic:d=4,mu=1,l1=10,seed=-1",
             "logistic:n=20,d=4,lambda=x,seed=1",
+            "quadratic:d=4,mu=1,l1=10,seed=1,seed=2",
         ],
-        ids=["d_abc", "seed_float", "seed_negative", "lambda_x"],
+        ids=["d_abc", "seed_float", "seed_negative", "lambda_x", "seed_repeated"],
     )
     def test_malformed_spec_value_exits_2(self, tmp_path, capsys, spec):
         code = run_cli(tmp_path, "run", "--problem", spec)
@@ -352,11 +389,39 @@ class TestParseProblem:
             ("quadratic:d=4,mu=1,l1=10,seed=1.5", "seed"),
             ("quadratic:d=4,mu=1,l1=10,seed=-1", "seed"),
             ("logistic:n=20,d=4,lambda=x,seed=1", "lambda"),
+            ("quadratic:d=4,mu=1,l1=10,seed=1,seed=2", "seed"),
         ],
-        ids=["d_abc", "seed_float", "seed_negative", "lambda_x"],
+        ids=["d_abc", "seed_float", "seed_negative", "lambda_x", "seed_repeated"],
     )
     def test_malformed_value_names_its_key(self, spec, key):
         from qnpe.errors import ProblemMismatch
 
         with pytest.raises(ProblemMismatch, match=f"parameter {key}="):
             parse_problem(spec)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            "quadratic:d=4,mu=1,l1=inf,seed=1",
+            "quadratic:d=4,mu=nan,l1=10,seed=1",
+            "logistic:n=20,d=4,lambda=nan,seed=1",
+            "logistic:n=20,d=4,lambda=inf,seed=1",
+        ],
+        ids=["l1_inf", "mu_nan", "lambda_nan", "lambda_inf"],
+    )
+    def test_non_finite_constant_is_invalid_spectrum(self, spec):
+        from qnpe.errors import InvalidSpectrum
+
+        with pytest.raises(InvalidSpectrum):
+            parse_problem(spec)
+
+
+def test_trace_columns_are_the_record_fields():
+    # the wire header is fixed; the record names each column as the header
+    # does, in order, and the displacement kept for the certificates is its
+    # only other field
+    assert CSV_HEADER == (
+        "k,eta,backtracked,ls_steps,grad_evals,mv_linsolve,mv_extevec,"
+        "loss,dist_sq,grad_norm"
+    )
+    assert list(IterationRecord._fields) == CSV_HEADER.split(",") + ["hat_disp"]

@@ -1,8 +1,9 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from qnpe.core import (
@@ -79,6 +80,21 @@ class TestValidateConfig:
             validate_config(SolverConfig(), obj)
         with pytest.raises(DegenerateCurvature):
             validate_config(SolverConfig(), simple_objective(mu=0.0))
+        # NaN fails every comparison, so it must not pass as "not degenerate"
+        for mu, l1 in [(math.nan, 4.0), (1.0, math.nan), (1.0, math.inf)]:
+            with pytest.raises(DegenerateCurvature):
+                validate_config(SolverConfig(), simple_objective(mu=mu, l1=l1))
+
+    @pytest.mark.parametrize("sigma0", [math.inf, 1e308])
+    def test_overflowing_sigma0_conflicts(self, sigma0):
+        # the line search's attempt budget would take the log of infinity
+        with pytest.raises(ParameterConflict, match="sigma0"):
+            validate_config(SolverConfig(sigma0=sigma0), simple_objective())
+
+    def test_negative_seed_conflicts(self):
+        with pytest.raises(ParameterConflict, match="seed"):
+            validate_config(SolverConfig(seed=-1), simple_objective())
+        assert validate_config(SolverConfig(seed=0), simple_objective()).seed == 0
 
     def test_b0_scalar_out_of_band(self):
         obj = simple_objective(mu=1.0, l1=4.0)
@@ -190,6 +206,12 @@ class TestKvFormat:
             dist_tol=optional(real(0.0, 1e300)),
             max_backtracks_slack=data.draw(st.integers(0, 10**6)),
         )
+        # a valid config also keeps sigma0 * L1 / (alpha2 * beta) finite,
+        # since the line search's attempt budget takes its log; None
+        # stands for the theory default
+        alpha2_beta = (cfg.alpha2 or 0.25) * (cfg.beta or 0.5)
+        assume(alpha2_beta > 0.0)
+        assume(math.isfinite((cfg.sigma0 or 1.0 / 16.0) * 4.0 / alpha2_beta))
         validated = validate_config(cfg, simple_objective(mu=1.0, l1=4.0))
         for config in (cfg, validated):
             assert config_from_kv(config_to_kv(config)) == config

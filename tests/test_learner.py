@@ -190,8 +190,8 @@ class TestLearner:
         first = next(replay_rounds(report, obj))
         c = obj.l1 if b0 is None else b0
         assert np.array_equal(first.played, c * np.eye(20))
-        logged = [r.loss_value for r in report.records if r.loss_value is not None]
-        assert first.loss_value == logged[0]
+        logged = [r.loss for r in report.records if r.loss is not None]
+        assert first.loss == logged[0]
 
     def test_zero_w_maps_to_band_center(self):
         learner = self.make(2.0 * np.eye(2))
@@ -537,10 +537,10 @@ class TestReplay:
             b0 = (q * rng.uniform(obj.mu, obj.l1, size=20)) @ q.T
             b0 = 0.5 * (b0 + b0.T)
         report = solve(obj, SolverConfig(oracle_mode=mode, b0=b0))
-        logged = [r.loss_value for r in report.records if r.loss_value is not None]
+        logged = [r.loss for r in report.records if r.loss is not None]
         rounds = list(replay_rounds(report, obj))
         assert len(logged) > 100
-        assert [r.loss_value for r in rounds] == logged
+        assert [r.loss for r in rounds] == logged
         assert np.array_equal(rounds[0].played, report.b0)
 
 

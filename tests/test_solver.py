@@ -113,7 +113,7 @@ class TestSolve:
         n_back = sum(1 for r in report.records if r.backtracked)
         assert len(report.loss_samples) == n_back
         for rec in report.records:
-            assert (rec.loss_value is not None) == rec.backtracked
+            assert (rec.loss is not None) == rec.backtracked
 
     def test_n_tr_present_with_ground_truth(self):
         obj = make_quadratic(6, 1.0, 10.0, seed=7)
@@ -172,7 +172,7 @@ class TestRunLoop:
         assert report.termination == "stalled"
         assert _STALL_LIMIT <= report.iterations < cfg.max_iters
         assert report.final_grad_norm > 0.0
-        rounds = [r for r in report.records if r.loss_value is not None]
+        rounds = [r for r in report.records if r.loss is not None]
         assert len(report.loss_samples) == len(rounds)
         if method == "qnpe":
             # a rejected trial that rounds to x itself runs no learner
@@ -238,8 +238,8 @@ class TestVerifyTrace:
             backtracked=False,
             ls_steps=1,
             grad_evals=2,
-            matvecs_linsolve=0,
-            matvecs_extevec=0,
+            mv_linsolve=0,
+            mv_extevec=0,
             grad_norm=1.0,
             dist_sq=report.records[-1].dist_sq,
             hat_disp=0.0,
@@ -292,7 +292,7 @@ class TestVerifyTrace:
         lhs = sum(1.0 / r.eta**2 for r in report.records)
         rhs = 1.0 / ((1.0 - cfg.beta**2) * cfg.sigma0**2)
         rhs += sum(
-            2.0 * r.loss_value for r in report.records if r.backtracked
+            2.0 * r.loss for r in report.records if r.backtracked
         ) / ((1.0 - cfg.beta**2) * cfg.alpha2**2 * cfg.beta**2)
         assert lhs <= rhs
         assert report.inv_eta_sq_sum == pytest.approx(lhs)

@@ -119,7 +119,7 @@ class TestMarginScan:
                 changes["eta"] = eta
             if dist_sq is not None:
                 changes["dist_sq"] = dist_sq
-            records[i] = dataclasses.replace(records[i], **changes)
+            records[i] = records[i]._replace(**changes)
         edited = dataclasses.replace(report, records=tuple(records))
 
         cfg, mu, l1 = report.config, float(obj.mu), float(obj.l1)
@@ -169,9 +169,7 @@ class TestFailClosed:
     def test_nan_distances_fail_their_checks(self):
         # a tampered or reloaded report: every recorded distance is NaN
         obj, report = _exact_run()
-        records = tuple(
-            dataclasses.replace(r, dist_sq=math.nan) for r in report.records
-        )
+        records = tuple(r._replace(dist_sq=math.nan) for r in report.records)
         certs = verify_trace(dataclasses.replace(report, records=records), obj)
         for name in ("contraction", "linear_rate", "superlinear_envelope"):
             cert = certs[name]
@@ -183,8 +181,8 @@ class TestFailClosed:
     def test_one_nan_distance_outranks_a_negative_margin(self):
         obj, report = _exact_run()
         records = list(report.records)
-        records[2] = dataclasses.replace(records[2], dist_sq=1e6)
-        records[5] = dataclasses.replace(records[5], dist_sq=math.nan)
+        records[2] = records[2]._replace(dist_sq=1e6)
+        records[5] = records[5]._replace(dist_sq=math.nan)
         edited = dataclasses.replace(report, records=tuple(records))
         cert = verify_trace(edited, obj, checks=["contraction"])["contraction"]
         assert cert.passed is False and math.isnan(cert.margin)

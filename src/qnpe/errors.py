@@ -34,7 +34,8 @@ class DegenerateCurvature(SolverError):
 # --- problem generation / ingestion ---
 
 class InvalidSpectrum(SolverError):
-    """Requested eigenvalue range is empty or non-positive."""
+    """Requested eigenvalue range is empty or non-positive, or problem data
+    are not finite."""
 
 
 class ParseError(SolverError):
@@ -110,5 +111,6 @@ class LineSearchFailure(SolverError):
 
 class ProblemMismatch(SolverError):
     """An input does not fit the problem: a malformed problem spec or
-    method name, a start point or a start gradient of the wrong shape, or
-    compare runs that do not share one problem."""
+    method name, a start point or a start gradient of the wrong shape,
+    problem data of the wrong shape or logistic labels other than +1 or
+    -1, or compare runs that do not share one problem."""

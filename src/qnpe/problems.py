@@ -25,6 +25,7 @@ from .errors import (
     NotPositiveDefinite,
     NotSymmetric,
     ParseError,
+    ProblemMismatch,
 )
 
 Array = np.ndarray
@@ -35,6 +36,9 @@ NEWTON_GRAD_TOL = 1e-12
 NEWTON_MAX_STEPS = 50
 #: smallest step fraction tried before Newton counts as stalled
 NEWTON_MIN_DAMPING = 2.0**-40
+#: bytes of signed data per row block of the logistic oracles: a block's two
+#: products run back to back while it is still in a core's L2 cache
+_BLOCK_BYTES = 1 << 20
 
 
 def _refined_solve(a: Array, b: Array, rel_tol: float = 1e-13) -> Array:
@@ -50,9 +54,18 @@ def _refined_solve(a: Array, b: Array, rel_tol: float = 1e-13) -> Array:
 
 
 def quadratic_objective(a: Array, b: Array, mu: float, l1: float) -> Objective:
-    """Objective for f(x) = x^T A x / 2 - b^T x with certified band [mu, L1]."""
+    """Objective for f(x) = x^T A x / 2 - b^T x with certified band [mu, L1].
+
+    Raises:
+        ProblemMismatch: b is not a vector or A is not square of its length.
+    """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
+    if b.ndim != 1 or a.shape != (b.size, b.size):
+        raise ProblemMismatch(
+            f"need a d x d matrix and a length-d vector, got shapes {a.shape} "
+            f"and {b.shape}"
+        )
     minimizer = _refined_solve(a, b)
     return Objective(
         dim=b.shape[0],
@@ -99,29 +112,61 @@ def logistic_objective(
     f(x) = mean(log(1 + exp(-y_i a_i^T x))) + lam/2 ||x||^2 with
     mu = lam, L1 = lam + lambda_max(A^T A)/(4 n), and the conservative
     analytic bound L2 = sum ||a_i||^3 / (6 n).
+
+    The objective keeps one array, the signed rows y_i a_i, and no
+    reference to `features`. Since every y_i is +1 or -1, its products
+    equal those of A exactly. The gradient and Hessian pass over it in row
+    blocks of about `_BLOCK_BYTES`; with more than one block their sums
+    over the rows differ from a single pass at rounding level.
+
+    Raises:
+        InvalidSpectrum: lam not in (0, inf), or a feature not finite.
+        ProblemMismatch: features not an n x d array with n, d >= 1,
+            labels not of length n, or a label other than +1 or -1.
     """
     a = np.asarray(features, dtype=float)
     y = np.asarray(labels, dtype=float)
     if not 0.0 < lam < np.inf:
         raise InvalidSpectrum(f"lam must be positive and finite, got {lam}")
+    if a.ndim != 2 or a.size == 0:
+        raise ProblemMismatch(
+            f"features must be an n x d array with n, d >= 1, got shape {a.shape}"
+        )
     n, d = a.shape
+    if y.shape != (n,):
+        raise ProblemMismatch(f"labels must have shape ({n},), got {y.shape}")
+    if not np.all(np.abs(y) == 1.0):
+        raise ProblemMismatch("labels must all be +1 or -1")
+    if not np.all(np.isfinite(a)):
+        raise InvalidSpectrum("features must be finite")
     signed = a * y[:, None]
+    rows = max(1, _BLOCK_BYTES // (8 * d))
+    blocks = [signed[i : i + rows] for i in range(0, n, rows)]
 
     def value(x):
         margins = signed @ x
         return float(np.mean(np.logaddexp(0.0, -margins))) + 0.5 * lam * float(x @ x)
 
+    def block_sum(term):
+        """term(block) summed over the row blocks, in row order."""
+        first, *rest = blocks
+        acc = term(first)
+        for blk in rest:
+            acc += term(blk)
+        return acc
+
     def grad(x):
-        margins = signed @ x
-        return -(signed.T @ expit(-margins)) / n + lam * x
+        return -block_sum(lambda blk: blk.T @ expit(-(blk @ x))) / n + lam * x
 
     def hessian(x):
-        sig = expit(signed @ x)
-        weights = sig * (1.0 - sig)
-        return (a.T * weights) @ a / n + lam * np.eye(d)
+        def curvature(blk):
+            sig = expit(blk @ x)
+            return (blk.T * (sig * (1.0 - sig))) @ blk
 
-    row_norms = np.linalg.norm(a, axis=1)
-    data_curvature = float(np.linalg.eigvalsh(a.T @ a)[-1]) / (4.0 * n) if d else 0.0
+        return block_sum(curvature) / n + lam * np.eye(d)
+
+    row_norms = np.linalg.norm(signed, axis=1)
+    data_curvature = float(np.linalg.eigvalsh(signed.T @ signed)[-1]) / (4.0 * n)
     return Objective(
         dim=d,
         grad=grad,
@@ -199,6 +244,7 @@ def make_logistic(n: int, d: int, lam: float, seed: int) -> Objective:
     labels[labels == 0.0] = 1.0
 
     obj = logistic_objective(a, labels, lam)
+    del a  # the objective keeps only its signed copy
     return replace(obj, minimizer=_newton_minimizer(obj))
 
 
@@ -213,6 +259,7 @@ def load_matrix_market(path, b: Optional[Array] = None) -> Objective:
         ParseError: unreadable or non-square input.
         NotSymmetric: matrix differs from its transpose.
         NotPositiveDefinite: smallest eigenvalue <= 0.
+        ProblemMismatch: b is not a vector of the matrix's order.
     """
     try:
         loaded = scipy.io.mmread(path)

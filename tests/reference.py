@@ -1,12 +1,13 @@
 """Dense references that the tests compare the package against.
 
 The package computes these objects implicitly (the learner's in-place
-rank-one step, the played matrix as an operator, the CR recurrence) or not
-at all; the tests build them here in their textbook form. The CR and
-Lanczos loops here are the package's loops written with NumPy operators
-instead of BLAS level-1 calls and an uninitialized basis; the package must
-match them bit for bit. That holds only when NumPy and SciPy call the same
-BLAS, which `require_shared_blas` checks before either loop runs.
+rank-one step, the played matrix as an operator, the CR recurrence), in
+row blocks (the logistic oracles) or not at all; the tests build them here
+in their textbook form. The CR and Lanczos loops here are the package's
+loops written with NumPy operators instead of BLAS level-1 calls and an
+uninitialized basis; the package must match them bit for bit. That holds
+only when NumPy and SciPy call the same BLAS, which `require_shared_blas`
+checks before either loop runs.
 """
 
 import math
@@ -17,6 +18,7 @@ import numpy as np
 import pytest
 import scipy
 from scipy.linalg.blas import ddot
+from scipy.special import expit
 
 from qnpe.core import symv
 from qnpe.extevec import (
@@ -29,6 +31,30 @@ from qnpe.extevec import (
 from qnpe.errors import IterationCapExceeded
 from qnpe.learner import HessianLearner
 from qnpe.linsolve import RESIDUAL_FLOOR, CrResult, conjugate_residual
+
+
+def logistic_single_pass(features, labels, lam):
+    """The (grad, hessian) pair of `qnpe.problems.logistic_objective` as one
+    pass over all n rows: the gradient reads the signed rows y_i a_i, the
+    Hessian the raw rows a_i.
+
+    The package splits the rows into blocks and reads only the signed rows;
+    with one block it must match these bit for bit."""
+    a = np.asarray(features, dtype=float)
+    y = np.asarray(labels, dtype=float)
+    n, d = a.shape
+    signed = a * y[:, None]
+
+    def grad(x):
+        margins = signed @ x
+        return -(signed.T @ expit(-margins)) / n + lam * x
+
+    def hessian(x):
+        sig = expit(signed @ x)
+        weights = sig * (1.0 - sig)
+        return (a.T * weights) @ a / n + lam * np.eye(d)
+
+    return grad, hessian
 
 
 def from_hat(b_hat, mu, l1):

@@ -1,6 +1,10 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 import scipy.optimize
+from reference import logistic_single_pass
 
 import qnpe.problems
 import qnpe.solver
@@ -10,6 +14,7 @@ from qnpe.errors import (
     NotPositiveDefinite,
     NotSymmetric,
     ParseError,
+    ProblemMismatch,
 )
 from qnpe.linsolve import conjugate_residual
 from qnpe.problems import (
@@ -59,6 +64,20 @@ class TestQuadratic:
             make_quadratic(5, 2.0, 1.0, seed=0)
         with pytest.raises(InvalidSpectrum):
             make_quadratic(5, 0.0, 1.0, seed=0)
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            (np.ones((2, 3)), np.ones(2)),
+            (np.eye(3), np.ones(2)),
+            (np.eye(2), np.ones((2, 1))),
+            (np.ones(2), np.ones(2)),
+        ],
+        ids=["non_square", "b_short", "b_column", "a_vector"],
+    )
+    def test_bad_shapes_are_problem_mismatch(self, a, b):
+        with pytest.raises(ProblemMismatch):
+            quadratic_objective(a, b, 1.0, 1.0)
 
     def test_model_error_identically_zero(self):
         # gradient differences are exactly A (x_tilde - x) for quadratics
@@ -180,6 +199,95 @@ class TestLogistic:
         obj = logistic_objective(features, np.array([1.0, -1.0]), lam=0.1)
         assert obj.l2 == pytest.approx((5.0**3 + 1.0) / 12.0)
 
+    def data(self, n, d, seed):
+        """Gaussian features of mixed scale and +-1 labels."""
+        rng = np.random.default_rng(seed)
+        features = rng.standard_normal((n, d)) * rng.uniform(0.1, 3.0, (n, 1))
+        labels = np.where(rng.standard_normal(n) < 0.0, -1.0, 1.0)
+        return features, labels, rng
+
+    @pytest.mark.parametrize("n,d", [(200, 20), (1, 1), (50, 5), (6553, 20)])
+    def test_one_block_matches_single_pass_bitwise(self, n, d):
+        # rows = 2**20 // (8 d) >= n: one block, the single-pass arithmetic
+        features, labels, rng = self.data(n, d, seed=n)
+        obj = logistic_objective(features, labels, lam=0.01)
+        grad, hessian = logistic_single_pass(features, labels, 0.01)
+        for _ in range(3):
+            x = rng.standard_normal(d)
+            assert np.array_equal(obj.grad(x), grad(x))
+            assert np.array_equal(obj.hessian(x), hessian(x))
+
+    # n = 50, d = 5: 320 bytes make blocks of 8 rows with a remainder of 2,
+    # 1000 bytes 25 rows and no remainder, 1 byte one row per block
+    @pytest.mark.parametrize("block_bytes", [320, 1000, 1])
+    def test_blocks_match_single_pass(self, monkeypatch, block_bytes):
+        monkeypatch.setattr(qnpe.problems, "_BLOCK_BYTES", block_bytes)
+        features, labels, rng = self.data(50, 5, seed=4)
+        obj = logistic_objective(features, labels, lam=0.01)
+        grad, hessian = logistic_single_pass(features, labels, 0.01)
+        for _ in range(3):
+            x = rng.standard_normal(5)
+            np.testing.assert_allclose(obj.grad(x), grad(x), rtol=1e-12, atol=0)
+            np.testing.assert_allclose(
+                obj.hessian(x), hessian(x), rtol=1e-12, atol=0
+            )
+
+    def test_blocked_hessian_matches_central_differences(self, monkeypatch):
+        monkeypatch.setattr(qnpe.problems, "_BLOCK_BYTES", 320)
+        features, labels, rng = self.data(50, 5, seed=5)
+        obj = logistic_objective(features, labels, lam=0.01)
+        x, step = rng.standard_normal(5), 1e-5
+        fd = np.column_stack([
+            (obj.grad(x + step * e) - obj.grad(x - step * e)) / (2.0 * step)
+            for e in np.eye(5)
+        ])
+        np.testing.assert_allclose(obj.hessian(x), fd, rtol=1e-7, atol=1e-9)
+
+    def test_objective_keeps_no_reference_to_features(self):
+        features, labels, _ = self.data(30, 4, seed=6)
+        alive = weakref.ref(features)
+        obj = logistic_objective(features, labels, lam=0.1)
+        del features
+        gc.collect()
+        assert alive() is None
+        assert obj.hessian(np.zeros(4)).shape == (4, 4)
+
+    # the Hessian (A^T W A) / n holds only for y_i^2 = 1: with labels of 2
+    # it contradicted central differences of the gradient
+    @pytest.mark.parametrize(
+        "labels",
+        [np.full(4, 2.0), np.array([0.0, 1.0, 1.0, 0.0]),
+         np.array([1.0, -1.0, np.nan, 1.0]), np.array([1.0, -1.0, 0.5, 1.0])],
+        ids=["two", "zero_one", "nan", "half"],
+    )
+    def test_labels_other_than_plus_minus_one_are_rejected(self, labels):
+        with pytest.raises(ProblemMismatch, match="labels"):
+            logistic_objective(np.ones((4, 2)), labels, lam=0.1)
+
+    @pytest.mark.parametrize(
+        "features, labels",
+        [
+            (np.ones((4, 2)), np.ones(3)),
+            (np.ones((4, 2)), np.ones((4, 1))),
+            (np.ones(4), np.ones(4)),
+            (np.ones((4, 2, 1)), np.ones(4)),
+            (np.ones((0, 2)), np.ones(0)),
+            (np.ones((4, 0)), np.ones(4)),
+        ],
+        ids=["labels_short", "labels_column", "features_1d", "features_3d",
+             "n_zero", "d_zero"],
+    )
+    def test_bad_shapes_are_problem_mismatch(self, features, labels):
+        with pytest.raises(ProblemMismatch):
+            logistic_objective(features, labels, lam=0.1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_features_are_invalid_spectrum(self, bad):
+        features = np.ones((4, 2))
+        features[2, 1] = bad
+        with pytest.raises(InvalidSpectrum, match="features"):
+            logistic_objective(features, np.ones(4), lam=0.1)
+
 
 class TestMatrixMarket:
     def write(self, tmp_path, name, text):
@@ -266,3 +374,13 @@ class TestMatrixMarket:
         )
         obj = load_matrix_market(path, b=np.array([4.0, 6.0]))
         assert np.allclose(obj.minimizer, [2.0, 3.0], atol=1e-12)
+
+    def test_rhs_of_wrong_length_is_problem_mismatch(self, tmp_path):
+        path = self.write(
+            tmp_path,
+            "ident2.mtx",
+            "%%MatrixMarket matrix coordinate real symmetric\n"
+            "2 2 2\n1 1 1.0\n2 2 1.0\n",
+        )
+        with pytest.raises(ProblemMismatch):
+            load_matrix_market(path, b=np.ones(3))

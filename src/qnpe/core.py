@@ -17,6 +17,7 @@ from scipy.linalg import blas
 from .errors import (
     DegenerateCurvature,
     ParameterConflict,
+    ProblemMismatch,
     SpectrumViolation,
     StateMismatch,
     StepSeedTooSmall,
@@ -45,6 +46,9 @@ class Objective:
         l2: optional Lipschitz constant of the Hessian w.r.t. the minimizer.
         hessian: optional x -> symmetric (d, d) matrix; testing/verification only.
         minimizer: optional known minimizer x*.
+
+    Raises:
+        ProblemMismatch: dim < 1.
     """
 
     dim: int
@@ -58,7 +62,7 @@ class Objective:
 
     def __post_init__(self):
         if int(self.dim) < 1:
-            raise ValueError(f"dim must be a positive integer, got {self.dim}")
+            raise ProblemMismatch(f"dim must be a positive integer, got {self.dim}")
 
     def dist_sq(self, x: Array) -> Optional[float]:
         """||x - x*||^2, or None without a known minimizer."""
@@ -84,46 +88,38 @@ def symv(
     return blas.dsymv(alpha, _fortran(a), x, beta=beta, y=y)
 
 
-def _always_current() -> bool:
-    return True
-
-
 _STALE = "stale played matrix: its round is over"
 
 
-@dataclass(frozen=True)
+@dataclass
 class PlayedMatrix:
     """The curvature matrix B = scale * base + shift * I, applied through
     products only. `base` must be symmetric: each product is one `symv`
     that reads one triangle of it.
 
     The operator holds `base` by reference. An owner that changes `base` in
-    place passes a `current` check that turns False once the operator is
-    out of date (for the learner: once `update_round` has run), and every
-    product raises StateMismatch from then on.
+    place sets `stale` once the operator is out of date (the learner does so
+    in `update_round`), and every product raises StateMismatch from then on.
     """
 
     base: Array
     scale: float = 1.0
     shift: float = 0.0
-    current: Callable[[], bool] = field(
-        default=_always_current, compare=False, repr=False
-    )
+    stale: bool = field(default=False, init=False)
 
     def shifted_matvec(self, eta: float) -> Callable[[Array], Array]:
         """v -> v + eta B v, the operator of the system (I + eta B) s = -eta g.
 
         The coefficients and the Fortran view of `base` are fixed once, so
-        each product is the freshness check and one `dsymv`, which leaves v
+        each product is the stale test and one `dsymv`, which leaves v
         unchanged and returns a new vector."""
         alpha = eta * self.scale
         beta = 1.0 + eta * self.shift
         base = _fortran(self.base)
-        current = self.current
         dsymv = blas.dsymv
 
         def matvec(v: Array) -> Array:
-            if not current():
+            if self.stale:
                 raise StateMismatch(_STALE)
             return dsymv(alpha, base, v, beta=beta, y=v)
 
@@ -131,7 +127,7 @@ class PlayedMatrix:
 
     def residual(self, y: Array, s: Array) -> Array:
         """y - B s."""
-        if not self.current():
+        if self.stale:
             raise StateMismatch(_STALE)
         return symv(-self.scale, self.base, s, 1.0, y - self.shift * s)
 
@@ -258,7 +254,7 @@ def budget_log_term(value: float, beta: float) -> float:
     return t
 
 
-def _check_b0(b0, mu: float, l1: float):
+def _check_b0(b0, mu: float, l1: float, d: int):
     if b0 is None:
         return
     if np.isscalar(b0):
@@ -269,8 +265,8 @@ def _check_b0(b0, mu: float, l1: float):
             )
         return
     mat = np.asarray(b0, dtype=float)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise SpectrumViolation("explicit b0 must be a square matrix")
+    if mat.shape != (d, d):
+        raise SpectrumViolation(f"b0 has shape {mat.shape}, problem dimension is {d}")
     if not np.allclose(mat, mat.T, rtol=0.0, atol=1e-12 * max(1.0, l1)):
         raise SpectrumViolation("explicit b0 must be symmetric")
     eigs = np.linalg.eigvalsh(mat)
@@ -292,7 +288,8 @@ def validate_config(cfg: Optional[SolverConfig], obj: Objective) -> SolverConfig
         ParameterConflict: parameter range violations, alpha1 + alpha2 >= 1,
             a negative seed, or a sigma0 whose attempt budget overflows.
         StepSeedTooSmall: sigma0 < alpha2*beta/L1.
-        SpectrumViolation: b0 spectrum outside [mu, L1].
+        SpectrumViolation: an explicit b0 that is not a symmetric d x d
+            matrix, or a b0 spectrum outside [mu, L1].
     """
     cfg = SolverConfig() if cfg is None else cfg
     mu, l1 = float(obj.mu), float(obj.l1)
@@ -351,7 +348,7 @@ def validate_config(cfg: Optional[SolverConfig], obj: Objective) -> SolverConfig
         raise ParameterConflict(
             f"sigma0={sigma0:.6g} makes sigma0*L1/(alpha2*beta) non-finite"
         )
-    _check_b0(cfg.b0, mu, l1)
+    _check_b0(cfg.b0, mu, l1, obj.dim)
 
     return replace(
         cfg, alpha1=alpha1, alpha2=alpha2, beta=beta, sigma0=sigma0, delta=delta
@@ -359,18 +356,14 @@ def validate_config(cfg: Optional[SolverConfig], obj: Objective) -> SolverConfig
 
 
 def resolve_initial_matrix(cfg: SolverConfig, obj: Objective) -> Array:
-    """Materialize the initial curvature matrix from the b0 policy."""
+    """Materialize the initial curvature matrix from the b0 policy of a
+    config that `validate_config` has checked against `obj`."""
     d = obj.dim
     if cfg.b0 is None:
         return float(obj.l1) * np.eye(d)
     if np.isscalar(cfg.b0):
         return float(cfg.b0) * np.eye(d)
-    mat = np.array(cfg.b0, dtype=float)
-    if mat.shape != (d, d):
-        raise SpectrumViolation(
-            f"b0 has shape {mat.shape}, problem dimension is {d}"
-        )
-    return mat
+    return np.array(cfg.b0, dtype=float)
 
 
 # --- flat key-value wire format (the CLI config contract) ---

@@ -80,8 +80,9 @@ class ZeroDisplacement(SolverError):
 
 
 class StateMismatch(SolverError):
-    """Learner round update without a preceding prediction, or a played
-    matrix used after the learner changed its base in place."""
+    """Learner round update without a preceding prediction, or a product
+    with a played matrix whose `stale` flag its owner has set (the learner
+    sets it in `update_round`, after stepping its base in place)."""
 
 
 # --- line search ---
@@ -112,5 +113,5 @@ class LineSearchFailure(SolverError):
 class ProblemMismatch(SolverError):
     """An input does not fit the problem: a malformed problem spec or
     method name, a start point or a start gradient of the wrong shape,
-    problem data of the wrong shape or logistic labels other than +1 or
-    -1, or compare runs that do not share one problem."""
+    problem data that are empty or of the wrong shape, logistic labels
+    other than +1 or -1, or compare runs that do not share one problem."""

@@ -11,7 +11,6 @@ separation oracle instead of eigendecomposition projections.
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass
 from typing import Optional
 
@@ -80,10 +79,10 @@ class HessianLearner:
     operator reads W itself, so no d x d matrix is formed. `update_round`
     consumes one loss sample, performs the surrogate-gradient step with
     projection onto the Frobenius ball of radius sqrt(d) in place, and
-    advances the round counter; the round's operator is stale from then on
-    and raises StateMismatch when used. Rounds count backtracked iterations
-    only: callers skip `update_round` when the first trial step was
-    accepted or the rejected trial rounds to x, and repeated `predict`
+    advances the round counter; it then sets the round's operator `stale`,
+    so every product with it raises StateMismatch. Rounds count backtracked
+    iterations only: callers skip `update_round` when the first trial step
+    was accepted or the rejected trial rounds to x, and repeated `predict`
     calls between updates return the cached prediction.
 
     The step rho, oracle slack delta, failure budget p and oracle mode are
@@ -123,22 +122,13 @@ class HessianLearner:
         oracle outcome for the matching `update_round` call."""
         if self._played is not None:
             return self._played
-        t = self.t
-        # a weak reference: the learner holds its operator, and a cycle
-        # would keep W alive past the run until the cyclic collector runs
-        owner = weakref.ref(self)
-
-        def current() -> bool:
-            learner = owner()
-            return learner is None or learner.t == t
-
-        if self.degenerate or t == 0:
-            self._played = PlayedMatrix(self.b0, current=current)
+        if self.degenerate or self.t == 0:
+            self._played = PlayedMatrix(self.b0)
             return self._played
         if self.cfg.oracle_mode == "exact":
             outcome = ext_evec_exact(self.w)
         else:
-            q = failure_budget(self.cfg.p, t)
+            q = failure_budget(self.cfg.p, self.t)
             outcome = ext_evec_lanczos(self.w, self.cfg.delta, q, self.rng)
         self.matvecs += outcome.matvecs
         gamma = 1.0 if outcome.inside else outcome.gamma
@@ -146,7 +136,6 @@ class HessianLearner:
             self.w,
             0.5 * (self.l1 - self.mu) / gamma,
             0.5 * (self.l1 + self.mu),
-            current,
         )
         self._outcome = outcome
         return self._played
@@ -154,15 +143,16 @@ class HessianLearner:
     def update_round(self, sample: LossSample) -> float:
         """Consume the round's loss sample and advance; returns the loss
         value incurred by the played matrix."""
-        if self._played is None:
+        played = self._played
+        if played is None:
             raise StateMismatch("update_round without a preceding predict")
-        outcome = self._outcome
         s = sample.s
         ss = ddot(s, s)
-        resid = self._played.residual(sample.y, s)
+        resid = played.residual(sample.y, s)
         value = ddot(resid, resid) / (2.0 * ss)
         if not self.degenerate:
-            self._step(outcome, s, resid, ss)
+            self._step(self._outcome, s, resid, ss)
+        played.stale = True
         self.t += 1
         self._played = None
         self._outcome = None

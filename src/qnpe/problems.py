@@ -57,7 +57,8 @@ def quadratic_objective(a: Array, b: Array, mu: float, l1: float) -> Objective:
     """Objective for f(x) = x^T A x / 2 - b^T x with certified band [mu, L1].
 
     Raises:
-        ProblemMismatch: b is not a vector or A is not square of its length.
+        ProblemMismatch: b is not a vector, A is not square of its length,
+            or the data are empty.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -87,10 +88,11 @@ def make_quadratic(d: int, mu: float, l1: float, seed: int) -> Objective:
     b is seeded Gaussian.
 
     Raises:
+        ProblemMismatch: d < 1.
         InvalidSpectrum: mu <= 0, mu > L1, or mu or L1 not finite.
     """
     if d < 1:
-        raise InvalidSpectrum("d must be >= 1")
+        raise ProblemMismatch("d must be >= 1")
     if not (0.0 < mu <= l1 < np.inf):
         raise InvalidSpectrum(f"need 0 < mu <= L1 < inf, got mu={mu}, L1={l1}")
     rng = np.random.default_rng(seed)
@@ -230,11 +232,12 @@ def make_logistic(n: int, d: int, lam: float, seed: int) -> Objective:
     Hessian from x = 0 to a 1e-12 gradient norm, not by the solver.
 
     Raises:
-        InvalidSpectrum: n < 1, d < 1, or lam not in (0, inf).
+        ProblemMismatch: n < 1 or d < 1.
+        InvalidSpectrum: lam not in (0, inf).
         MinimizerStall: the Newton minimizer did not reach its tolerance.
     """
     if n < 1 or d < 1:
-        raise InvalidSpectrum("n and d must be >= 1")
+        raise ProblemMismatch("n and d must be >= 1")
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((n, d))
     norms = np.linalg.norm(a, axis=1)

@@ -159,8 +159,11 @@ class TestRun:
             "quadratic:d=4,mu=1,l1=10,seed=-1",
             "logistic:n=20,d=4,lambda=x,seed=1",
             "quadratic:d=4,mu=1,l1=10,seed=1,seed=2",
+            "quadratic:d=0,mu=1,l1=10,seed=1",
+            "logistic:n=0,d=4,lambda=0.1,seed=1",
         ],
-        ids=["d_abc", "seed_float", "seed_negative", "lambda_x", "seed_repeated"],
+        ids=["d_abc", "seed_float", "seed_negative", "lambda_x", "seed_repeated",
+             "d_zero", "n_zero"],
     )
     def test_malformed_spec_value_exits_2(self, tmp_path, capsys, spec):
         code = run_cli(tmp_path, "run", "--problem", spec)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from qnpe.baselines import solve_gd
 from qnpe.core import (
     ORACLE_MODES,
     Objective,
@@ -164,9 +165,14 @@ class TestInitialMatrix:
         )
 
     def test_dimension_mismatch(self):
+        # the order is checked with the rest of b0, so a method that never
+        # builds b0 rejects it too
         obj = simple_objective(d=3)
-        with pytest.raises(SpectrumViolation):
-            resolve_initial_matrix(SolverConfig(b0=np.eye(2)), obj)
+        cfg = SolverConfig(b0=np.eye(4))
+        with pytest.raises(SpectrumViolation, match="problem dimension is 3"):
+            validate_config(cfg, obj)
+        with pytest.raises(SpectrumViolation, match="problem dimension is 3"):
+            solve_gd(obj, cfg, x0=np.ones(3))
 
 
 class TestKvFormat:

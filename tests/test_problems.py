@@ -72,8 +72,9 @@ class TestQuadratic:
             (np.eye(3), np.ones(2)),
             (np.eye(2), np.ones((2, 1))),
             (np.ones(2), np.ones(2)),
+            (np.zeros((0, 0)), np.zeros(0)),
         ],
-        ids=["non_square", "b_short", "b_column", "a_vector"],
+        ids=["non_square", "b_short", "b_column", "a_vector", "empty"],
     )
     def test_bad_shapes_are_problem_mismatch(self, a, b):
         with pytest.raises(ProblemMismatch):

@@ -4,6 +4,7 @@ benchmark imports, and code that only tests need stays out of the package
 
 import ast
 import dataclasses
+import importlib
 import inspect
 from pathlib import Path
 
@@ -99,6 +100,37 @@ def test_perfbench_imports_are_public():
     # the scan must see the benchmark's imports at all
     assert {"SolverConfig", "verify_trace", "lanczos_budget"} <= imported
     assert imported <= set(qnpe.__all__)
+
+
+def perfbench_hooks() -> list:
+    """(owner, attr) source pairs of the names that `perfbench/spans.py`
+    rebinds in `installed()`: the tuples of its patch list."""
+    tree = ast.parse((PERFBENCH / "spans.py").read_text())
+    installed = next(
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "installed"
+    )
+    return [
+        (ast.unparse(node.elts[0]), node.elts[1].value)
+        for node in ast.walk(installed)
+        if isinstance(node, ast.Tuple)
+        and len(node.elts) == 4
+        and isinstance(node.elts[1], ast.Constant)
+    ]
+
+
+def test_perfbench_hooks_resolve():
+    # a hook that no longer resolves would leave its per-layer metric at zero
+    hooks = perfbench_hooks()
+    assert ("HessianLearner", "predict") in hooks
+    assert ("qnpe.learner", "ext_evec_lanczos") in hooks
+    for owner, attr in hooks:
+        # an owner is a qnpe submodule or a name imported from qnpe
+        if owner.startswith("qnpe."):
+            target = importlib.import_module(owner)
+        else:
+            target = getattr(qnpe, owner)
+        assert callable(getattr(target, attr, None)), f"{owner}.{attr}"
 
 
 def test_removed_names_are_not_defined():

@@ -16,7 +16,9 @@ class SolverError(Exception):
 # --- configuration validation ---
 
 class ParameterConflict(SolverError):
-    """Line-search / learner parameters violate their admissible ranges."""
+    """Line-search / learner parameters violate their admissible ranges, or
+    `qnpe verify` has --seeds < 1, --min-pass-rate outside (0, 1] or
+    --regret-competitors < 0."""
 
 
 class StepSeedTooSmall(SolverError):

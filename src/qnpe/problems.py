@@ -88,11 +88,13 @@ def make_quadratic(d: int, mu: float, l1: float, seed: int) -> Objective:
     b is seeded Gaussian.
 
     Raises:
-        ProblemMismatch: d < 1.
+        ProblemMismatch: d < 1 or seed < 0.
         InvalidSpectrum: mu <= 0, mu > L1, or mu or L1 not finite.
     """
     if d < 1:
         raise ProblemMismatch("d must be >= 1")
+    if seed < 0:  # default_rng would raise a bare ValueError
+        raise ProblemMismatch(f"problem parameter seed={seed} is negative")
     if not (0.0 < mu <= l1 < np.inf):
         raise InvalidSpectrum(f"need 0 < mu <= L1 < inf, got mu={mu}, L1={l1}")
     rng = np.random.default_rng(seed)
@@ -232,12 +234,14 @@ def make_logistic(n: int, d: int, lam: float, seed: int) -> Objective:
     Hessian from x = 0 to a 1e-12 gradient norm, not by the solver.
 
     Raises:
-        ProblemMismatch: n < 1 or d < 1.
+        ProblemMismatch: n < 1, d < 1 or seed < 0.
         InvalidSpectrum: lam not in (0, inf).
         MinimizerStall: the Newton minimizer did not reach its tolerance.
     """
     if n < 1 or d < 1:
         raise ProblemMismatch("n and d must be >= 1")
+    if seed < 0:  # default_rng would raise a bare ValueError
+        raise ProblemMismatch(f"problem parameter seed={seed} is negative")
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((n, d))
     norms = np.linalg.norm(a, axis=1)

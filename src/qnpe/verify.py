@@ -7,7 +7,8 @@ the superlinear envelope, and the gradient/line-search budgets. Each check
 reports pass/fail with its worst-case margin (bound minus observed, so
 positive margins mean slack to spare). `transition` gives a run's
 transition iteration N_tr, past which the superlinear envelope beats the
-linear one.
+linear one. The regret bound, the envelope and N_tr hold only at the
+learner step of their derivation.
 """
 
 from __future__ import annotations
@@ -28,17 +29,21 @@ Array = np.ndarray
 
 @dataclass(frozen=True)
 class Certificate:
-    """One check's outcome; passed and margin are None when the check does
-    not apply to the run."""
+    """One check's outcome: its margin, or None when the check does not
+    apply to the run. It passes iff the margin is nonnegative, so a NaN
+    margin fails."""
 
     name: str
-    passed: Optional[bool]
     margin: Optional[float]
     detail: str = ""
 
     @property
+    def passed(self) -> Optional[bool]:
+        return None if self.margin is None else self.margin >= 0.0
+
+    @property
     def applicable(self) -> bool:
-        return self.passed is not None
+        return self.margin is not None
 
 
 @dataclass(frozen=True)
@@ -56,16 +61,6 @@ class TraceCertificates:
         raise KeyError(name)
 
 
-def transition_iteration(
-    mu: float, l1: float, b0_gap_fro_sq: float, l2: float, d0_sq: float
-) -> float:
-    """Iteration threshold past which the superlinear envelope beats the
-    linear one: 4 D / (3 L1^2) with D the `superlinear_denominator`, i.e.
-    4/3 + 48 ||B0-H*||_F^2 / L1^2 + (36/L1^2 + 64/(3 mu L1)) L2^2 ||x0-x*||^2."""
-    denom = superlinear_denominator(mu, l1, b0_gap_fro_sq, l2, d0_sq)
-    return 4 * denom / (3 * l1**2)
-
-
 def superlinear_denominator(
     mu: float, l1: float, b0_gap_fro_sq: float, l2: float, d0_sq: float
 ) -> float:
@@ -74,23 +69,16 @@ def superlinear_denominator(
 
 
 def transition(report: SolverReport, obj: Objective) -> Optional[float]:
-    """`transition_iteration` of a run, from its B0 and start point; None
-    for reports without B0 (the baselines) and for objectives without the
-    minimizer, the Hessian oracle or L2."""
-    if (
-        report.b0 is None
-        or obj.minimizer is None
-        or obj.hessian is None
-        or obj.l2 is None
-    ):
+    """Iteration N_tr = 4 D / (3 L1^2), D the run's `superlinear_denominator`,
+    past which the superlinear envelope beats the linear one; None off the
+    `derived` gate and without the minimizer, the Hessian oracle or L2."""
+    run = _Replay(report, obj)
+    if not run.derived:
         return None
-    return transition_iteration(
-        float(obj.mu),
-        obj.l1,
-        float(np.linalg.norm(report.b0 - obj.hessian(obj.minimizer)) ** 2),
-        obj.l2,
-        obj.dist_sq(report.x0),
-    )
+    try:
+        return 4 * run.denominator / (3 * run.l1**2)
+    except MissingGroundTruth:
+        return None
 
 
 def superlinear_envelope(k: int, mu: float, denom: float) -> float:
@@ -122,12 +110,16 @@ def iteration_complexity_bound(
 #: the rounding in the recorded distances
 _SLACK = 1e-12
 
+#: the learner step size at which the small-loss regret bound (its
+#: 18 = 1/rho), the superlinear envelope and N_tr are derived
+_THEORY_RHO = 1.0 / 18.0
+
 
 class _Replay:
-    """One qnpe report under check. The cached values are computed on first
+    """One report under check. The cached values are computed on first
     use, so only the checks that read them need the ground truth."""
 
-    def __init__(self, report, obj, regret_competitors):
+    def __init__(self, report, obj, regret_competitors=0):
         self.report, self.obj = report, obj
         self.records, self.cfg = report.records, report.config
         self.mu, self.l1 = float(obj.mu), float(obj.l1)
@@ -150,6 +142,22 @@ class _Replay:
         if self.obj.minimizer is None or self.obj.hessian is None:
             raise MissingGroundTruth("check needs the Hessian at the minimizer")
         return self.obj.hessian(self.obj.minimizer)
+
+    @property
+    def derived(self) -> bool:
+        """Whether the regret-derived bounds (small-loss regret, envelope,
+        N_tr) hold: a qnpe run at the learner step of the derivation."""
+        return self.report.method == "qnpe" and self.cfg.rho == _THEORY_RHO
+
+    @cached_property
+    def denominator(self) -> float:
+        """`superlinear_denominator` of the run's B0 and start point."""
+        if self.obj.l2 is None:
+            raise MissingGroundTruth("superlinear envelope needs L2")
+        gap = float(np.linalg.norm(self.report.b0 - self.h_star) ** 2)
+        return superlinear_denominator(
+            self.mu, self.l1, gap, self.obj.l2, self.dists[0]
+        )
 
     @cached_property
     def learner_loss(self) -> float:
@@ -183,18 +191,13 @@ def verify_trace(
     if report.method != "qnpe":
         return TraceCertificates(
             tuple(
-                Certificate(name, None, None, "method without guarantees")
+                Certificate(name, None, "method without guarantees")
                 for name in wanted
             )
         )
 
     run = _Replay(report, obj, regret_competitors)
     return TraceCertificates(tuple(_CHECKS[name](run) for name in wanted))
-
-
-def _certificate(name: str, margin: float, detail: str) -> Certificate:
-    """An applicable certificate, passed iff its margin is nonnegative."""
-    return Certificate(name, margin >= 0.0, margin, detail)
 
 
 def _worst(name, pairs, detail="worst at k={k}"):
@@ -204,12 +207,12 @@ def _worst(name, pairs, detail="worst at k={k}"):
     worst, worst_k = math.inf, None
     for k, margin in pairs:
         if math.isnan(margin):
-            return _certificate(name, margin, "NaN margin, " + detail.format(k=k))
+            return Certificate(name, margin, "NaN margin, " + detail.format(k=k))
         if margin < worst:
             worst, worst_k = margin, k
     if worst_k is None:
-        return _certificate(name, math.inf, "empty trace")
-    return _certificate(name, worst, detail.format(k=worst_k))
+        return Certificate(name, math.inf, "empty trace")
+    return Certificate(name, worst, detail.format(k=worst_k))
 
 
 def _budget(name: str, column: str, per_iteration: float):
@@ -222,7 +225,7 @@ def _budget(name: str, column: str, per_iteration: float):
             cfg.sigma0 * run.l1 / cfg.alpha2, cfg.beta
         )
         total = run.report.totals()[column]
-        return _certificate(
+        return Certificate(
             name, bound - total, f"total {total} vs bound {bound:.6g}"
         )
 
@@ -264,32 +267,33 @@ def _check_stepsize_sum(run) -> Certificate:
     geo = 1.0 - cfg.beta**2
     rhs = 1.0 / (geo * cfg.sigma0**2)
     rhs += 2.0 * run.learner_loss / (geo * cfg.alpha2**2 * cfg.beta**2)
-    return _certificate(
+    return Certificate(
         "stepsize_sum", rhs - lhs, f"sum 1/eta^2 = {lhs:.6g} vs bound {rhs:.6g}"
     )
 
 
-#: the learner step size that the small-loss bound's 18 = 1/rho assumes
-_REGRET_RHO = 1.0 / 18.0
+def _not_derived(name: str, run) -> Certificate:
+    """The outcome of a check that the `derived` gate closes."""
+    return Certificate(
+        name, None,
+        f"bound derived for rho = 1/18 only, run used rho = {run.cfg.rho:.6g}",
+    )
 
 
 def _regret_gap(run, competitor: Array) -> float:
     """||B0 - H||_F^2 / rho + 2 sum_t l_t(H) - sum_t l_t(B_t) at
-    rho = `_REGRET_RHO`."""
+    rho = `_THEORY_RHO`."""
     competitor_total = sum(loss(competitor, s) for s in run.report.loss_samples)
     gap_fro_sq = float(np.linalg.norm(run.report.b0 - competitor) ** 2)
-    return 1.0 / _REGRET_RHO * gap_fro_sq + 2.0 * competitor_total - run.learner_loss
+    return 1.0 / _THEORY_RHO * gap_fro_sq + 2.0 * competitor_total - run.learner_loss
 
 
 def _check_small_loss(run) -> Certificate:
-    obj, rho = run.obj, run.cfg.rho
-    if rho != _REGRET_RHO:
-        return Certificate(
-            "small_loss_regret", None, None,
-            f"bound derived for rho = 1/18 only, run used rho = {rho:.6g}",
-        )
+    obj = run.obj
+    if not run.derived:
+        return _not_derived("small_loss_regret", run)
     if not run.report.loss_samples:
-        return _certificate("small_loss_regret", math.inf, "no learner rounds")
+        return Certificate("small_loss_regret", math.inf, "no learner rounds")
     gaps = [("competitor H*", _regret_gap(run, run.h_star))]
     rng, d = np.random.default_rng(0), obj.dim
     for i in range(run.regret_competitors):
@@ -302,24 +306,20 @@ def _check_small_loss(run) -> Certificate:
 def _check_displacement_sum(run) -> Certificate:
     total = sum(r.hat_disp**2 for r in run.records if r.hat_disp is not None)
     bound = run.dists[0] / (1.0 - run.cfg.alpha1 - run.cfg.alpha2)
-    return _certificate(
+    return Certificate(
         "displacement_sum", bound - total, f"sum {total:.6g} vs bound {bound:.6g}"
     )
 
 
 def _check_superlinear(run) -> Certificate:
-    obj, dists, mu = run.obj, run.dists, run.mu
-    if obj.hessian is None or obj.l2 is None:
-        raise MissingGroundTruth(
-            "superlinear envelope needs the Hessian oracle and L2"
-        )
+    if not run.derived:
+        return _not_derived("superlinear_envelope", run)
+    denom, dists = run.denominator, run.dists
     if dists[0] == 0.0:
-        return _certificate("superlinear_envelope", math.inf, "started at x*")
-    gap = float(np.linalg.norm(run.report.b0 - run.h_star) ** 2)
-    denom = superlinear_denominator(mu, run.l1, gap, obj.l2, dists[0])
+        return Certificate("superlinear_envelope", math.inf, "started at x*")
     # k = 0 compares 1 <= 1 identically; start at the first real iterate
     return _worst("superlinear_envelope", (
-        (k, superlinear_envelope(k, mu, denom) - d_k / dists[0])
+        (k, superlinear_envelope(k, run.mu, denom) - d_k / dists[0])
         for k, d_k in enumerate(dists[1:], start=1)
     ))
 

@@ -275,6 +275,50 @@ class TestVerify:
         assert code == 0
         assert seen == [3] * int(seeds)
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--seeds", "0"),
+            ("--seeds", "-3"),
+            ("--min-pass-rate", "7"),
+            ("--min-pass-rate", "0"),
+            ("--min-pass-rate", "nan"),
+            ("--regret-competitors", "-4"),
+        ],
+        ids=["seeds_zero", "seeds_negative", "rate_above_one", "rate_zero",
+             "rate_nan", "competitors_negative"],
+    )
+    def test_out_of_range_option_exits_2(self, tmp_path, capsys, flag, value):
+        code = run_cli(tmp_path, "verify", "--problem", QUAD, flag, value)
+        assert code == 2
+        assert f"error: ParameterConflict: {flag} must be" in capsys.readouterr().err
+        assert not (tmp_path / "certificates.txt").exists()
+
+    @pytest.mark.parametrize(
+        "seeds, keys",
+        [
+            ("1", [
+                "method", "problem",
+                *(f"{kind}_{name}" for name in (
+                    "contraction", "linear_rate", "step_floor", "stepsize_sum",
+                    "small_loss_regret", "displacement_sum",
+                    "superlinear_envelope", "grad_eval_budget", "ls_step_budget",
+                ) for kind in ("cert", "margin")),
+                "n_tr", "n_eps_bound", "all_passed",
+            ]),
+            ("3", ["method", "problem", "seed_0", "seed_1", "seed_2", "pass_rate"]),
+        ],
+    )
+    def test_report_keys_in_order(self, tmp_path, capsys, seeds, keys):
+        code = run_cli(
+            tmp_path, "verify", "--problem", QUAD, "--oracle-mode", "exact",
+            "--seeds", seeds,
+        )
+        assert code == 0
+        text = read(tmp_path / "certificates.txt")
+        assert capsys.readouterr().out == text
+        assert [line.split("=", 1)[0] for line in text.splitlines()] == keys
+
 
 class TestCompare:
     def test_two_methods_align(self, tmp_path):

@@ -98,6 +98,19 @@ class TestQuadratic:
         assert np.array_equal(a.grad(x), b.grad(x))
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: make_quadratic(3, 1.0, 10.0, seed=-1),
+        lambda: make_logistic(5, 2, 0.1, seed=-1),
+    ],
+    ids=["quadratic", "logistic"],
+)
+def test_negative_seed_is_problem_mismatch(make):
+    with pytest.raises(ProblemMismatch, match="parameter seed=-1 is negative"):
+        make()
+
+
 class TestSecondOrderConsistency:
     @pytest.mark.parametrize(
         "factory",

@@ -17,7 +17,6 @@ from qnpe.verify import (
     superlinear_denominator,
     superlinear_envelope,
     transition,
-    transition_iteration,
     verify_trace,
 )
 
@@ -26,9 +25,13 @@ class TestDerivedQuantities:
     def test_transition_matches_envelope_denominator(self):
         # the rate (1 + mu/(4 L1) sqrt(k/N_tr))^-k rewrites the printed
         # envelope exactly: 16 L1^2 N_tr = (64/3) * denominator
-        mu, l1, gap, l2, d0 = 1.0, 10.0, 30.0, 0.5, 4.0
-        n_tr = transition_iteration(mu, l1, gap, l2, d0)
-        denom = superlinear_denominator(mu, l1, gap, l2, d0)
+        obj, report = _exact_run()
+        l1 = obj.l1
+        gap = float(np.linalg.norm(report.b0 - obj.hessian(obj.minimizer)) ** 2)
+        denom = superlinear_denominator(
+            obj.mu, l1, gap, obj.l2, obj.dist_sq(report.x0)
+        )
+        n_tr = transition(report, obj)
         assert 16.0 * l1**2 * n_tr == pytest.approx(64.0 * denom / 3.0, rel=1e-12)
 
     def test_envelope_decreases_in_k(self):
@@ -199,14 +202,19 @@ class TestFailClosed:
         return obj, solve(obj, cfg)
 
     def test_small_loss_not_applicable_off_theory_rho(self):
-        # the bound's 18 ||B0 - H||_F^2 is 1/rho at rho = 1/18; at rho = 8
-        # it was applied anyway and failed with margin about -2e3
+        # the regret bound's 18 ||B0 - H||_F^2 is 1/rho at rho = 1/18, and
+        # the envelope and N_tr rest on that bound; at rho = 8 the regret
+        # bound was applied anyway and failed with margin about -2e3
         obj, report = self._rho_run(8.0)
         certs = verify_trace(report, obj, regret_competitors=2)
-        cert = certs["small_loss_regret"]
-        assert not cert.applicable
-        assert cert.passed is None and cert.margin is None
-        assert cert.detail == "bound derived for rho = 1/18 only, run used rho = 8"
+        for name in ("small_loss_regret", "superlinear_envelope"):
+            cert = certs[name]
+            assert not cert.applicable, name
+            assert cert.passed is None and cert.margin is None, name
+            assert cert.detail == (
+                "bound derived for rho = 1/18 only, run used rho = 8"
+            ), name
+        assert transition(report, obj) is None
 
     def test_small_loss_applies_at_theory_rho(self):
         obj, report = self._rho_run(1.0 / 18.0)

@@ -28,7 +28,7 @@ from .core import (
 from .errors import ParameterConflict, ProblemMismatch, SolverError
 from .problems import load_matrix_market, make_logistic, make_quadratic
 from .solver import solve
-from .verify import iteration_complexity_bound, transition, verify_trace
+from .verify import iteration_complexity_bound, linear_rate, transition, verify_trace
 
 #: the trace CSV columns: every `IterationRecord` field but the last,
 #: `hat_disp`, in field order
@@ -201,8 +201,9 @@ def cmd_verify(args) -> int:
         lines.append(f"n_tr={_fmt(n_tr)}")
         final_dist = run.final_dist_sq(obj)
         if n_tr is not None and final_dist is not None and final_dist > 0.0:
+            rate = linear_rate(obj.mu, obj.l1, run.config.alpha2, run.config.beta)
             bound = iteration_complexity_bound(
-                final_dist, obj.mu, obj.l1, n_tr, obj.dist_sq(run.x0)
+                final_dist, obj.mu, obj.l1, n_tr, obj.dist_sq(run.x0), rate
             )
             lines.append(f"n_eps_bound={_fmt(bound)}")
         lines.append(f"all_passed={'true' if certs.all_passed else 'false'}")
@@ -312,8 +313,8 @@ def main(argv: Optional[list] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except SolverError as exc:
-        print(f"error: {exc.category}: {exc}", file=sys.stderr)
+    except (SolverError, OSError) as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

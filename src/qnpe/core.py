@@ -157,7 +157,6 @@ class SolverConfig:
     max_iters: int = 10000
     grad_tol: float = 1e-8
     dist_tol: Optional[float] = None
-    max_backtracks_slack: int = 20
 
 
 class IterationRecord(typing.NamedTuple):
@@ -332,8 +331,6 @@ def validate_config(cfg: Optional[SolverConfig], obj: Objective) -> SolverConfig
         raise ParameterConflict(f"grad_tol must be >= 0, got {cfg.grad_tol}")
     if cfg.dist_tol is not None and not cfg.dist_tol >= 0.0:
         raise ParameterConflict(f"dist_tol must be >= 0, got {cfg.dist_tol}")
-    if cfg.max_backtracks_slack < 0:
-        raise ParameterConflict("max_backtracks_slack must be >= 0")
     if not sigma0 > 0.0:
         raise StepSeedTooSmall(f"sigma0 must be positive, got {sigma0}")
     if sigma0 < alpha2 * beta / l1:

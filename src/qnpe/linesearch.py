@@ -19,9 +19,12 @@ from scipy.linalg.blas import ddot
 
 from .core import Objective, PlayedMatrix, SolverConfig
 from .errors import BacktrackCapExceeded
-from .linsolve import conjugate_residual, cr_iteration_cap
+from .linsolve import conjugate_residual
 
 Array = np.ndarray
+
+#: attempts allowed past the ceil term of `attempt_cap`
+BACKTRACK_SLACK = 20
 
 
 @dataclass(frozen=True)
@@ -45,8 +48,9 @@ class LineSearchOutcome:
         return self.x_tilde is not None
 
 
-def attempt_cap(sigma: float, l1: float, alpha2: float, beta: float, slack: int) -> int:
-    """Attempt budget ceil(log_{1/beta}(sigma L1 / (alpha2 beta))) + slack.
+def attempt_cap(sigma: float, l1: float, alpha2: float, beta: float) -> int:
+    """Attempt budget ceil(log_{1/beta}(sigma L1 / (alpha2 beta))) plus
+    BACKTRACK_SLACK.
 
     The universal step floor eta >= alpha2 beta / L1 guarantees acceptance
     within the ceil term for valid (mu, L1) metadata; exceeding the budget
@@ -54,7 +58,7 @@ def attempt_cap(sigma: float, l1: float, alpha2: float, beta: float, slack: int)
     """
     ratio = sigma * l1 / (alpha2 * beta)
     base = math.ceil(math.log(ratio) / math.log(1.0 / beta)) if ratio > 1.0 else 0
-    return max(base, 1) + slack
+    return max(base, 1) + BACKTRACK_SLACK
 
 
 def backtrack(
@@ -67,17 +71,15 @@ def backtrack(
 ) -> LineSearchOutcome:
     """Largest admissible step in {sigma * beta^i : i >= 0}.
 
-    Requires a validated config; the played matrix B must have spectrum
-    inside the widened band [mu/2, L1 + mu/2] for the iteration caps to be
-    trustworthy.
+    Requires a validated config and a played matrix B with I + eta B
+    positive definite, the precondition of the CR solves.
 
     Raises:
         BacktrackCapExceeded: attempt budget exhausted (invalid metadata).
+        IterationCapExceeded: a CR solve hit its own 20 d cap.
     """
     alpha1, alpha2, beta = cfg.alpha1, cfg.alpha2, cfg.beta
-    mu, l1 = obj.mu, obj.l1
-    d = x.shape[0]
-    cap = attempt_cap(sigma, l1, alpha2, beta, cfg.max_backtracks_slack)
+    cap = attempt_cap(sigma, obj.l1, alpha2, beta)
 
     eta = float(sigma)
     attempts = 0
@@ -85,12 +87,7 @@ def backtrack(
     x_tilde = grad_tilde = None
 
     while True:
-        lam_max = 1.0 + eta * (l1 + 0.5 * mu)
-        lam_min = 1.0 + eta * 0.5 * mu
-        cr_cap = cr_iteration_cap(d, lam_max, lam_max / lam_min, alpha1)
-        result = conjugate_residual(
-            played.shifted_matvec(eta), -eta * g, alpha1, cr_cap
-        )
+        result = conjugate_residual(played.shifted_matvec(eta), -eta * g, alpha1)
         matvecs += result.matvecs
         s = result.s
         x_hat = x + s

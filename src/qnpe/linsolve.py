@@ -36,20 +36,6 @@ class CrResult:
     matvecs: int
 
 
-def cr_iteration_cap(d: int, lam_max: float, kappa: float, alpha: float) -> int:
-    """Default iteration budget from spectral bounds, hard-capped at 20 d.
-
-    The convergence guarantee terminates well inside
-    2 sqrt(kappa) log(2 lam_max / alpha); the generous remainder converts
-    silent stagnation into a diagnosable error.
-    """
-    alpha_eff = max(alpha, 1e-14)
-    bound = 2.0 * math.sqrt(max(kappa, 1.0)) * max(
-        math.log(2.0 * lam_max / alpha_eff), 1.0
-    )
-    return min(int(math.ceil(bound)) + 10 * d, 20 * d)
-
-
 def conjugate_residual(
     matvec: Callable[[Array], Array],
     b: Array,

@@ -90,15 +90,23 @@ def superlinear_envelope(k: int, mu: float, denom: float) -> float:
     return base ** (-k)
 
 
+def linear_rate(mu: float, l1: float, alpha2: float, beta: float) -> float:
+    """The rate r = 2 mu alpha2 beta / L1 that the step floor alpha2 beta / L1
+    certifies: ||x_{k+1} - x*||^2 <= ||x_k - x*||^2 / (1 + r). It is
+    mu / (4 L1) at the default alpha2 = 1/4, beta = 1/2."""
+    return 2.0 * mu * alpha2 * beta / l1
+
+
 def iteration_complexity_bound(
-    eps: float, mu: float, l1: float, n_tr: float, d0_sq: float
+    eps: float, mu: float, l1: float, n_tr: float, d0_sq: float, rate: float
 ) -> float:
     """Upper bound on the iterations needed for ||x-x*||^2 <= eps:
-    min of the linear and superlinear complexity expressions."""
+    min of the linear complexity expression at `linear_rate` `rate` and
+    the superlinear one."""
     if eps >= d0_sq:
         return 0.0
     target = math.log(d0_sq / eps)
-    linear = 1.0 / math.log1p(mu / (4.0 * l1))
+    linear = 1.0 / math.log1p(rate)
     if eps >= 1.0:
         return linear * target
     inner = (mu**2 * math.log(1.0 / eps) / (16.0 * l1**2 * n_tr)) ** (1.0 / 3.0)
@@ -242,9 +250,7 @@ def _check_contraction(run) -> Certificate:
 
 def _check_linear_rate(run) -> Certificate:
     dists, cfg, mu, l1 = run.dists, run.cfg, run.mu, run.l1
-    # the step floor alpha2*beta/L1 gives ratio <= (1 + 2 mu alpha2 beta/L1)^-1,
-    # which is the printed (1 + mu/(4 L1))^-1 at the default parameters
-    target = 1.0 / (1.0 + 2.0 * mu * cfg.alpha2 * cfg.beta / l1) + _SLACK
+    target = 1.0 / (1.0 + linear_rate(mu, l1, cfg.alpha2, cfg.beta)) + _SLACK
     return _worst("linear_rate", (
         (k, target - d_next / d_now)
         for k, (d_now, d_next) in enumerate(zip(dists, dists[1:]))

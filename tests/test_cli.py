@@ -1,5 +1,6 @@
 import argparse
 import dataclasses
+import math
 import os
 
 import numpy as np
@@ -9,6 +10,7 @@ import qnpe.cli
 import qnpe.problems
 from qnpe.cli import CSV_HEADER, build_parser, main, parse_problem
 from qnpe.core import IterationRecord, SolverConfig
+from qnpe.solver import solve
 from qnpe.verify import verify_trace
 
 QUAD = "quadratic:d=8,mu=1,l1=50,seed=3"
@@ -208,6 +210,17 @@ class TestRun:
         assert float(summary["final_grad_norm"]) <= 1e-8
         assert int(summary["mv_extevec"]) > 0  # randomized oracle was used
 
+    def test_unwritable_output_exits_2(self, tmp_path, capsys):
+        missing = tmp_path / "no" / "such" / "t.csv"
+        code = run_cli(
+            tmp_path, "run", "--problem", QUAD, "--max-iters", "3",
+            "--trace", str(missing),
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: FileNotFoundError: ")
+        assert str(missing) in err
+
     def test_out_dir_env_var(self, tmp_path, monkeypatch):
         monkeypatch.setenv("QNPE_OUT_DIR", str(tmp_path / "envout"))
         code = main(["run", "--problem", QUAD, "--max-iters", "3"])
@@ -224,6 +237,25 @@ class TestVerify:
         report = read(tmp_path / "certificates.txt")
         assert "all_passed=true" in report
         assert "cert_contraction=true" in report
+
+    def test_n_eps_bound_takes_the_certified_rate(self, tmp_path, capsys):
+        # at alpha2 = 1/8 the certified linear rate is 2 mu alpha2 beta / L1
+        # = 1/800 here, not mu/(4 L1) = 1/400; the linear term is the smaller
+        problem = "quadratic:d=30,mu=1,l1=100,seed=0"
+        code = run_cli(
+            tmp_path, "verify", "--problem", problem, "--oracle-mode", "exact",
+            "--alpha2", "0.125", "--max-iters", "3",
+        )
+        assert code == 0
+        report = dict(
+            line.split("=", 1) for line in capsys.readouterr().out.splitlines()
+        )
+        obj, _ = parse_problem(problem)
+        run = solve(obj, SolverConfig(oracle_mode="exact", alpha2=0.125, max_iters=3))
+        target = math.log(obj.dist_sq(run.x0) / run.final_dist_sq(obj))
+        assert float(report["n_eps_bound"]) == pytest.approx(
+            target / math.log1p(1.0 / 800.0), rel=1e-12
+        )
 
     def test_failed_run_creates_no_output_directory(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -391,7 +423,6 @@ class TestConfigFlags:
         "b0": (float, None), "oracle_mode": (str, ("lanczos", "exact")),
         "seed": (int, None), "max_iters": (int, None),
         "grad_tol": (float, None), "dist_tol": (float, None),
-        "max_backtracks_slack": (int, None),
     }
 
     @pytest.mark.parametrize("command", ["run", "verify", "compare"])

@@ -210,7 +210,6 @@ class TestKvFormat:
             max_iters=data.draw(st.integers(1, 10**9)),
             grad_tol=data.draw(real(0.0, 1e300)),
             dist_tol=optional(real(0.0, 1e300)),
-            max_backtracks_slack=data.draw(st.integers(0, 10**6)),
         )
         # a valid config also keeps sigma0 * L1 / (alpha2 * beta) finite,
         # since the line search's attempt budget takes its log; None

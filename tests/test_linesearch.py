@@ -1,9 +1,13 @@
+import types
+
 import numpy as np
 import pytest
 
+import qnpe.linesearch
 from qnpe.core import Objective, PlayedMatrix, SolverConfig, validate_config
 from qnpe.errors import BacktrackCapExceeded
-from qnpe.linesearch import attempt_cap, backtrack
+from qnpe.linesearch import BACKTRACK_SLACK, attempt_cap, backtrack
+from qnpe.linsolve import conjugate_residual
 from qnpe.problems import make_quadratic
 
 
@@ -60,16 +64,38 @@ class TestBacktrack:
         assert np.array_equal(out.x_hat, np.array([0.0]))
         assert out.ls_steps == 1
 
-    def test_cap_exceeded_on_bad_metadata(self):
+    def test_cap_exceeded_on_bad_metadata(self, monkeypatch):
         # true curvature 100 but metadata claims L1 = 1: the structural
         # floor is violated and the attempt budget must trip
+        monkeypatch.setattr(qnpe.linesearch, "BACKTRACK_SLACK", 0)
         obj = scalar_objective(100.0, 0.5, 1.0)
-        cfg = validate_config(SolverConfig(max_backtracks_slack=0), obj)
+        cfg = validate_config(SolverConfig(), obj)
         with pytest.raises(BacktrackCapExceeded):
             backtrack(
                 np.array([1.0]), np.array([100.0]), PlayedMatrix(np.array([[1.0]])),
                 cfg.sigma0, cfg, obj,
             )
+
+    def test_cr_runs_under_its_own_cap(self, monkeypatch):
+        # every CR solve gets only (matvec, rhs, alpha1), so CR's 20 d
+        # default is the only CR cap; the objective exposes only the
+        # gradient and L1, so no spectral band is read either
+        calls = []
+
+        def recording(*args, **kwargs):
+            calls.append((args[2:], kwargs))
+            return conjugate_residual(*args, **kwargs)
+
+        monkeypatch.setattr(qnpe.linesearch, "conjugate_residual", recording)
+        quad = make_quadratic(10, 1.0, 100.0, seed=0)
+        cfg = validate_config(SolverConfig(), quad)
+        obj = types.SimpleNamespace(grad=quad.grad, l1=quad.l1)
+        x = np.ones(10)
+        out = backtrack(
+            x, quad.grad(x), PlayedMatrix(quad.l1 * np.eye(10)), 4.0, cfg, obj
+        )
+        assert out.backtracked
+        assert calls == [((cfg.alpha1,), {})] * out.ls_steps
 
 
 class TestInvariants:
@@ -136,9 +162,9 @@ class TestInvariants:
 
 class TestAttemptCap:
     def test_formula(self):
-        # ceil(log2(sigma L1 / (alpha2 beta))) + slack
-        assert attempt_cap(1.0, 4.0, 0.25, 0.5, slack=0) == 5
-        assert attempt_cap(0.25, 1.0, 0.25, 0.5, slack=3) == 4
+        # ceil(log2(sigma L1 / (alpha2 beta))) + BACKTRACK_SLACK
+        assert attempt_cap(1.0, 4.0, 0.25, 0.5) == 5 + BACKTRACK_SLACK
+        assert attempt_cap(0.25, 1.0, 0.25, 0.5) == 1 + BACKTRACK_SLACK
 
     def test_at_least_one(self):
-        assert attempt_cap(1e-3, 1.0, 0.25, 0.5, slack=0) >= 1
+        assert attempt_cap(1e-3, 1.0, 0.25, 0.5) >= 1 + BACKTRACK_SLACK

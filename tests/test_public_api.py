@@ -59,6 +59,8 @@ REMOVED = [
     "transition_iteration",
     "_certificate",
     "_REGRET_RHO",
+    "cr_iteration_cap",
+    "max_backtracks_slack",
 ]
 
 

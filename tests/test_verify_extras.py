@@ -14,6 +14,7 @@ from qnpe.problems import make_quadratic
 from qnpe.solver import solve
 from qnpe.verify import (
     iteration_complexity_bound,
+    linear_rate,
     superlinear_denominator,
     superlinear_envelope,
     transition,
@@ -48,10 +49,26 @@ class TestDerivedQuantities:
                               dist_tol=1e-10, max_iters=20000)
         )
         d0_sq = float(np.linalg.norm(report.x0 - obj.minimizer) ** 2)
+        rate = linear_rate(obj.mu, obj.l1, report.config.alpha2, report.config.beta)
         bound = iteration_complexity_bound(
-            1e-10, obj.mu, obj.l1, transition(report, obj), d0_sq
+            1e-10, obj.mu, obj.l1, transition(report, obj), d0_sq, rate
         )
         assert report.iterations <= math.ceil(bound)
+
+    def test_complexity_bound_takes_the_given_rate(self):
+        # at alpha2 = 1/8 the certified rate is mu/(8 L1), not mu/(4 L1);
+        # with eps >= 1 the bound is the linear expression alone
+        rate = linear_rate(1.0, 100.0, 0.125, 0.5)
+        assert rate == 1.0 / 800.0
+        bound = iteration_complexity_bound(2.0, 1.0, 100.0, 1.0, 8.0, rate)
+        assert bound == math.log(4.0) / math.log1p(1.0 / 800.0)
+
+    @given(st.floats(1e-6, 1e6), st.floats(1.0, 1e6))
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    def test_default_rate_is_mu_over_4_l1(self, mu, factor):
+        # bit for bit, so n_eps_bound at the defaults keeps its digits
+        l1 = mu * factor
+        assert linear_rate(mu, l1, 0.25, 0.5) == mu / (4.0 * l1)
 
     def test_transition_needs_b0_and_ground_truth(self):
         obj = make_quadratic(5, 1.0, 10.0, seed=0)
@@ -62,15 +79,17 @@ class TestDerivedQuantities:
         assert transition(report, dataclasses.replace(obj, l2=None)) is None
 
     def test_complexity_bound_zero_when_already_accurate(self):
-        assert iteration_complexity_bound(1.0, 1.0, 10.0, 2.0, 0.5) == 0.0
+        assert iteration_complexity_bound(1.0, 1.0, 10.0, 2.0, 0.5, 0.025) == 0.0
 
 
 class TestMetadataGuards:
-    def test_lying_smoothness_metadata_raises(self):
+    def test_lying_smoothness_metadata_raises(self, monkeypatch):
+        import qnpe.linesearch
         from qnpe.core import Objective
 
+        monkeypatch.setattr(qnpe.linesearch, "BACKTRACK_SLACK", 0)
         liar = Objective(dim=1, grad=lambda x: 100.0 * x, mu=0.5, l1=1.0)
-        cfg = SolverConfig(max_backtracks_slack=0, max_iters=50)
+        cfg = SolverConfig(max_iters=50)
         with pytest.raises(BacktrackCapExceeded):
             solve(liar, cfg, x0=np.array([1.0]))
 

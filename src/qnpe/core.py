@@ -201,7 +201,6 @@ class SolverReport:
     termination: str
     config: SolverConfig
     x0: Array
-    b0: Optional[Array] = None
     loss_samples: tuple = ()
     wall_time: float = 0.0
 
@@ -313,8 +312,8 @@ def validate_config(cfg: Optional[SolverConfig], obj: Objective) -> SolverConfig
         )
     if not (0.0 < beta < 1.0):
         raise ParameterConflict(f"beta must be in (0, 1), got {beta}")
-    if not cfg.rho > 0.0:
-        raise ParameterConflict(f"rho must be positive, got {cfg.rho}")
+    if not 0.0 < cfg.rho < math.inf:
+        raise ParameterConflict(f"rho must be in (0, inf), got {cfg.rho}")
     if not (0.0 < delta <= 1.0):
         raise ParameterConflict(f"delta must be in (0, 1], got {delta}")
     if not (0.0 < cfg.p < 1.0):
@@ -354,7 +353,9 @@ def validate_config(cfg: Optional[SolverConfig], obj: Objective) -> SolverConfig
 
 def resolve_initial_matrix(cfg: SolverConfig, obj: Objective) -> Array:
     """Materialize the initial curvature matrix from the b0 policy of a
-    config that `validate_config` has checked against `obj`."""
+    config that `validate_config` has checked against `obj`. This is the
+    one decoder of b0: a run hands its result to the learner, and the
+    certificates decode it again from the report's config."""
     d = obj.dim
     if cfg.b0 is None:
         return float(obj.l1) * np.eye(d)

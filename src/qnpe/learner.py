@@ -18,13 +18,8 @@ import numpy as np
 from scipy.linalg import blas
 from scipy.linalg.blas import ddot
 
-from .core import PlayedMatrix, SolverConfig, symv
-from .errors import (
-    DegenerateCurvature,
-    ParameterConflict,
-    StateMismatch,
-    ZeroDisplacement,
-)
+from .core import PlayedMatrix, SolverConfig, default_delta, symv
+from .errors import DegenerateCurvature, StateMismatch, ZeroDisplacement
 from .extevec import SepOutcome, ext_evec_exact, ext_evec_lanczos
 
 Array = np.ndarray
@@ -86,28 +81,23 @@ class HessianLearner:
     calls between updates return the cached prediction.
 
     The step rho, oracle slack delta, failure budget p and oracle mode are
-    read from `cfg`, whose delta must be set in Lanczos mode
-    (`validate_config` fills it); the Lanczos oracle draws from
-    `np.random.default_rng(cfg.seed)`.
-
-    Raises:
-        ParameterConflict: Lanczos mode with `cfg.delta` None.
+    read from `cfg`; a delta of None is `default_delta(mu, l1)`, the value
+    `validate_config` fills in. The Lanczos oracle draws from
+    `np.random.default_rng(cfg.seed)`. The learner holds `b0` itself, not a
+    copy, and never writes to it.
     """
 
     def __init__(self, b0: Array, mu: float, l1: float, cfg: SolverConfig):
-        if cfg.oracle_mode == "lanczos" and cfg.delta is None:
-            raise ParameterConflict(
-                "the Lanczos oracle needs cfg.delta; validate_config fills it"
-            )
         self.mu = float(mu)
         self.l1 = float(l1)
         self.cfg = cfg
+        self.delta = default_delta(self.mu, self.l1) if cfg.delta is None else cfg.delta
         self.rng = np.random.default_rng(cfg.seed)
         self.radius = math.sqrt(b0.shape[0])
         # mu == L1 pins the admissible band to the single point mu*I: the
         # normalized coordinates are undefined and learning is vacuous.
         self.degenerate = self.l1 <= self.mu
-        self.b0 = np.array(b0, dtype=float)
+        self.b0 = np.asarray(b0, dtype=float)
         self.w = None if self.degenerate else to_hat(self.b0, mu, l1)
         self.t = 0
         self.matvecs = 0
@@ -129,7 +119,7 @@ class HessianLearner:
             outcome = ext_evec_exact(self.w)
         else:
             q = failure_budget(self.cfg.p, self.t)
-            outcome = ext_evec_lanczos(self.w, self.cfg.delta, q, self.rng)
+            outcome = ext_evec_lanczos(self.w, self.delta, q, self.rng)
         self.matvecs += outcome.matvecs
         gamma = 1.0 if outcome.inside else outcome.gamma
         self._played = PlayedMatrix(

@@ -108,9 +108,7 @@ def make_quadratic(d: int, mu: float, l1: float, seed: int) -> Objective:
     return quadratic_objective(a, b, mu, l1)
 
 
-def logistic_objective(
-    features: Array, labels: Array, lam: float, minimizer: Optional[Array] = None
-) -> Objective:
+def logistic_objective(features: Array, labels: Array, lam: float) -> Objective:
     """Regularized logistic regression objective from explicit data.
 
     f(x) = mean(log(1 + exp(-y_i a_i^T x))) + lam/2 ||x||^2 with
@@ -179,7 +177,6 @@ def logistic_objective(
         l1=lam + data_curvature,
         l2=float(np.sum(row_norms**3)) / (6.0 * n),
         hessian=hessian,
-        minimizer=minimizer,
     )
 
 

@@ -136,8 +136,7 @@ def solve(
     malformed start or a non-finite iterate."""
     cfg = validate_config(cfg, obj)
     mu = float(obj.mu)
-    b0 = resolve_initial_matrix(cfg, obj)
-    learner = HessianLearner(b0, mu, obj.l1, cfg)
+    learner = HessianLearner(resolve_initial_matrix(cfg, obj), mu, obj.l1, cfg)
     sigma = cfg.sigma0
     samples = []
 
@@ -170,9 +169,7 @@ def solve(
         )
 
     return replace(
-        run_loop("qnpe", obj, cfg, x0, step),
-        b0=b0,
-        loss_samples=tuple(samples),
+        run_loop("qnpe", obj, cfg, x0, step), loss_samples=tuple(samples)
     )
 
 

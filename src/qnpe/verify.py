@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import Objective, SolverReport, budget_log_term
+from .core import Objective, SolverReport, budget_log_term, resolve_initial_matrix
 from .errors import MissingGroundTruth
 from .learner import loss
 
@@ -151,6 +151,11 @@ class _Replay:
             raise MissingGroundTruth("check needs the Hessian at the minimizer")
         return self.obj.hessian(self.obj.minimizer)
 
+    @cached_property
+    def b0(self) -> Array:
+        """The run's initial curvature matrix, decoded from its config."""
+        return resolve_initial_matrix(self.cfg, self.obj)
+
     @property
     def derived(self) -> bool:
         """Whether the regret-derived bounds (small-loss regret, envelope,
@@ -162,7 +167,7 @@ class _Replay:
         """`superlinear_denominator` of the run's B0 and start point."""
         if self.obj.l2 is None:
             raise MissingGroundTruth("superlinear envelope needs L2")
-        gap = float(np.linalg.norm(self.report.b0 - self.h_star) ** 2)
+        gap = float(np.linalg.norm(self.b0 - self.h_star) ** 2)
         return superlinear_denominator(
             self.mu, self.l1, gap, self.obj.l2, self.dists[0]
         )
@@ -290,7 +295,7 @@ def _regret_gap(run, competitor: Array) -> float:
     """||B0 - H||_F^2 / rho + 2 sum_t l_t(H) - sum_t l_t(B_t) at
     rho = `_THEORY_RHO`."""
     competitor_total = sum(loss(competitor, s) for s in run.report.loss_samples)
-    gap_fro_sq = float(np.linalg.norm(run.report.b0 - competitor) ** 2)
+    gap_fro_sq = float(np.linalg.norm(run.b0 - competitor) ** 2)
     return 1.0 / _THEORY_RHO * gap_fro_sq + 2.0 * competitor_total - run.learner_loss
 
 

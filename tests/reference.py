@@ -20,7 +20,7 @@ import scipy
 from scipy.linalg.blas import ddot
 from scipy.special import expit
 
-from qnpe.core import symv
+from qnpe.core import resolve_initial_matrix, symv
 from qnpe.extevec import (
     SepOutcome,
     _extreme,
@@ -85,12 +85,14 @@ class ReplayedRound(NamedTuple):
 def replay_rounds(report, obj):
     """Yield the learner rounds of the qnpe run `report` on `obj`.
 
-    A fresh `HessianLearner(report.b0, obj.mu, obj.l1, report.config)`
-    consumes `report.loss_samples` in order. The solver's learner predicts
-    once per round (later calls return the cached prediction) and consumes
-    the same samples, so the replay repeats its rounds, its Lanczos draws
+    A fresh learner, built from the run's config and the B0 it decodes
+    (`resolve_initial_matrix(report.config, obj)`), consumes
+    `report.loss_samples` in order. The solver's learner predicts once per
+    round (later calls return the cached prediction) and consumes the same
+    samples, so the replay repeats its rounds, its Lanczos draws
     included, and its losses match the trace's `loss` column bit for bit."""
-    learner = HessianLearner(report.b0, obj.mu, obj.l1, report.config)
+    b0 = resolve_initial_matrix(report.config, obj)
+    learner = HessianLearner(b0, obj.mu, obj.l1, report.config)
     for sample in report.loss_samples:
         played = played_dense(learner.predict())
         value = learner.update_round(sample)
@@ -154,6 +156,16 @@ def cr_with_history(mat, b, alpha, max_iters=None):
     return res, r_norms, np.linalg.norm(steps, axis=0)
 
 
+def blas_build(lib) -> dict:
+    """The BLAS entry of NumPy's or SciPy's build info (`show_config`):
+    its `name` and `version`, among others; empty when the build info
+    has no BLAS entry."""
+    try:
+        return lib.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):
+        return {}
+
+
 @cache
 def require_shared_blas():
     """Fail unless NumPy and SciPy call the same BLAS.
@@ -165,14 +177,7 @@ def require_shared_blas():
     libraries, not the package. The build info names each library's BLAS;
     a probe then compares the two dot products on random vectors.
     """
-    names = []
-    for lib in (np, scipy):
-        try:
-            names.append(
-                lib.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
-            )
-        except (TypeError, KeyError):  # build info without a BLAS entry
-            names.append("unknown")
+    names = [blas_build(lib).get("name", "unknown") for lib in (np, scipy)]
     rng = np.random.default_rng(0)
     probe = [rng.standard_normal((2, d)) for d in (1, 7, 64, 401) for _ in range(8)]
     if names[0] != names[1] or any(ddot(v, w) != v @ w for v, w in probe):

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from qnpe.cli import main
-from qnpe.core import SolverConfig
+from qnpe.core import SolverConfig, resolve_initial_matrix
 from qnpe.extevec import ext_evec_exact, ext_evec_lanczos, lanczos_budget
 from qnpe.learner import LossSample, loss
 from qnpe.problems import make_logistic, make_quadratic, quadratic_objective
@@ -127,7 +127,8 @@ class TestCriteria:
             dists = distance_sequence(report, obj)
             # (a) closed-form envelope with the printed constants (L2 = 0)
             h_star = obj.hessian(obj.minimizer)
-            gap = float(np.linalg.norm(report.b0 - h_star) ** 2)
+            b0 = resolve_initial_matrix(report.config, obj)
+            gap = float(np.linalg.norm(b0 - h_star) ** 2)
             denom = obj.l1**2 + 36.0 * gap
             for k in range(1, len(dists)):
                 envelope = (
@@ -149,6 +150,7 @@ class TestCriteria:
                 learner_total = sum(
                     r.loss for r in report.records if r.loss is not None
                 )
+                b0 = resolve_initial_matrix(report.config, obj)
                 competitors = [obj.hessian(obj.minimizer)]
                 for _ in range(10):
                     basis, _ = np.linalg.qr(
@@ -158,7 +160,7 @@ class TestCriteria:
                     competitors.append((basis * lam) @ basis.T)
                 for h in competitors:
                     competitor_total = sum(loss(h, s) for s in report.loss_samples)
-                    bound = 18.0 * np.linalg.norm(report.b0 - h) ** 2
+                    bound = 18.0 * np.linalg.norm(b0 - h) ** 2
                     bound += 2.0 * competitor_total
                     assert learner_total <= bound
 

@@ -78,8 +78,12 @@ class TestRun:
             (["--seed", "-1"], "seed"),
             (["--seed", "-1", "--oracle-mode", "exact"], "seed"),
             (["--seed", "-1", "--method", "gd"], "seed"),
+            (["--rho", "inf"], "rho"),
         ],
-        ids=["sigma0_inf", "sigma0_huge", "seed_lanczos", "seed_exact", "seed_gd"],
+        ids=[
+            "sigma0_inf", "sigma0_huge", "seed_lanczos", "seed_exact", "seed_gd",
+            "rho_inf",
+        ],
     )
     def test_config_out_of_range_exits_2(self, tmp_path, capsys, argv, name):
         code = run_cli(

@@ -4,14 +4,27 @@
 The digests depend on floating-point rounding, so a BLAS or LAPACK upgrade,
 or an intended change of the arithmetic, may move them. Such a change
 re-pins the values below and must say so, with the reason, in CHANGES.md.
+
+They also depend on which kernels OpenBLAS picks for the CPU at run time.
+They are pinned with NumPy linking scipy-openblas 0.3.31 and SciPy linking
+scipy-openblas 0.3.30, both on OpenBLAS's `SkylakeX` kernels (an AVX-512
+CPU). On the `Haswell` kernels, which AVX2-only and AMD CPUs get and which
+`OPENBLAS_CORETYPE=Haswell` forces, all five digests move, and so does the
+rounding that `test_baselines.py::TestBfgs::test_readme_compare_problem_stalls`
+and `test_solver.py::TestRunLoop::test_steps_below_one_ulp_stall[qnpe]` rely
+on. `OPENBLAS_NUM_THREADS` does not move them.
 """
 
 import hashlib
+import os
 
+import numpy as np
 import pytest
+import scipy
 
 from qnpe import SolverConfig
 from qnpe.cli import parse_problem, run_method, trace_csv
+from reference import blas_build
 
 #: (method, problem spec, config fields, SHA-256 of the trace CSV)
 PINNED = [
@@ -45,4 +58,21 @@ PINNED = [
 def test_trace_digest_is_pinned(method, spec, fields, digest):
     obj, _ = parse_problem(spec)
     report = run_method(method, obj, SolverConfig(**fields))
-    assert hashlib.sha256(trace_csv(report).encode()).hexdigest() == digest
+    assert hashlib.sha256(trace_csv(report).encode()).hexdigest() == digest, (
+        blas_context()
+    )
+
+
+def blas_context() -> str:
+    """What the digests depend on besides the code: each library's BLAS
+    build and the OpenBLAS kernel override."""
+    builds = []
+    for lib in (np, scipy):
+        blas = blas_build(lib)
+        name = f"{blas.get('name', 'unknown')} {blas.get('version', '')}".strip()
+        builds.append(f"{lib.__name__} {lib.__version__} links {name}")
+    coretype = os.environ.get("OPENBLAS_CORETYPE", "unset")
+    return (
+        f"{'; '.join(builds)}; OPENBLAS_CORETYPE={coretype}. The digests are "
+        "pinned on scipy-openblas with OpenBLAS's SkylakeX kernels"
+    )

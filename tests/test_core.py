@@ -92,6 +92,13 @@ class TestValidateConfig:
         with pytest.raises(ParameterConflict, match="sigma0"):
             validate_config(SolverConfig(sigma0=sigma0), simple_objective())
 
+    @pytest.mark.parametrize("rho", [0.0, -1.0, math.inf, math.nan])
+    def test_rho_must_be_positive_and_finite(self, rho):
+        # an infinite step overflows the learner's W, and the run would end
+        # in a LAPACK failure instead of a typed config error
+        with pytest.raises(ParameterConflict, match="rho"):
+            validate_config(SolverConfig(rho=rho), simple_objective())
+
     def test_negative_seed_conflicts(self):
         with pytest.raises(ParameterConflict, match="seed"):
             validate_config(SolverConfig(seed=-1), simple_objective())

@@ -7,13 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qnpe.learner
-from qnpe.core import SolverConfig, default_delta
-from qnpe.errors import (
-    DegenerateCurvature,
-    ParameterConflict,
-    StateMismatch,
-    ZeroDisplacement,
+from qnpe.core import (
+    Objective,
+    SolverConfig,
+    default_delta,
+    resolve_initial_matrix,
+    validate_config,
 )
+from qnpe.errors import DegenerateCurvature, StateMismatch, ZeroDisplacement
 from qnpe.learner import HessianLearner, LossSample, failure_budget, loss, to_hat
 from qnpe.problems import make_quadratic
 from qnpe.solver import solve
@@ -171,7 +172,8 @@ class TestLearner:
         b0 = np.diag([1.0, 2.0])
         learner = self.make(b0)
         op = learner.predict()
-        assert np.array_equal(op.base, b0)
+        # the learner holds a float64 b0 itself, so a solve keeps one copy
+        assert op.base is b0
         assert (op.scale, op.shift) == (1.0, 0.0)
         assert np.array_equal(played_dense(op), b0)
 
@@ -345,7 +347,7 @@ class TestLearner:
         op = learner.predict()
         sample = LossSample(np.ones(3), np.array([3.0, 1.0, 2.0]))
         learner.update_round(sample)
-        # the step moved W, not the learner's copy of b0 that op reads
+        # the step moved W, not the b0 that op reads
         assert np.array_equal(op.base, b0)
         assert not np.array_equal(learner.w, to_hat(b0, self.MU, self.L1))
         # but a round-0 operator after the update is a stale prediction
@@ -377,14 +379,25 @@ class TestLearner:
         # with its learner gone, nothing can change the base any more
         assert np.array_equal(op.shifted_matvec(1.0)(np.ones(3)), np.full(3, 3.0))
 
-    def test_lanczos_mode_needs_delta(self):
-        # an unvalidated SolverConfig() leaves delta None; the repro used to
-        # reach lanczos_budget and fail there with a bare TypeError
-        with pytest.raises(ParameterConflict, match="delta"):
-            learner = HessianLearner(3 * np.eye(4), 1.0, 3.0, SolverConfig())
-            learner.predict()
-            learner.update_round(LossSample(np.ones(4), np.ones(4)))
-            learner.predict()
+    def test_unvalidated_config_plays_as_the_validated_one(self):
+        # SolverConfig() leaves delta None; the learner takes default_delta,
+        # the value validate_config fills in, so the Lanczos rounds match
+        obj = Objective(dim=6, grad=lambda x: x, mu=1.0, l1=3.0)
+        raw = SolverConfig()
+        validated = validate_config(raw, obj)
+        assert raw.delta is None and validated.delta is not None
+        b0 = 3.0 * np.eye(6)
+        plain = HessianLearner(b0, obj.mu, obj.l1, raw)
+        filled = HessianLearner(b0, obj.mu, obj.l1, validated)
+        assert plain.delta == filled.delta == validated.delta
+        rng = np.random.default_rng(4)
+        for _ in range(20):
+            played = played_dense(plain.predict())
+            assert np.array_equal(played, played_dense(filled.predict()))
+            sample = random_sample(6, rng)
+            assert plain.update_round(sample) == filled.update_round(sample)
+        assert plain.matvecs == filled.matvecs > 0
+        assert np.array_equal(plain.w, filled.w)
 
     def test_update_without_predict(self):
         learner = self.make(2.0 * np.eye(2))
@@ -541,7 +554,9 @@ class TestReplay:
         rounds = list(replay_rounds(report, obj))
         assert len(logged) > 100
         assert [r.loss for r in rounds] == logged
-        assert np.array_equal(rounds[0].played, report.b0)
+        assert np.array_equal(
+            rounds[0].played, resolve_initial_matrix(report.config, obj)
+        )
 
 
 class TestBand:

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import qnpe
+from qnpe.core import SolverReport
 from qnpe.extevec import SepOutcome
 from qnpe.verify import Certificate
 
@@ -155,10 +156,18 @@ def test_learner_takes_its_settings_from_the_config():
     [
         (SepOutcome, ["lam_min", "lam_max", "matvecs", "_vector"]),
         (Certificate, ["name", "margin", "detail"]),
+        (
+            SolverReport,
+            [
+                "method", "records", "final_x", "final_grad_norm", "termination",
+                "config", "x0", "loss_samples", "wall_time",
+            ],
+        ),
     ],
-    ids=["SepOutcome", "Certificate"],
+    ids=["SepOutcome", "Certificate", "SolverReport"],
 )
 def test_records_store_no_derived_fields(record, names):
     # gamma, sign, inside, passed and applicable are computed from these,
-    # and SepOutcome.vector by its stored function on first read
+    # SepOutcome.vector by its stored function on first read, and a run's
+    # B0 by `resolve_initial_matrix` from its config
     assert [f.name for f in dataclasses.fields(record)] == names

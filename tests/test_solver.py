@@ -252,7 +252,6 @@ class TestVerifyTrace:
             termination=report.termination,
             config=report.config,
             x0=report.x0,
-            b0=report.b0,
             loss_samples=report.loss_samples,
         )
         certs = verify_trace(tampered, obj, checks=("step_floor",))

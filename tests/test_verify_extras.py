@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qnpe.baselines import solve_gd
-from qnpe.core import SolverConfig
+from qnpe.core import SolverConfig, resolve_initial_matrix
 from qnpe.errors import BacktrackCapExceeded
+from qnpe.learner import loss
 from qnpe.problems import make_quadratic
 from qnpe.solver import solve
 from qnpe.verify import (
@@ -20,6 +21,7 @@ from qnpe.verify import (
     transition,
     verify_trace,
 )
+from reference import replay_rounds
 
 
 class TestDerivedQuantities:
@@ -28,7 +30,8 @@ class TestDerivedQuantities:
         # envelope exactly: 16 L1^2 N_tr = (64/3) * denominator
         obj, report = _exact_run()
         l1 = obj.l1
-        gap = float(np.linalg.norm(report.b0 - obj.hessian(obj.minimizer)) ** 2)
+        b0 = resolve_initial_matrix(report.config, obj)
+        gap = float(np.linalg.norm(b0 - obj.hessian(obj.minimizer)) ** 2)
         denom = superlinear_denominator(
             obj.mu, l1, gap, obj.l2, obj.dist_sq(report.x0)
         )
@@ -148,7 +151,8 @@ class TestMarginScan:
         dists = [r.dist_sq for r in records] + [report.final_dist_sq(obj)]
         floor = cfg.alpha2 * cfg.beta / l1
         target = 1.0 / (1.0 + 2.0 * mu * cfg.alpha2 * cfg.beta / l1) + 1e-12
-        gap = float(np.linalg.norm(report.b0 - obj.hessian(obj.minimizer)) ** 2)
+        b0 = resolve_initial_matrix(cfg, obj)
+        gap = float(np.linalg.norm(b0 - obj.hessian(obj.minimizer)) ** 2)
         denom = superlinear_denominator(mu, l1, gap, obj.l2, dists[0])
         expected = {
             "contraction": _first_min(
@@ -240,3 +244,33 @@ class TestFailClosed:
         cert = verify_trace(report, obj)["small_loss_regret"]
         assert cert.applicable and cert.passed
         assert cert.detail == "competitor H*"
+
+
+class TestDecodedB0:
+    """`verify_trace` decodes the run's B0 from its config: under every b0
+    policy the regret margin is the one computed from the matrix the run
+    started from, which the first replayed round plays."""
+
+    @pytest.mark.parametrize("policy", ["default", "scalar", "explicit"])
+    def test_small_loss_margin_reads_the_run_b0(self, policy):
+        obj = make_quadratic(12, 1.0, 100.0, seed=3)
+        h_star = obj.hessian(obj.minimizer)
+        setting, b0 = None, obj.l1 * np.eye(12)
+        if policy == "scalar":
+            setting = 40.0
+            b0 = setting * np.eye(12)
+        elif policy == "explicit":
+            rng = np.random.default_rng(8)
+            q, _ = np.linalg.qr(rng.standard_normal((12, 12)))
+            setting = (q * rng.uniform(obj.mu, obj.l1, size=12)) @ q.T
+            setting = b0 = 0.5 * (setting + setting.T)
+        report = solve(obj, SolverConfig(oracle_mode="exact", b0=setting))
+        assert np.array_equal(next(replay_rounds(report, obj)).played, b0)
+
+        learner_total = sum(r.loss for r in report.records if r.loss is not None)
+        competitor_total = sum(loss(h_star, s) for s in report.loss_samples)
+        gap = float(np.linalg.norm(b0 - h_star) ** 2)
+        margin = 1.0 / (1.0 / 18.0) * gap + 2.0 * competitor_total - learner_total
+        cert = verify_trace(report, obj)["small_loss_regret"]
+        assert cert.margin == margin
+        assert cert.passed

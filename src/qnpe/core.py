@@ -1,12 +1,13 @@
 """Core domain types: objective oracle, solver configuration, run reports.
 
-All types are immutable value records; `validate_config` fills the
-theory-default parameters and rejects inconsistent settings.
+All types are immutable value records; `validate_config` fills in the
+problem-dependent default step seed and rejects inconsistent settings.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import typing
 from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Optional, Union
@@ -134,22 +135,22 @@ class PlayedMatrix:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """All tunables of the main solver.
+    """All tunables of the main solver; the defaults are the theory values.
 
-    Fields left as None are filled with the theory defaults by
-    `validate_config`: alpha1 = alpha2 = 1/4, beta = 1/2, sigma0 = 1/(4 L1),
-    delta = min(mu/(L1-mu), 1).
+    sigma0 is the one default that depends on the problem: None stands for
+    1/(4 L1), which `validate_config` fills in. The oracle slack is no field:
+    the learner works out the largest admissible one, min(mu/(L1-mu), 1),
+    from (mu, L1).
 
     b0 selects the initial curvature matrix: None means L1*I, a float c means
     c*I with c in [mu, L1], an explicit symmetric matrix is used as given.
     """
 
-    alpha1: Optional[float] = None
-    alpha2: Optional[float] = None
-    beta: Optional[float] = None
+    alpha1: float = 0.25
+    alpha2: float = 0.25
+    beta: float = 0.5
     sigma0: Optional[float] = None
     rho: float = 1.0 / 18.0
-    delta: Optional[float] = None
     p: float = 0.05
     b0: Union[None, float, Array] = None
     oracle_mode: str = "lanczos"
@@ -275,16 +276,37 @@ def _check_b0(b0, mu: float, l1: float, d: int):
         )
 
 
+def _check_types(cfg: SolverConfig):
+    """Reject a value that its field's type cannot hold before any range
+    check compares it: None in a field that is not Optional, a non-number
+    in a numeric field, a non-integer in seed or max_iters. oracle_mode and
+    an explicit b0 matrix are left to their own checks."""
+    for name, kind in CONFIG_FIELDS.items():
+        value = getattr(cfg, name)
+        if value is None:
+            if name not in _OPTIONAL:
+                raise ParameterConflict(f"{name} must not be None")
+            continue
+        if kind is str or (name == "b0" and not np.isscalar(value)):
+            continue
+        if kind is int and not isinstance(value, numbers.Integral):
+            raise ParameterConflict(f"{name} must be an integer, got {value!r}")
+        if not isinstance(value, numbers.Real):
+            raise ParameterConflict(f"{name} must be a real number, got {value!r}")
+
+
 def validate_config(cfg: Optional[SolverConfig], obj: Objective) -> SolverConfig:
-    """Fill defaults and check every configuration invariant; None stands
-    for `SolverConfig()`.
+    """Fill in sigma0's default and check every configuration invariant;
+    None stands for `SolverConfig()`.
 
     Idempotent: validating an already-validated config returns an equal one.
 
     Raises:
         DegenerateCurvature: L1 < mu, mu <= 0, or mu or L1 not finite.
-        ParameterConflict: parameter range violations, alpha1 + alpha2 >= 1,
-            a negative seed, or a sigma0 whose attempt budget overflows.
+        ParameterConflict: a value its field's type cannot hold, parameter
+            range violations, alpha1 + alpha2 >= 1, a negative seed, a
+            sigma0 whose attempt budget overflows, or (mu, L1) whose oracle
+            slack min(mu/(L1-mu), 1) underflows to 0.
         StepSeedTooSmall: sigma0 < alpha2*beta/L1.
         SpectrumViolation: an explicit b0 that is not a symmetric d x d
             matrix, or a b0 spectrum outside [mu, L1].
@@ -295,12 +317,10 @@ def validate_config(cfg: Optional[SolverConfig], obj: Objective) -> SolverConfig
     # an infinite L1 are rejected too
     if not 0.0 < mu <= l1 < math.inf:
         raise DegenerateCurvature(f"need 0 < mu <= L1 < inf, got mu={mu}, L1={l1}")
+    _check_types(cfg)
 
-    alpha1 = 0.25 if cfg.alpha1 is None else float(cfg.alpha1)
-    alpha2 = 0.25 if cfg.alpha2 is None else float(cfg.alpha2)
-    beta = 0.5 if cfg.beta is None else float(cfg.beta)
+    alpha1, alpha2, beta = cfg.alpha1, cfg.alpha2, cfg.beta
     sigma0 = 1.0 / (4.0 * l1) if cfg.sigma0 is None else float(cfg.sigma0)
-    delta = default_delta(mu, l1) if cfg.delta is None else float(cfg.delta)
 
     if not (0.0 <= alpha1 < 1.0):
         raise ParameterConflict(f"alpha1 must be in [0, 1), got {alpha1}")
@@ -314,8 +334,11 @@ def validate_config(cfg: Optional[SolverConfig], obj: Objective) -> SolverConfig
         raise ParameterConflict(f"beta must be in (0, 1), got {beta}")
     if not 0.0 < cfg.rho < math.inf:
         raise ParameterConflict(f"rho must be in (0, inf), got {cfg.rho}")
-    if not (0.0 < delta <= 1.0):
-        raise ParameterConflict(f"delta must be in (0, 1], got {delta}")
+    # the learner's oracle slack, which the Lanczos budget needs positive
+    if not default_delta(mu, l1) > 0.0:
+        raise ParameterConflict(
+            f"oracle slack min(mu/(L1-mu), 1) underflows to 0 at mu={mu}, L1={l1}"
+        )
     if not (0.0 < cfg.p < 1.0):
         raise ParameterConflict(f"p must be in (0, 1), got {cfg.p}")
     if cfg.oracle_mode not in ORACLE_MODES:
@@ -346,9 +369,7 @@ def validate_config(cfg: Optional[SolverConfig], obj: Objective) -> SolverConfig
         )
     _check_b0(cfg.b0, mu, l1, obj.dim)
 
-    return replace(
-        cfg, alpha1=alpha1, alpha2=alpha2, beta=beta, sigma0=sigma0, delta=delta
-    )
+    return replace(cfg, sigma0=sigma0)
 
 
 def resolve_initial_matrix(cfg: SolverConfig, obj: Objective) -> Array:
@@ -375,9 +396,13 @@ def _flat_type(hint) -> type:
 
 
 _HINTS = typing.get_type_hints(SolverConfig)
-#: field name -> flat value type, in field order; drives the kv format and
-#: the CLI config flags
+#: field name -> flat value type, in field order; drives the kv format, the
+#: CLI config flags and the type check of `validate_config`
 CONFIG_FIELDS = {f.name: _flat_type(_HINTS[f.name]) for f in fields(SolverConfig)}
+#: the fields that may hold None
+_OPTIONAL = {
+    name for name, hint in _HINTS.items() if type(None) in typing.get_args(hint)
+}
 
 
 def config_to_kv(cfg: SolverConfig) -> str:
@@ -396,7 +421,8 @@ def config_to_kv(cfg: SolverConfig) -> str:
 
 
 def config_from_kv(text: str) -> SolverConfig:
-    """Parse the `key=value` format produced by `config_to_kv`."""
+    """Parse the `key=value` format produced by `config_to_kv`; a value of
+    `none` stands for the field's default."""
     values = {}
     for raw in text.splitlines():
         line = raw.strip()
@@ -406,5 +432,8 @@ def config_from_kv(text: str) -> SolverConfig:
         key, val = key.strip(), val.strip()
         if key not in CONFIG_FIELDS:
             raise ValueError(f"unknown config key {key!r}")
-        values[key] = None if val == "none" else CONFIG_FIELDS[key](val)
+        if val == "none":
+            values.pop(key, None)
+        else:
+            values[key] = CONFIG_FIELDS[key](val)
     return SolverConfig(**values)

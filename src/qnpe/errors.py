@@ -53,10 +53,11 @@ class NotPositiveDefinite(SolverError):
 
 
 class MinimizerStall(SolverError):
-    """The damped Newton iteration computing a generated problem's reference
-    minimizer ended above its gradient tolerance: step cap reached, no
-    decrease left at working precision, or a Hessian that is not
-    numerically positive definite."""
+    """A problem's reference minimizer could not be computed: the damped
+    Newton iteration of a logistic problem ended above its gradient
+    tolerance (step cap reached, no decrease left at working precision, or
+    a Hessian that is not numerically positive definite), or a quadratic's
+    matrix is singular at working precision."""
 
 
 # --- linear solver ---

@@ -80,18 +80,18 @@ class HessianLearner:
     was accepted or the rejected trial rounds to x, and repeated `predict`
     calls between updates return the cached prediction.
 
-    The step rho, oracle slack delta, failure budget p and oracle mode are
-    read from `cfg`; a delta of None is `default_delta(mu, l1)`, the value
-    `validate_config` fills in. The Lanczos oracle draws from
-    `np.random.default_rng(cfg.seed)`. The learner holds `b0` itself, not a
-    copy, and never writes to it.
+    The step rho, failure budget p and oracle mode are read from `cfg`; the
+    oracle slack delta is `default_delta(mu, l1)`, the largest slack that
+    keeps the played matrix in the widened band. The Lanczos oracle draws
+    from `np.random.default_rng(cfg.seed)`. The learner holds `b0` itself,
+    not a copy, and never writes to it.
     """
 
     def __init__(self, b0: Array, mu: float, l1: float, cfg: SolverConfig):
         self.mu = float(mu)
         self.l1 = float(l1)
         self.cfg = cfg
-        self.delta = default_delta(self.mu, self.l1) if cfg.delta is None else cfg.delta
+        self.delta = default_delta(self.mu, self.l1)
         self.rng = np.random.default_rng(cfg.seed)
         self.radius = math.sqrt(b0.shape[0])
         # mu == L1 pins the admissible band to the single point mu*I: the

@@ -59,6 +59,7 @@ def quadratic_objective(a: Array, b: Array, mu: float, l1: float) -> Objective:
     Raises:
         ProblemMismatch: b is not a vector, A is not square of its length,
             or the data are empty.
+        MinimizerStall: A is singular at working precision.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -67,7 +68,10 @@ def quadratic_objective(a: Array, b: Array, mu: float, l1: float) -> Objective:
             f"need a d x d matrix and a length-d vector, got shapes {a.shape} "
             f"and {b.shape}"
         )
-    minimizer = _refined_solve(a, b)
+    try:
+        minimizer = _refined_solve(a, b)
+    except np.linalg.LinAlgError as exc:
+        raise MinimizerStall(f"quadratic minimizer: {exc}") from exc
     return Objective(
         dim=b.shape[0],
         grad=lambda x: a @ x - b,
@@ -90,6 +94,8 @@ def make_quadratic(d: int, mu: float, l1: float, seed: int) -> Objective:
     Raises:
         ProblemMismatch: d < 1 or seed < 0.
         InvalidSpectrum: mu <= 0, mu > L1, or mu or L1 not finite.
+        MinimizerStall: the matrix is singular at working precision, which
+            a mu tiny next to L1 can make it.
     """
     if d < 1:
         raise ProblemMismatch("d must be >= 1")
@@ -264,6 +270,7 @@ def load_matrix_market(path, b: Optional[Array] = None) -> Objective:
         NotSymmetric: matrix differs from its transpose.
         NotPositiveDefinite: smallest eigenvalue <= 0.
         ProblemMismatch: b is not a vector of the matrix's order.
+        MinimizerStall: the matrix is singular at working precision.
     """
     try:
         loaded = scipy.io.mmread(path)

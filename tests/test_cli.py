@@ -118,6 +118,24 @@ class TestRun:
         assert code == 2
         assert "error: MinimizerStall" in capsys.readouterr().err
 
+    def test_singular_quadratic_exits_2(self, tmp_path, capsys):
+        # mu = 1e-300 is a valid spec, but A is singular at working precision
+        code = run_cli(
+            tmp_path, "run", "--problem", "quadratic:d=5,mu=1e-300,l1=1,seed=0",
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error: MinimizerStall" in err
+        assert "Traceback" not in err
+
+    def test_delta_flag_is_gone(self, tmp_path, capsys):
+        # the learner works out the oracle slack from (mu, L1)
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli(tmp_path, "run", "--problem", QUAD, "--delta", "0.5")
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --delta 0.5" in capsys.readouterr().err
+        assert not (tmp_path / "trace.csv").exists()
+
     def test_matrix_market_gd_two_iterations(self, tmp_path):
         mtx = tmp_path / "ident2.mtx"
         mtx.write_text(
@@ -423,7 +441,7 @@ class TestConfigFlags:
     FLAGS = {
         "alpha1": (float, None), "alpha2": (float, None),
         "beta": (float, None), "sigma0": (float, None),
-        "rho": (float, None), "delta": (float, None), "p": (float, None),
+        "rho": (float, None), "p": (float, None),
         "b0": (float, None), "oracle_mode": (str, ("lanczos", "exact")),
         "seed": (int, None), "max_iters": (int, None),
         "grad_tol": (float, None), "dist_tol": (float, None),

@@ -24,10 +24,17 @@ from qnpe.errors import (
     SpectrumViolation,
     StepSeedTooSmall,
 )
+from qnpe.learner import HessianLearner
 
 
 def simple_objective(mu=1.0, l1=4.0, d=3):
     return Objective(dim=d, grad=lambda x: l1 * x, mu=mu, l1=l1)
+
+
+def learner_delta(cfg, obj):
+    """The oracle slack of the learner that `solve` builds from `cfg`."""
+    b0 = resolve_initial_matrix(cfg, obj)
+    return HessianLearner(b0, obj.mu, obj.l1, cfg).delta
 
 
 class TestValidateConfig:
@@ -39,17 +46,56 @@ class TestValidateConfig:
         assert cfg.beta == 0.5
         assert cfg.sigma0 == 1.0 / 16.0
         assert cfg.rho == 1.0 / 18.0
-        assert cfg.delta == min(1.0 / 3.0, 1.0)
+        assert learner_delta(cfg, obj) == min(1.0 / 3.0, 1.0)
 
     def test_delta_default_caps_at_one(self):
         # mu/(L1 - mu) > 1 whenever mu > L1/2
         obj = simple_objective(mu=3.0, l1=4.0)
-        assert validate_config(SolverConfig(), obj).delta == 1.0
+        assert learner_delta(validate_config(SolverConfig(), obj), obj) == 1.0
 
     def test_delta_clamps_when_mu_equals_l1(self):
         obj = simple_objective(mu=1.0, l1=1.0)
         cfg = validate_config(SolverConfig(), obj)
-        assert cfg.delta == 1.0
+        assert learner_delta(cfg, obj) == 1.0
+
+    def test_only_sigma0_is_filled(self):
+        # every other default is a literal value of the field itself
+        obj = simple_objective(mu=1.0, l1=4.0)
+        assert SolverConfig().sigma0 is None
+        assert validate_config(SolverConfig(), obj) == SolverConfig(sigma0=1.0 / 16.0)
+
+    def test_underflowing_oracle_slack_conflicts(self):
+        # mu / (L1 - mu) underflows to 0, and a zero slack leaves the
+        # Lanczos budget undefined
+        lam = np.array([1e-320, 1.0, 1e10])
+        obj = Objective(dim=3, grad=lambda x: lam * x, mu=1e-320, l1=1e10)
+        assert default_delta(obj.mu, obj.l1) == 0.0
+        with pytest.raises(ParameterConflict, match="oracle slack"):
+            validate_config(SolverConfig(), obj)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("alpha1", None), ("alpha2", None), ("beta", None), ("rho", None),
+            ("p", None), ("seed", None), ("max_iters", None),
+            ("grad_tol", None), ("oracle_mode", None),
+            ("rho", "0.1"), ("grad_tol", "tight"), ("dist_tol", [0.0]),
+            ("sigma0", "1"), ("b0", "2"),
+            ("seed", 1.5), ("seed", 2.0), ("max_iters", 2.5),
+            ("max_iters", math.inf),
+        ],
+    )
+    def test_wrong_type_conflicts_naming_the_field(self, field, value):
+        # unchecked, each of these ends in a bare TypeError or ValueError,
+        # in the range checks or later in the run
+        with pytest.raises(ParameterConflict, match=f"^{field} "):
+            validate_config(SolverConfig(**{field: value}), simple_objective())
+
+    def test_numpy_scalars_are_numbers(self):
+        cfg = SolverConfig(
+            rho=np.float64(0.1), seed=np.int64(3), max_iters=np.int32(5)
+        )
+        assert validate_config(cfg, simple_objective()).seed == 3
 
     def test_alpha_conflict(self):
         obj = simple_objective()
@@ -193,7 +239,8 @@ class TestKvFormat:
     @given(data=st.data())
     def test_round_trip_property(self, data):
         # finite floats in each field's valid range, None where a field
-        # defaults; on mu = 1, L1 = 4 every alpha2 * beta / L1 < 1/4 <= sigma0
+        # may hold it; on mu = 1, L1 = 4 every alpha2 * beta / L1 < 1/4, so
+        # an explicit sigma0 >= 1/4 is above the step floor
         def real(lo, hi, exclude_min=False, exclude_max=False):
             return st.floats(
                 lo, hi, exclude_min=exclude_min, exclude_max=exclude_max,
@@ -204,12 +251,11 @@ class TestKvFormat:
             return data.draw(st.none() | strategy)
 
         cfg = SolverConfig(
-            alpha1=optional(real(0.0, 0.5, exclude_max=True)),
-            alpha2=optional(real(0.0, 0.5, exclude_min=True, exclude_max=True)),
-            beta=optional(real(0.0, 1.0, exclude_min=True, exclude_max=True)),
+            alpha1=data.draw(real(0.0, 0.5, exclude_max=True)),
+            alpha2=data.draw(real(0.0, 0.5, exclude_min=True, exclude_max=True)),
+            beta=data.draw(real(0.0, 1.0, exclude_min=True, exclude_max=True)),
             sigma0=optional(real(0.25, 1e300)),
             rho=data.draw(real(0.0, 1e300, exclude_min=True)),
-            delta=optional(real(0.0, 1.0, exclude_min=True)),
             p=data.draw(real(0.0, 1.0, exclude_min=True, exclude_max=True)),
             b0=optional(real(1.0, 4.0)),
             oracle_mode=data.draw(st.sampled_from(ORACLE_MODES)),
@@ -219,19 +265,42 @@ class TestKvFormat:
             dist_tol=optional(real(0.0, 1e300)),
         )
         # a valid config also keeps sigma0 * L1 / (alpha2 * beta) finite,
-        # since the line search's attempt budget takes its log; None
-        # stands for the theory default
-        alpha2_beta = (cfg.alpha2 or 0.25) * (cfg.beta or 0.5)
-        assume(alpha2_beta > 0.0)
-        assume(math.isfinite((cfg.sigma0 or 1.0 / 16.0) * 4.0 / alpha2_beta))
+        # since the line search's attempt budget takes its log; a sigma0 of
+        # None stands for the theory default 1/(4 L1), which lies below the
+        # step floor once alpha2 * beta > 1/4
+        sigma0 = 1.0 / 16.0 if cfg.sigma0 is None else cfg.sigma0
+        alpha2_beta = cfg.alpha2 * cfg.beta
+        assume(0.0 < alpha2_beta <= 4.0 * sigma0)
+        assume(math.isfinite(sigma0 * 4.0 / alpha2_beta))
         validated = validate_config(cfg, simple_objective(mu=1.0, l1=4.0))
         for config in (cfg, validated):
             assert config_from_kv(config_to_kv(config)) == config
 
     def test_none_encoding(self):
         text = config_to_kv(SolverConfig())
-        assert "alpha1=none" in text.splitlines()
-        assert config_from_kv(text).alpha1 is None
+        assert "sigma0=none" in text.splitlines()
+        assert config_from_kv(text).sigma0 is None
+
+    @pytest.mark.parametrize(
+        "field", ["alpha1", "rho", "p", "seed", "max_iters", "grad_tol", "b0"]
+    )
+    def test_none_is_the_field_default(self, field):
+        assert config_from_kv(f"{field}=none\n") == SolverConfig()
+        # the last line for a key wins, also when it is none
+        text = f"rho=0.5\n{field}=none\nrho=none\n"
+        assert config_from_kv(text) == SolverConfig()
+
+    def test_text_with_none_placeholders_parses(self):
+        # config_to_kv(SolverConfig()) as written while alpha1, alpha2 and
+        # beta defaulted to None, without the removed delta line
+        text = (
+            "alpha1=none\nalpha2=none\nbeta=none\nsigma0=none\n"
+            "rho=0.05555555555555555\np=0.05\nb0=none\noracle_mode=lanczos\n"
+            "seed=0\nmax_iters=10000\ngrad_tol=1e-08\ndist_tol=none\n"
+        )
+        assert config_from_kv(text) == SolverConfig()
+        with pytest.raises(ValueError, match="delta"):
+            config_from_kv(text + "delta=none\n")
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError):

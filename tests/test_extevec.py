@@ -414,7 +414,7 @@ class TestOnDemandVector:
         d = 8
         learner = HessianLearner(
             3.0 * np.eye(d), 1.0, 3.0,
-            SolverConfig(delta=0.5, oracle_mode=mode, seed=0),
+            SolverConfig(oracle_mode=mode, seed=0),
         )
         rng = np.random.default_rng(2)
         gc.disable()

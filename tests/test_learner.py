@@ -164,7 +164,7 @@ class TestLearner:
     MU, L1 = 1.0, 3.0
 
     def make(self, b0, **kw):
-        defaults = dict(rho=1.0 / 18.0, delta=0.5, p=0.05, oracle_mode="exact")
+        defaults = dict(rho=1.0 / 18.0, p=0.05, oracle_mode="exact")
         defaults.update(kw)
         return HessianLearner(b0, self.MU, self.L1, SolverConfig(**defaults))
 
@@ -379,17 +379,32 @@ class TestLearner:
         # with its learner gone, nothing can change the base any more
         assert np.array_equal(op.shifted_matvec(1.0)(np.ones(3)), np.full(3, 3.0))
 
+    @given(
+        mu=st.floats(1e-6, 1e6),
+        ratio=st.floats(1.0, 1e12),
+        rho=st.floats(1e-6, 1e6),
+        p=st.floats(1e-9, 0.5),
+        mode=st.sampled_from(["exact", "lanczos"]),
+        seed=st.integers(0, 2**32),
+    )
+    def test_oracle_slack_comes_from_the_band(self, mu, ratio, rho, p, mode, seed):
+        # no config setting reaches delta: it is the largest admissible one
+        l1 = mu * ratio
+        cfg = SolverConfig(rho=rho, p=p, oracle_mode=mode, seed=seed)
+        learner = HessianLearner(l1 * np.eye(2), mu, l1, cfg)
+        assert learner.delta == default_delta(mu, l1)
+
     def test_unvalidated_config_plays_as_the_validated_one(self):
-        # SolverConfig() leaves delta None; the learner takes default_delta,
-        # the value validate_config fills in, so the Lanczos rounds match
+        # validate_config fills in only sigma0, which the learner does not
+        # read, so the Lanczos rounds match
         obj = Objective(dim=6, grad=lambda x: x, mu=1.0, l1=3.0)
         raw = SolverConfig()
         validated = validate_config(raw, obj)
-        assert raw.delta is None and validated.delta is not None
+        assert raw.sigma0 is None and validated.sigma0 is not None
         b0 = 3.0 * np.eye(6)
         plain = HessianLearner(b0, obj.mu, obj.l1, raw)
         filled = HessianLearner(b0, obj.mu, obj.l1, validated)
-        assert plain.delta == filled.delta == validated.delta
+        assert plain.delta == filled.delta == default_delta(obj.mu, obj.l1)
         rng = np.random.default_rng(4)
         for _ in range(20):
             played = played_dense(plain.predict())
@@ -493,7 +508,7 @@ class TestLearner:
     def test_degenerate_band_freezes_b(self):
         learner = HessianLearner(
             np.eye(3), 1.0, 1.0,
-            SolverConfig(rho=1.0 / 18.0, delta=1.0, p=0.05, oracle_mode="exact"),
+            SolverConfig(rho=1.0 / 18.0, p=0.05, oracle_mode="exact"),
         )
         rng = np.random.default_rng(0)
         for _ in range(5):
@@ -513,7 +528,8 @@ class TestLearner:
         assert np.linalg.norm(learner.w) <= np.sqrt(5) + 1e-12
 
     def test_lanczos_queries_follow_the_config(self, monkeypatch):
-        # delta, q_t = failure_budget(p, t) and the generator come from cfg
+        # q_t = failure_budget(p, t) and the generator come from cfg, the
+        # slack from (mu, L1)
         queries = []
         oracle = qnpe.learner.ext_evec_lanczos
 
@@ -523,14 +539,15 @@ class TestLearner:
 
         monkeypatch.setattr(qnpe.learner, "ext_evec_lanczos", spy)
         learner = self.make(
-            self.L1 * np.eye(4), oracle_mode="lanczos", delta=0.3, p=0.01, seed=9
+            self.L1 * np.eye(4), oracle_mode="lanczos", p=0.01, seed=9
         )
         rng = np.random.default_rng(1)
         for _ in range(4):
             learner.predict()
             learner.update_round(random_sample(4, rng))
         assert [(delta, q) for delta, q, _ in queries] == [
-            (0.3, failure_budget(0.01, t)) for t in (1, 2, 3)
+            (default_delta(self.MU, self.L1), failure_budget(0.01, t))
+            for t in (1, 2, 3)
         ]
         assert queries[0][2] == np.random.default_rng(9).bit_generator.state
 
@@ -583,9 +600,7 @@ class TestBand:
         rng = np.random.default_rng(seed)
         basis, _ = np.linalg.qr(rng.standard_normal((d, d)))
         b0 = (basis * rng.uniform(mu, l1, size=d)) @ basis.T
-        cfg = SolverConfig(
-            p=1e-6, delta=default_delta(mu, l1), oracle_mode=mode, seed=seed
-        )
+        cfg = SolverConfig(p=1e-6, oracle_mode=mode, seed=seed)
         if mode == "exact":
             low, high = mu - 1e-9 * l1, l1 + 1e-9 * l1
         else:
@@ -646,9 +661,7 @@ class TestPlayedOperator:
             b0 = 0.5 * (b0 + b0.T)
         else:
             b0 = l1 * np.eye(d)
-        cfg = SolverConfig(
-            p=0.05, delta=default_delta(mu, l1), oracle_mode=mode, seed=seed
-        )
+        cfg = SolverConfig(p=0.05, oracle_mode=mode, seed=seed)
         learner = HessianLearner(b0, mu, l1, cfg)
         op = learner.predict()
         b0_size = np.linalg.norm(b0, 2)

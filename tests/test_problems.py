@@ -80,6 +80,14 @@ class TestQuadratic:
         with pytest.raises(ProblemMismatch):
             quadratic_objective(a, b, 1.0, 1.0)
 
+    def test_singular_matrix_is_minimizer_stall(self):
+        # a valid spectrum whose mu vanishes next to L1 in working precision,
+        # where the dense solve raises LinAlgError
+        with pytest.raises(MinimizerStall, match="Singular matrix"):
+            make_quadratic(5, 1e-300, 1.0, seed=0)
+        with pytest.raises(MinimizerStall):
+            quadratic_objective(np.zeros((2, 2)), np.ones(2), 1.0, 1.0)
+
     def test_model_error_identically_zero(self):
         # gradient differences are exactly A (x_tilde - x) for quadratics
         obj = make_quadratic(8, 1.0, 10.0, seed=3)

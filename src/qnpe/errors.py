@@ -57,7 +57,9 @@ class MinimizerStall(SolverError):
     Newton iteration of a logistic problem ended above its gradient
     tolerance (step cap reached, no decrease left at working precision, or
     a Hessian that is not numerically positive definite), or a quadratic's
-    matrix is singular at working precision."""
+    matrix is singular at working precision: its LU factorization meets a
+    zero pivot or its refined solve leaves a relative residual above
+    64 kappa eps, clipped to [1e-13, 1e-8]."""
 
 
 # --- linear solver ---

@@ -41,15 +41,31 @@ NEWTON_MIN_DAMPING = 2.0**-40
 _BLOCK_BYTES = 1 << 20
 
 
-def _refined_solve(a: Array, b: Array, rel_tol: float = 1e-13) -> Array:
-    """Dense solve with iterative refinement until ||A x - b|| <= rel_tol ||b||."""
+def _refined_solve(a: Array, b: Array, kappa: float) -> Array:
+    """Dense solve with up to five steps of iterative refinement, stopping
+    once ||A x - b|| <= 1e-13 ||b||.
+
+    Raises:
+        MinimizerStall: the final relative residual exceeds 64 kappa eps,
+            clipped to [1e-13, 1e-8]: A is singular at working precision
+            for its condition number kappa.
+        numpy.linalg.LinAlgError: the LU factorization meets a zero pivot.
+    """
     x = np.linalg.solve(a, b)
     b_norm = np.linalg.norm(b)
+    r = b - a @ x
     for _ in range(5):
-        r = b - a @ x
-        if np.linalg.norm(r) <= rel_tol * b_norm:
+        if np.linalg.norm(r) <= 1e-13 * b_norm:
             break
         x = x + np.linalg.solve(a, r)
+        r = b - a @ x
+    r_norm = np.linalg.norm(r)
+    tol = min(max(64.0 * np.finfo(float).eps * kappa, 1e-13), 1e-8)
+    if not r_norm <= tol * b_norm:
+        raise MinimizerStall(
+            f"quadratic minimizer: Singular matrix at working precision, "
+            f"relative residual {r_norm / b_norm:.3e} > {tol:.3e}"
+        )
     return x
 
 
@@ -59,7 +75,8 @@ def quadratic_objective(a: Array, b: Array, mu: float, l1: float) -> Objective:
     Raises:
         ProblemMismatch: b is not a vector, A is not square of its length,
             or the data are empty.
-        MinimizerStall: A is singular at working precision.
+        MinimizerStall: A is singular at working precision for the
+            condition number L1/mu (see `_refined_solve`).
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -69,7 +86,7 @@ def quadratic_objective(a: Array, b: Array, mu: float, l1: float) -> Objective:
             f"and {b.shape}"
         )
     try:
-        minimizer = _refined_solve(a, b)
+        minimizer = _refined_solve(a, b, l1 / mu if mu > 0.0 else np.inf)
     except np.linalg.LinAlgError as exc:
         raise MinimizerStall(f"quadratic minimizer: {exc}") from exc
     return Objective(
@@ -95,7 +112,8 @@ def make_quadratic(d: int, mu: float, l1: float, seed: int) -> Objective:
         ProblemMismatch: d < 1 or seed < 0.
         InvalidSpectrum: mu <= 0, mu > L1, or mu or L1 not finite.
         MinimizerStall: the matrix is singular at working precision, which
-            a mu tiny next to L1 can make it.
+            a mu tiny next to L1 can make it; past L1/mu of about 1e9 the
+            refined residual exceeds 1e-8 and counts as singular.
     """
     if d < 1:
         raise ProblemMismatch("d must be >= 1")
@@ -121,11 +139,12 @@ def logistic_objective(features: Array, labels: Array, lam: float) -> Objective:
     mu = lam, L1 = lam + lambda_max(A^T A)/(4 n), and the conservative
     analytic bound L2 = sum ||a_i||^3 / (6 n).
 
-    The objective keeps one array, the signed rows y_i a_i, and no
-    reference to `features`. Since every y_i is +1 or -1, its products
-    equal those of A exactly. The gradient and Hessian pass over it in row
-    blocks of about `_BLOCK_BYTES`; with more than one block their sums
-    over the rows differ from a single pass at rounding level.
+    The objective keeps one array, the signed rows y_i a_i, copied once
+    from `features`, which it neither writes to nor references. Since
+    every y_i is +1 or -1, its products equal those of A exactly. The
+    gradient and Hessian pass over it in row blocks of about
+    `_BLOCK_BYTES`; with more than one block their sums over the rows
+    differ from a single pass at rounding level.
 
     Raises:
         InvalidSpectrum: lam not in (0, inf), or a feature not finite.
@@ -134,8 +153,6 @@ def logistic_objective(features: Array, labels: Array, lam: float) -> Objective:
     """
     a = np.asarray(features, dtype=float)
     y = np.asarray(labels, dtype=float)
-    if not 0.0 < lam < np.inf:
-        raise InvalidSpectrum(f"lam must be positive and finite, got {lam}")
     if a.ndim != 2 or a.size == 0:
         raise ProblemMismatch(
             f"features must be an n x d array with n, d >= 1, got shape {a.shape}"
@@ -145,11 +162,32 @@ def logistic_objective(features: Array, labels: Array, lam: float) -> Objective:
         raise ProblemMismatch(f"labels must have shape ({n},), got {y.shape}")
     if not np.all(np.abs(y) == 1.0):
         raise ProblemMismatch("labels must all be +1 or -1")
-    if not np.all(np.isfinite(a)):
+    return _logistic_from_signed(a * y[:, None], lam)
+
+
+def _row_blocks(rows: Array) -> list:
+    """Views of consecutive row blocks of about `_BLOCK_BYTES` each."""
+    n, d = rows.shape
+    step = max(1, _BLOCK_BYTES // (8 * d))
+    return [rows[i : i + step] for i in range(0, n, step)]
+
+
+def _logistic_from_signed(signed: Array, lam: float) -> Objective:
+    """Logistic objective over the signed rows y_i a_i, adopting `signed`.
+
+    Everything is derived from `signed` without an n x d temporary: the
+    finiteness check and the row norms run per row block, whose row-wise
+    reductions give the bits of one pass over the whole array.
+
+    Raises:
+        InvalidSpectrum: lam not in (0, inf), or a feature not finite.
+    """
+    if not 0.0 < lam < np.inf:
+        raise InvalidSpectrum(f"lam must be positive and finite, got {lam}")
+    blocks = _row_blocks(signed)
+    if not all(np.isfinite(blk).all() for blk in blocks):
         raise InvalidSpectrum("features must be finite")
-    signed = a * y[:, None]
-    rows = max(1, _BLOCK_BYTES // (8 * d))
-    blocks = [signed[i : i + rows] for i in range(0, n, rows)]
+    n, d = signed.shape
 
     def value(x):
         margins = signed @ x
@@ -173,7 +211,7 @@ def logistic_objective(features: Array, labels: Array, lam: float) -> Objective:
 
         return block_sum(curvature) / n + lam * np.eye(d)
 
-    row_norms = np.linalg.norm(signed, axis=1)
+    row_norms = np.concatenate([np.linalg.norm(blk, axis=1) for blk in blocks])
     data_curvature = float(np.linalg.eigvalsh(signed.T @ signed)[-1]) / (4.0 * n)
     return Objective(
         dim=d,
@@ -247,14 +285,14 @@ def make_logistic(n: int, d: int, lam: float, seed: int) -> Objective:
         raise ProblemMismatch(f"problem parameter seed={seed} is negative")
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((n, d))
-    norms = np.linalg.norm(a, axis=1)
-    a /= np.maximum(norms, 1e-12)[:, None]
+    for blk in _row_blocks(a):
+        blk /= np.maximum(np.linalg.norm(blk, axis=1), 1e-12)[:, None]
     planted = rng.standard_normal(d)
     labels = np.sign(a @ planted + 0.5 * rng.standard_normal(n))
     labels[labels == 0.0] = 1.0
+    a *= labels[:, None]  # the signed rows, in place: x (+-1) is exact
 
-    obj = logistic_objective(a, labels, lam)
-    del a  # the objective keeps only its signed copy
+    obj = _logistic_from_signed(a, lam)
     return replace(obj, minimizer=_newton_minimizer(obj))
 
 
@@ -277,7 +315,7 @@ def load_matrix_market(path, b: Optional[Array] = None) -> Objective:
     except Exception as exc:
         raise ParseError(f"{path}: {exc}") from exc
     a = loaded.toarray() if scipy.sparse.issparse(loaded) else np.asarray(loaded)
-    a = a.astype(float)
+    a = a.astype(float, copy=False)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ParseError(f"{path}: expected a square matrix, got {a.shape}")
     if not np.array_equal(a, a.T):

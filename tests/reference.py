@@ -57,6 +57,22 @@ def logistic_single_pass(features, labels, lam):
     return grad, hessian
 
 
+def logistic_data(n, d, seed):
+    """The features and labels that `qnpe.problems.make_logistic` draws,
+    as whole-array operations: unit-norm Gaussian rows and the noisy signs
+    of a planted model, zero signs counted as +1.
+
+    The package normalizes and signs its rows in place, one row block at
+    a time; it must match these bit for bit."""
+    rng = np.random.default_rng(seed)
+    features = rng.standard_normal((n, d))
+    features /= np.maximum(np.linalg.norm(features, axis=1), 1e-12)[:, None]
+    planted = rng.standard_normal(d)
+    labels = np.sign(features @ planted + 0.5 * rng.standard_normal(n))
+    labels[labels == 0.0] = 1.0
+    return features, labels
+
+
 def from_hat(b_hat, mu, l1):
     """Inverse of `qnpe.learner.to_hat`:
     (L1-mu)/2 * b_hat + (L1+mu)/2 * I."""

@@ -1,10 +1,16 @@
 import gc
+import os
+import subprocess
+import sys
+import tracemalloc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.io
 import scipy.optimize
-from reference import logistic_single_pass
+from reference import logistic_data, logistic_single_pass
 
 import qnpe.problems
 import qnpe.solver
@@ -18,12 +24,36 @@ from qnpe.errors import (
 )
 from qnpe.linsolve import conjugate_residual
 from qnpe.problems import (
+    _newton_minimizer,
     load_matrix_market,
     logistic_objective,
     make_logistic,
     make_quadratic,
     quadratic_objective,
 )
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _cpu_has(flag):
+    try:
+        with open("/proc/cpuinfo") as fh:
+            return any(
+                line.startswith("flags") and flag in line.split() for line in fh
+            )
+    except OSError:
+        return False
+
+
+def _traced_peak(call):
+    """(result, peak bytes traced by tracemalloc while call() ran)."""
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestQuadratic:
@@ -87,6 +117,50 @@ class TestQuadratic:
             make_quadratic(5, 1e-300, 1.0, seed=0)
         with pytest.raises(MinimizerStall):
             quadratic_objective(np.zeros((2, 2)), np.ones(2), 1.0, 1.0)
+
+    # A = I and b = e_1 with a solve that is off by a fixed vector e: each
+    # refinement step solves A z = r to -e + e = 0, so x stays at x* + e
+    # and the relative residual at ||e||, against 64 kappa eps clipped to
+    # [1e-13, 1e-8]
+    @pytest.mark.parametrize(
+        "l1, offset, raises",
+        [(10.0, 1e-11, True), (1e4, 1e-11, False),
+         (1e12, 1e-9, False), (1e12, 1e-7, True)],
+        ids=["kappa_10", "kappa_1e4", "kappa_1e12", "kappa_1e12_far"],
+    )
+    def test_refined_residual_tolerance_grows_with_kappa(
+        self, monkeypatch, l1, offset, raises
+    ):
+        exact = np.linalg.solve
+        monkeypatch.setattr(
+            np.linalg, "solve", lambda a, b: exact(a, b) + np.array([offset, 0.0])
+        )
+        args = (np.eye(2), np.array([1.0, 0.0]), 1.0, l1)
+        if raises:
+            with pytest.raises(MinimizerStall, match="Singular matrix"):
+                quadratic_objective(*args)
+        else:
+            assert quadratic_objective(*args).minimizer[0] == 1.0 + offset
+
+    # OpenBLAS's Haswell kernels factor make_quadratic(5, 1e-300, 1, ...)
+    # without meeting an exact zero pivot; only the residual check catches it
+    @pytest.mark.skipif(not _cpu_has("avx2"), reason="Haswell kernels need AVX2")
+    def test_singular_matrix_is_caught_on_haswell_kernels(self):
+        ids = [
+            "tests/test_problems.py::TestQuadratic"
+            "::test_singular_matrix_is_minimizer_stall",
+            "tests/test_cli.py::TestRun::test_singular_quadratic_exits_2",
+        ]
+        child = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *ids],
+            cwd=ROOT,
+            env={**os.environ, "OPENBLAS_CORETYPE": "Haswell"},
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert child.returncode == 0, child.stdout + child.stderr
+        assert "2 passed" in child.stdout
 
     def test_model_error_identically_zero(self):
         # gradient differences are exactly A (x_tilde - x) for quadratics
@@ -265,6 +339,33 @@ class TestLogistic:
         ])
         np.testing.assert_allclose(obj.hessian(x), fd, rtol=1e-7, atol=1e-9)
 
+    # 8 MB of rows in blocks of 1 MiB: the set-up held 3.04x the data
+    # when it normalized, signed and took norms over the whole array
+    def test_generator_peak_is_data_plus_one_block(self):
+        n, d = 10000, 100
+        _, peak = _traced_peak(lambda: make_logistic(n, d, 1e-5, seed=3))
+        assert peak <= 1.25 * n * d * 8
+
+    # blocks of 1310 rows: two full blocks and a remainder of 380
+    @pytest.mark.parametrize("n,d", [(3000, 100), (200, 20)])
+    def test_public_and_generator_paths_agree_bitwise(self, n, d):
+        features, labels = logistic_data(n, d, seed=7)
+        public = logistic_objective(features, labels, lam=1e-4)
+        made = make_logistic(n, d, 1e-4, seed=7)
+        assert (public.l1, public.l2) == (made.l1, made.l2)
+        assert np.array_equal(_newton_minimizer(public), made.minimizer)
+        x = np.random.default_rng(8).standard_normal(d)
+        assert np.array_equal(public.grad(x), made.grad(x))
+        assert np.array_equal(public.hessian(x), made.hessian(x))
+
+    def test_objective_leaves_features_unchanged(self):
+        features, labels, rng = self.data(30, 4, seed=6)
+        before = features.tobytes()
+        features.flags.writeable = False  # a write would raise
+        obj = logistic_objective(features, labels, lam=0.1)
+        assert features.tobytes() == before
+        assert obj.grad(rng.standard_normal(4)).shape == (4,)
+
     def test_objective_keeps_no_reference_to_features(self):
         features, labels, _ = self.data(30, 4, seed=6)
         alive = weakref.ref(features)
@@ -396,6 +497,17 @@ class TestMatrixMarket:
         )
         obj = load_matrix_market(path, b=np.array([4.0, 6.0]))
         assert np.allclose(obj.minimizer, [2.0, 3.0], atol=1e-12)
+
+    # a dense d = 300 matrix that scipy.io.mmread returns as float64: the
+    # load adopts it instead of copying it (the copy made the peak 2.24x)
+    def test_dense_load_holds_one_copy(self, tmp_path):
+        d = 300
+        m = np.random.default_rng(0).standard_normal((d, d))
+        path = tmp_path / "dense.mtx"
+        scipy.io.mmwrite(path, m @ m.T / d + np.eye(d))
+        obj, peak = _traced_peak(lambda: load_matrix_market(path))
+        assert obj.dim == d
+        assert peak <= 1.75 * d * d * 8
 
     def test_rhs_of_wrong_length_is_problem_mismatch(self, tmp_path):
         path = self.write(

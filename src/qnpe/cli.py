@@ -201,9 +201,9 @@ def cmd_verify(args) -> int:
         lines.append(f"n_tr={_fmt(n_tr)}")
         final_dist = run.final_dist_sq(obj)
         if n_tr is not None and final_dist is not None and final_dist > 0.0:
-            rate = linear_rate(obj.mu, obj.l1, run.config.alpha2, run.config.beta)
+            lin_rate = linear_rate(obj.mu, obj.l1, run.config.alpha2, run.config.beta)
             bound = iteration_complexity_bound(
-                final_dist, obj.mu, obj.l1, n_tr, obj.dist_sq(run.x0), rate
+                final_dist, obj.mu, obj.l1, n_tr, obj.dist_sq(run.x0), lin_rate
             )
             lines.append(f"n_eps_bound={_fmt(bound)}")
         lines.append(f"all_passed={'true' if certs.all_passed else 'false'}")

@@ -5,6 +5,10 @@ where obtainable, a high-accuracy minimizer: quadratics solve the normal
 system directly with iterative refinement, the logistic benchmark runs
 damped Newton on its own Hessian to a 1e-12 gradient norm. No reference
 comes from the solver it is used to check.
+
+SciPy's special-function module loads with the first logistic objective
+and its I/O and sparse modules with the first `load_matrix_market`, once
+per process, so quadratic and baseline runs never import them.
 """
 
 from __future__ import annotations
@@ -13,10 +17,7 @@ from dataclasses import replace
 from typing import Optional
 
 import numpy as np
-import scipy.io
 import scipy.linalg
-import scipy.sparse
-from scipy.special import expit
 
 from .core import Objective
 from .errors import (
@@ -182,6 +183,8 @@ def _logistic_from_signed(signed: Array, lam: float) -> Objective:
     Raises:
         InvalidSpectrum: lam not in (0, inf), or a feature not finite.
     """
+    from scipy.special import expit
+
     if not 0.0 < lam < np.inf:
         raise InvalidSpectrum(f"lam must be positive and finite, got {lam}")
     blocks = _row_blocks(signed)
@@ -310,6 +313,9 @@ def load_matrix_market(path, b: Optional[Array] = None) -> Objective:
         ProblemMismatch: b is not a vector of the matrix's order.
         MinimizerStall: the matrix is singular at working precision.
     """
+    import scipy.io
+    import scipy.sparse
+
     try:
         loaded = scipy.io.mmread(path)
     except Exception as exc:

@@ -11,7 +11,7 @@ import qnpe.problems
 from qnpe.cli import CSV_HEADER, build_parser, main, parse_problem
 from qnpe.core import IterationRecord, SolverConfig
 from qnpe.solver import solve
-from qnpe.verify import verify_trace
+from qnpe.verify import Certificate, TraceCertificates, verify_trace
 
 QUAD = "quadratic:d=8,mu=1,l1=50,seed=3"
 
@@ -310,6 +310,24 @@ class TestVerify:
         )
         assert float(report["pass_rate"]) >= 0.98
         assert code == 0
+
+    # the single-seed exit status compares the pass rate with
+    # --min-pass-rate, not with the linear rate the report also computes
+    @pytest.mark.parametrize("margin, expected", [(-1.0, 1), (1.0, 0)])
+    def test_single_seed_exit_status_follows_certificates(
+        self, tmp_path, monkeypatch, margin, expected
+    ):
+        def stub(report, obj, checks=None, **options):
+            return TraceCertificates((Certificate("stub", margin),))
+
+        monkeypatch.setattr(qnpe.cli, "verify_trace", stub)
+        code = run_cli(
+            tmp_path, "verify", "--problem", QUAD, "--oracle-mode", "exact",
+            "--seeds", "1",
+        )
+        assert code == expected
+        report = read(tmp_path / "certificates.txt")
+        assert f"all_passed={'true' if margin > 0 else 'false'}" in report
 
     @pytest.mark.parametrize("seeds", ["1", "2"])
     def test_regret_competitors_reach_every_seed(

@@ -412,6 +412,61 @@ class TestLogistic:
             logistic_objective(features, np.ones(4), lam=0.1)
 
 
+#: modules that `qnpe.problems` imports on first use, not at import time
+DEFERRED = ("scipy.io", "scipy.sparse", "scipy.special")
+
+
+def _deferred_loaded(code):
+    """Deferred modules in sys.modules after `code` runs in a fresh
+    interpreter: this suite's own process has long imported scipy.io."""
+    child = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            f"import sys\nsys.path.insert(0, {str(ROOT / 'src')!r})\n{code}\n"
+            f"print('loaded:', *(m for m in {DEFERRED!r} if m in sys.modules))",
+        ],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert child.returncode == 0, child.stderr
+    return set(child.stdout.rpartition("loaded:")[2].split())
+
+
+class TestDeferredImports:
+    def test_quadratic_and_baseline_runs_load_none(self):
+        loaded = _deferred_loaded(
+            "from qnpe import SolverConfig, cli, verify_trace\n"
+            "obj, _ = cli.parse_problem('quadratic:d=20,mu=1,l1=100,seed=1')\n"
+            "runs = [('qnpe', 'exact'), ('qnpe', 'lanczos'),\n"
+            "        ('gd', 'lanczos'), ('bfgs', 'lanczos')]\n"
+            "for method, mode in runs:\n"
+            "    report = cli.run_method(method, obj, SolverConfig(oracle_mode=mode))\n"
+            "    verify_trace(report, obj)\n"
+            "    cli.trace_csv(report)"
+        )
+        assert not loaded, f"a quadratic run loaded {sorted(loaded)}"
+
+    def test_logistic_loads_special_only(self):
+        loaded = _deferred_loaded(
+            "from qnpe import make_logistic\n"
+            "make_logistic(50, 5, 0.1, seed=1)"
+        )
+        assert loaded == {"scipy.special"}, f"make_logistic loaded {sorted(loaded)}"
+
+    def test_matrix_market_loads_io(self, tmp_path):
+        path = tmp_path / "ident2.mtx"
+        path.write_text(
+            "%%MatrixMarket matrix coordinate real symmetric\n"
+            "2 2 2\n1 1 1.0\n2 2 1.0\n"
+        )
+        loaded = _deferred_loaded(
+            f"from qnpe import load_matrix_market\nload_matrix_market({str(path)!r})"
+        )
+        assert "scipy.io" in loaded, "load_matrix_market did not load scipy.io"
+
+
 class TestMatrixMarket:
     def write(self, tmp_path, name, text):
         path = tmp_path / name
@@ -476,6 +531,19 @@ class TestMatrixMarket:
     def test_parse_error(self, tmp_path):
         path = self.write(tmp_path, "junk.mtx", "this is not a matrix\n")
         with pytest.raises(ParseError):
+            load_matrix_market(path)
+
+    # the deferred imports sit outside the ParseError handler: a broken
+    # SciPy install is not reported as a fault in the user's file
+    def test_missing_scipy_io_is_import_error(self, tmp_path, monkeypatch):
+        path = self.write(
+            tmp_path,
+            "ident2.mtx",
+            "%%MatrixMarket matrix coordinate real symmetric\n"
+            "2 2 2\n1 1 1.0\n2 2 1.0\n",
+        )
+        monkeypatch.setitem(sys.modules, "scipy.io", None)
+        with pytest.raises(ImportError):
             load_matrix_market(path)
 
     def test_non_square_rejected(self, tmp_path):

@@ -12,7 +12,13 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Objective, SolverConfig, SolverReport, validate_config
+from .core import (
+    Objective,
+    SolverConfig,
+    SolverReport,
+    check_gradient,
+    validate_config,
+)
 from .errors import LineSearchFailure
 from .solver import run_loop
 
@@ -32,6 +38,8 @@ def bfgs_step(x: Array, h: Array, g: Array, obj: Objective) -> tuple:
 
     Raises:
         LineSearchFailure: no Armijo decrease within the halving cap.
+        ProblemMismatch: the gradient at the new iterate is not an ndarray
+            of shape (d,).
     """
     if obj.value is None:
         raise LineSearchFailure("BFGS needs the objective value oracle")
@@ -48,6 +56,7 @@ def bfgs_step(x: Array, h: Array, g: Array, obj: Objective) -> tuple:
         raise LineSearchFailure("Armijo backtracking exhausted its cap")
 
     g_new = obj.grad(x_new)
+    check_gradient(g_new, x.shape[0], "the Armijo point")
     s = x_new - x
     y = g_new - g
     ys = float(y @ s)

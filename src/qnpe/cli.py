@@ -35,8 +35,6 @@ from .verify import iteration_complexity_bound, linear_rate, transition, verify_
 TRACE_COLUMNS = IterationRecord._fields[:-1]
 CSV_HEADER = ",".join(TRACE_COLUMNS)
 
-OUT_DIR_ENV = "QNPE_OUT_DIR"
-
 #: method name -> solver, bound at import: rebinding `qnpe.solver.solve`
 #: later does not reach `run_method`
 METHODS = {"qnpe": solve, "gd": solve_gd, "bfgs": solve_bfgs}
@@ -144,14 +142,11 @@ def summary_kv(report: SolverReport, obj: Objective, problem_key: str) -> str:
 
 
 def _write(args, path: Optional[str], default_name: str, text: str) -> str:
-    """Write `text` to `path`, by default to `default_name` in --out-dir,
-    else $QNPE_OUT_DIR, else the working directory; returns the path."""
+    """Write `text` to `path`, by default to `default_name` in --out-dir;
+    returns the path."""
     if not path:
-        out = args.out_dir
-        if out is None:
-            out = os.environ.get(OUT_DIR_ENV, ".")
-        os.makedirs(out, exist_ok=True)
-        path = os.path.join(out, default_name)
+        os.makedirs(args.out_dir, exist_ok=True)
+        path = os.path.join(args.out_dir, default_name)
     with open(path, "w") as fh:
         fh.write(text)
     return path
@@ -182,10 +177,10 @@ def cmd_verify(args) -> int:
             raise ParameterConflict(f"{flag} must be {allowed}, got {value}")
     obj, key = parse_problem(args.problem)
     cfg = config_from_args(args)
-    lines = [f"method={args.method}", f"problem={key}"]
+    lines = ["method=qnpe", f"problem={key}"]
     passes = 0
     for seed in range(cfg.seed, cfg.seed + seeds):
-        run = run_method(args.method, obj, dataclasses.replace(cfg, seed=seed))
+        run = solve(obj, dataclasses.replace(cfg, seed=seed))
         certs = verify_trace(run, obj, regret_competitors=competitors)
         passes += certs.all_passed
         if seeds > 1:
@@ -217,25 +212,11 @@ def cmd_verify(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    if len(args.run) < 2:
-        raise ProblemMismatch("compare needs at least two --run specs")
-    parsed = []
-    for item in args.run:
-        method, sep, problem = item.partition("@")
-        if not sep:
-            raise ProblemMismatch(
-                f"--run must look like METHOD@PROBLEM, got {item!r}"
-            )
-        parsed.append((method, problem))
-    problems = {problem for _, problem in parsed}
-    if len(problems) != 1:
-        raise ProblemMismatch(
-            f"compare runs must share one problem, got {sorted(problems)}"
-        )
-
+    if len(args.method) < 2:
+        raise ProblemMismatch("compare needs at least two --method flags")
     cfg = config_from_args(args)
-    obj, key = parse_problem(parsed[0][1])
-    reports = [(method, run_method(method, obj, cfg)) for method, _ in parsed]
+    obj, key = parse_problem(args.problem)
+    reports = [(method, run_method(method, obj, cfg)) for method in args.method]
 
     metric = "dist_sq" if obj.minimizer is not None else "grad_norm"
     columns = [
@@ -269,8 +250,7 @@ def _add_config_flags(parser):
         choices = ORACLE_MODES if name == "oracle_mode" else None
         parser.add_argument(f"--{name.replace('_', '-')}", type=kind,
                             choices=choices, default=None)
-    parser.add_argument("--out-dir", default=None,
-                        help=f"output directory (default ${OUT_DIR_ENV} or .)")
+    parser.add_argument("--out-dir", default=".", help="output directory")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -288,9 +268,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flags(run)
     run.set_defaults(func=cmd_run)
 
-    verify = sub.add_parser("verify", help="run and machine-check certificates")
+    verify = sub.add_parser("verify", help="run qnpe and machine-check certificates")
     verify.add_argument("--problem", required=True)
-    verify.add_argument("--method", choices=tuple(METHODS), default="qnpe")
     verify.add_argument("--seeds", type=int, default=1,
                         help="number of consecutive seeds for statistical runs")
     verify.add_argument("--min-pass-rate", type=float, default=0.95)
@@ -300,8 +279,9 @@ def build_parser() -> argparse.ArgumentParser:
     verify.set_defaults(func=cmd_verify)
 
     compare = sub.add_parser("compare", help="align runs on one problem")
-    compare.add_argument("--run", action="append", default=[],
-                         metavar="METHOD@PROBLEM")
+    compare.add_argument("--problem", required=True)
+    compare.add_argument("--method", choices=tuple(METHODS), action="append",
+                         default=[])
     compare.add_argument("--out", default=None)
     _add_config_flags(compare)
     compare.set_defaults(func=cmd_compare)

@@ -1,7 +1,9 @@
 """Core domain types: objective oracle, solver configuration, run reports.
 
-All types are immutable value records; `validate_config` fills in the
-problem-dependent default step seed and rejects inconsistent settings.
+All types are immutable value records except `PlayedMatrix`, a mutable
+dataclass whose `stale` flag its owner sets once the operator is out of
+date; `validate_config` fills in the problem-dependent default step seed
+and rejects inconsistent settings.
 """
 
 from __future__ import annotations
@@ -71,6 +73,21 @@ class Objective:
             return None
         diff = x - self.minimizer
         return blas.ddot(diff, diff)
+
+
+def check_gradient(g, d: int, where: str):
+    """Raise ProblemMismatch unless `g`, the gradient at `where`, is an
+    ndarray of shape (d,): any other value would broadcast the iterate or
+    fail untyped in the arithmetic it enters."""
+    if not isinstance(g, np.ndarray):
+        raise ProblemMismatch(
+            f"gradient at {where} is a {type(g).__name__}, "
+            f"expected an ndarray of shape ({d},)"
+        )
+    if g.shape != (d,):
+        raise ProblemMismatch(
+            f"gradient at {where} has shape {g.shape}, expected ({d},)"
+        )
 
 
 def _fortran(a: Array) -> Array:

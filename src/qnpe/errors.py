@@ -117,6 +117,7 @@ class LineSearchFailure(SolverError):
 
 class ProblemMismatch(SolverError):
     """An input does not fit the problem: a malformed problem spec or
-    method name, a start point or a start gradient of the wrong shape,
-    problem data that are empty or of the wrong shape, logistic labels
-    other than +1 or -1, or compare runs that do not share one problem."""
+    method name, a start point of the wrong shape, a gradient oracle that
+    returns anything but an ndarray of shape (d,) at the start point or in
+    a later iteration, problem data that are empty or of the wrong shape,
+    or logistic labels other than +1 or -1."""

@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 from scipy.linalg.blas import ddot
 
-from .core import Objective, PlayedMatrix, SolverConfig
+from .core import Objective, PlayedMatrix, SolverConfig, check_gradient
 from .errors import BacktrackCapExceeded
 from .linsolve import conjugate_residual
 
@@ -77,6 +77,8 @@ def backtrack(
     Raises:
         BacktrackCapExceeded: attempt budget exhausted (invalid metadata).
         IterationCapExceeded: a CR solve hit its own 20 d cap.
+        ProblemMismatch: a trial point's gradient is not an ndarray of
+            shape (d,).
     """
     alpha1, alpha2, beta = cfg.alpha1, cfg.alpha2, cfg.beta
     cap = attempt_cap(sigma, obj.l1, alpha2, beta)
@@ -92,6 +94,7 @@ def backtrack(
         s = result.s
         x_hat = x + s
         grad_hat = obj.grad(x_hat)
+        check_gradient(grad_hat, x.shape[0], "a line-search trial point")
         attempts += 1
         err = played.residual(grad_hat - g, s)
         if eta * math.sqrt(ddot(err, err)) <= alpha2 * math.sqrt(ddot(s, s)):

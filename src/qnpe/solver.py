@@ -17,6 +17,7 @@ from .core import (
     Objective,
     SolverConfig,
     SolverReport,
+    check_gradient,
     resolve_initial_matrix,
     validate_config,
 )
@@ -59,13 +60,16 @@ def run_loop(
     leave the iterate exactly unchanged, or "max_iters".
 
     Raises:
-        ProblemMismatch: x0 or the gradient at x0 does not have shape (d,).
+        ProblemMismatch: x0 does not have shape (d,), or a gradient the
+            run evaluates is not an ndarray of shape (d,); past the start
+            point the message names the iteration.
         NonFiniteIterate: NaN/Inf in x0, an iterate or a gradient, which
             signals inconsistent (mu, L1) metadata or a broken oracle.
     """
     d = obj.dim
+    shape = (d,)
     x = np.zeros(d) if x0 is None else np.array(x0, dtype=float)
-    if x.shape != (d,):
+    if x.shape != shape:
         raise ProblemMismatch(f"x0 has shape {x.shape}, expected ({d},)")
     _require_finite(x, "x0")
     x_start = x.copy()
@@ -75,10 +79,7 @@ def run_loop(
     stall_run = 0
     termination = "max_iters"
     g = obj.grad(x)
-    if np.shape(g) != (d,):
-        raise ProblemMismatch(
-            f"gradient at the start point has shape {np.shape(g)}, expected ({d},)"
-        )
+    check_gradient(g, d, "the start point")
     _require_finite(g, "gradient at the start point")
     grad_norm = math.sqrt(ddot(g, g))
 
@@ -95,7 +96,14 @@ def run_loop(
             termination = "dist_tol"
             break
 
-        x_next, g, fields = step(x, g)
+        try:
+            x_next, g, fields = step(x, g)
+            # inline, as every step of every method pays for it; on a
+            # mismatch `check_gradient` raises the error naming the value
+            if getattr(g, "shape", None) != shape:
+                check_gradient(g, d, "the next iterate")
+        except ProblemMismatch as exc:
+            raise ProblemMismatch(f"iteration k={k}: {exc}") from exc
         # a finite squared norm proves every entry finite, so only a
         # non-finite one (NaN, Inf, or finite entries that overflow) pays
         # for the full scan, which raises on the same inputs as before

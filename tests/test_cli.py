@@ -2,6 +2,9 @@ import argparse
 import dataclasses
 import math
 import os
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +17,7 @@ from qnpe.solver import solve
 from qnpe.verify import Certificate, TraceCertificates, verify_trace
 
 QUAD = "quadratic:d=8,mu=1,l1=50,seed=3"
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def read(path):
@@ -243,11 +247,15 @@ class TestRun:
         assert err.startswith("error: FileNotFoundError: ")
         assert str(missing) in err
 
-    def test_out_dir_env_var(self, tmp_path, monkeypatch):
+    def test_out_dir_env_var_is_ignored(self, tmp_path, monkeypatch):
+        # --out-dir is the one output-directory setting; it defaults to the
+        # working directory whatever the environment says
         monkeypatch.setenv("QNPE_OUT_DIR", str(tmp_path / "envout"))
+        monkeypatch.chdir(tmp_path)
         code = main(["run", "--problem", QUAD, "--max-iters", "3"])
         assert code == 0
-        assert (tmp_path / "envout" / "trace.csv").exists()
+        assert (tmp_path / "trace.csv").exists()
+        assert not (tmp_path / "envout").exists()
 
 
 class TestVerify:
@@ -288,14 +296,13 @@ class TestVerify:
         assert "error: SpectrumViolation" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_bfgs_not_applicable_exits_zero(self, tmp_path):
-        code = run_cli(
-            tmp_path, "verify", "--problem", QUAD, "--method", "bfgs",
-            "--max-iters", "200",
-        )
-        assert code == 0
-        report = read(tmp_path / "certificates.txt")
-        assert "cert_contraction=na" in report
+    def test_method_flag_is_gone(self, tmp_path, capsys):
+        # verify certifies qnpe only; the baselines carry no certificates
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli(tmp_path, "verify", "--problem", QUAD, "--method", "qnpe")
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --method qnpe" in capsys.readouterr().err
+        assert not (tmp_path / "certificates.txt").exists()
 
     def test_multi_seed_statistical_pass_rate(self, tmp_path):
         # randomized oracle, small failure budget: 50 seeds must pass at
@@ -395,8 +402,8 @@ class TestVerify:
 class TestCompare:
     def test_two_methods_align(self, tmp_path):
         code = run_cli(
-            tmp_path, "compare", "--run", f"qnpe@{QUAD}", "--run", f"gd@{QUAD}",
-            "--max-iters", "400",
+            tmp_path, "compare", "--problem", QUAD,
+            "--method", "qnpe", "--method", "gd", "--max-iters", "400",
         )
         assert code == 0
         lines = read(tmp_path / "compare.dat").splitlines()
@@ -409,10 +416,9 @@ class TestCompare:
         # on an ill-conditioned quadratic the learned-curvature method
         # reaches 1e-10 squared distance in fewer iterations than plain
         # gradient descent, paying more oracle work per iteration
-        problem = "quadratic:d=20,mu=1,l1=1000,seed=2"
         code = run_cli(
-            tmp_path, "compare",
-            "--run", f"qnpe@{problem}", "--run", f"gd@{problem}",
+            tmp_path, "compare", "--problem", "quadratic:d=20,mu=1,l1=1000,seed=2",
+            "--method", "qnpe", "--method", "gd",
             "--oracle-mode", "exact", "--grad-tol", "0",
             "--dist-tol", "1e-10", "--max-iters", "40000",
         )
@@ -428,17 +434,31 @@ class TestCompare:
         assert int(totals["gd"]["mv_linsolve"]) == 0
 
     def test_single_spec_mismatch(self, tmp_path, capsys):
-        code = run_cli(tmp_path, "compare", "--run", f"qnpe@{QUAD}")
+        code = run_cli(tmp_path, "compare", "--problem", QUAD, "--method", "qnpe")
         assert code == 2
         assert "ProblemMismatch" in capsys.readouterr().err
+        assert not (tmp_path / "compare.dat").exists()
 
-    def test_different_problems_mismatch(self, tmp_path, capsys):
-        other = "quadratic:d=8,mu=1,l1=60,seed=3"
+    def test_run_flag_is_gone(self, tmp_path, capsys):
+        # the problem is named once, so two spellings of it cannot be passed
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli(
+                tmp_path, "compare",
+                "--problem", "quadratic:d=3,mu=1,l1=10,seed=1", "--method", "qnpe",
+                "--run", "gd@quadratic:d=3,l1=10,mu=1,seed=1",
+            )
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --run" in capsys.readouterr().err
+        assert not (tmp_path / "compare.dat").exists()
+
+    def test_reordered_spec_keys_name_the_canonical_problem(self, tmp_path):
         code = run_cli(
-            tmp_path, "compare", "--run", f"qnpe@{QUAD}", "--run", f"gd@{other}",
+            tmp_path, "compare", "--problem", "quadratic:d=3,l1=10,mu=1,seed=1",
+            "--method", "qnpe", "--method", "gd", "--max-iters", "5",
         )
-        assert code == 2
-        assert "ProblemMismatch" in capsys.readouterr().err
+        assert code == 0
+        lines = read(tmp_path / "compare.dat").splitlines()
+        assert lines[0] == "# problem quadratic:d=3,mu=1,l1=10,seed=1"
 
     def test_determinism(self, tmp_path):
         paths = []
@@ -446,8 +466,8 @@ class TestCompare:
             out = tmp_path / sub / "cmp.dat"
             os.makedirs(tmp_path / sub, exist_ok=True)
             main([
-                "compare", "--run", f"qnpe@{QUAD}", "--run", f"bfgs@{QUAD}",
-                "--seed", "5", "--max-iters", "300",
+                "compare", "--problem", QUAD, "--method", "qnpe",
+                "--method", "bfgs", "--seed", "5", "--max-iters", "300",
                 "--out", str(out), "--out-dir", str(tmp_path / sub),
             ])
             paths.append(out)
@@ -543,3 +563,32 @@ def test_trace_columns_are_the_record_fields():
         "loss,dist_sq,grad_norm"
     )
     assert list(IterationRecord._fields) == CSV_HEADER.split(",") + ["hat_disp"]
+
+
+def readme_commands():
+    """Every `qnpe ...` command in the README's code blocks, continuation
+    lines joined."""
+    blocks = re.findall(r"^```[a-z]*\n(.*?)^```", README.read_text(), re.M | re.S)
+    return [
+        line
+        for block in blocks
+        for line in block.replace("\\\n", " ").splitlines()
+        if line.startswith("qnpe ")
+    ]
+
+
+def test_readme_shows_every_subcommand():
+    assert {cmd.split()[1] for cmd in readme_commands()} == {
+        "run", "verify", "compare",
+    }
+
+
+@pytest.mark.parametrize(
+    "command", readme_commands(),
+    ids=[f"{i}-{cmd.split()[1]}" for i, cmd in enumerate(readme_commands())],
+)
+def test_readme_command_parses(command):
+    # parse only: nothing runs and nothing is written
+    argv = shlex.split(command)[1:]
+    args = build_parser().parse_args(argv)
+    assert args.command == argv[0]

@@ -62,6 +62,7 @@ REMOVED = [
     "_REGRET_RHO",
     "cr_iteration_cap",
     "max_backtracks_slack",
+    "OUT_DIR_ENV",
 ]
 
 

@@ -163,6 +163,40 @@ class TestRunLoop:
         with pytest.raises(ProblemMismatch, match="gradient"):
             METHODS[method](broken, SolverConfig(max_iters=5))
 
+    @staticmethod
+    def diagonal_quadratic(grad_kind):
+        """f(x) = x' diag(1, 3, 10) x / 2 - sum(x), its gradient passed
+        through `grad_kind(g, x)`."""
+        lam = np.array([1.0, 3.0, 10.0])
+        return Objective(
+            3, lambda x: grad_kind(lam * x - 1.0, x), 1.0, 10.0,
+            value=lambda x: 0.5 * x @ (lam * x) - x.sum(),
+        )
+
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize(
+        "later, found",
+        [(lambda g: g[:, None], r"has shape \(3, 1\)"), (list, "is a list")],
+        ids=["column", "list"],
+    )
+    def test_gradient_going_bad_raises_naming_the_iteration(
+        self, method, later, found
+    ):
+        # fine at the zero start, malformed from the first step on: an
+        # unchecked column made gd broadcast x into ever larger arrays and
+        # qnpe fail inside BLAS
+        obj = self.diagonal_quadratic(lambda g, x: later(g) if x.any() else g)
+        with pytest.raises(
+            ProblemMismatch, match=f"^iteration k=0: gradient at .* {found}"
+        ):
+            METHODS[method](obj, SolverConfig(max_iters=3))
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_list_gradient_raises_at_the_start(self, method):
+        obj = self.diagonal_quadratic(lambda g, x: list(g))
+        with pytest.raises(ProblemMismatch, match="start point is a list"):
+            METHODS[method](obj, SolverConfig(max_iters=3))
+
     @pytest.mark.parametrize("method", METHODS)
     def test_steps_below_one_ulp_stall(self, method):
         # at x* the gradient is rounding noise and every step rounds away

@@ -15,10 +15,11 @@ from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Optional, Union
 
 import numpy as np
-from scipy.linalg import blas
 
+from ._blas import blas
 from .errors import (
     DegenerateCurvature,
+    NonFiniteIterate,
     ParameterConflict,
     ProblemMismatch,
     SpectrumViolation,
@@ -88,6 +89,13 @@ def check_gradient(g, d: int, where: str):
         raise ProblemMismatch(
             f"gradient at {where} has shape {g.shape}, expected ({d},)"
         )
+
+
+def require_finite(arr: Array, what: str):
+    """Raise NonFiniteIterate if `arr`, the `what` of a run, holds a NaN or
+    an infinity: a broken oracle or inconsistent (mu, L1) metadata."""
+    if not np.all(np.isfinite(arr)):
+        raise NonFiniteIterate(f"non-finite values in {what}")
 
 
 def _fortran(a: Array) -> Array:

@@ -24,9 +24,8 @@ from functools import cached_property, partial
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import lapack
-from scipy.linalg.blas import ddot
 
+from ._blas import ddot, lapack
 from .core import symv
 from .errors import EigFailure
 

@@ -15,9 +15,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import blas
-from scipy.linalg.blas import ddot
 
+from ._blas import blas, ddot
 from .core import PlayedMatrix, SolverConfig, default_delta, symv
 from .errors import DegenerateCurvature, StateMismatch, ZeroDisplacement
 from .extevec import SepOutcome, ext_evec_exact, ext_evec_lanczos

@@ -15,9 +15,15 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg.blas import ddot
 
-from .core import Objective, PlayedMatrix, SolverConfig, check_gradient
+from ._blas import ddot
+from .core import (
+    Objective,
+    PlayedMatrix,
+    SolverConfig,
+    check_gradient,
+    require_finite,
+)
 from .errors import BacktrackCapExceeded
 from .linsolve import conjugate_residual
 
@@ -77,6 +83,8 @@ def backtrack(
     Raises:
         BacktrackCapExceeded: attempt budget exhausted (invalid metadata).
         IterationCapExceeded: a CR solve hit its own 20 d cap.
+        NonFiniteIterate: a trial point's gradient holds a NaN or an
+            infinity.
         ProblemMismatch: a trial point's gradient is not an ndarray of
             shape (d,).
     """
@@ -97,7 +105,13 @@ def backtrack(
         check_gradient(grad_hat, x.shape[0], "a line-search trial point")
         attempts += 1
         err = played.residual(grad_hat - g, s)
-        if eta * math.sqrt(ddot(err, err)) <= alpha2 * math.sqrt(ddot(s, s)):
+        err_sq = ddot(err, err)
+        # a NaN error fails every acceptance test and would end as a
+        # BacktrackCapExceeded blaming the metadata; an error norm that
+        # overflows from a finite gradient keeps that path
+        if not math.isfinite(err_sq):
+            require_finite(grad_hat, "gradient at a line-search trial point")
+        if eta * math.sqrt(err_sq) <= alpha2 * math.sqrt(ddot(s, s)):
             return LineSearchOutcome(
                 eta, x_hat, grad_hat, attempts, matvecs, x_tilde, grad_tilde
             )

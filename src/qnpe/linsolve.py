@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg.blas import dscal, ddot
 
+from ._blas import ddot, dscal
 from .errors import IterationCapExceeded
 
 Array = np.ndarray

@@ -8,7 +8,10 @@ comes from the solver it is used to check.
 
 SciPy's special-function module loads with the first logistic objective
 and its I/O and sparse modules with the first `load_matrix_market`, once
-per process, so quadratic and baseline runs never import them.
+per process, so quadratic and baseline runs never import them. The Newton
+minimizer factors by LAPACK dpotrf and dpotrs from `qnpe._blas`, the calls
+`scipy.linalg.cho_factor` and `cho_solve` make, so no run loads
+`scipy.linalg` itself.
 """
 
 from __future__ import annotations
@@ -17,8 +20,8 @@ from dataclasses import replace
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
 
+from ._blas import lapack
 from .core import Objective
 from .errors import (
     InvalidSpectrum,
@@ -250,11 +253,14 @@ def _newton_minimizer(obj: Objective) -> Array:
                 f"||grad|| = {g_norm:.3e}"
             )
         steps += 1
-        try:
-            factor = scipy.linalg.cho_factor(obj.hessian(x))
-        except np.linalg.LinAlgError as exc:
-            raise MinimizerStall(f"Newton minimizer: {exc}") from exc
-        step = scipy.linalg.cho_solve(factor, g)
+        # the calls `cho_factor` and `cho_solve` make, so steps keep their bits
+        factor, info = lapack.dpotrf(obj.hessian(x), lower=0, clean=0)
+        if info != 0:
+            raise MinimizerStall(
+                f"Newton minimizer: leading minor {info} of the Hessian "
+                "is not positive definite"
+            )
+        step, _ = lapack.dpotrs(factor, g, lower=0)
         t = 1.0
         while True:
             x_new = x - t * step

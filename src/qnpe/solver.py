@@ -10,18 +10,19 @@ from dataclasses import replace
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg.blas import ddot
 
+from ._blas import ddot
 from .core import (
     IterationRecord,
     Objective,
     SolverConfig,
     SolverReport,
     check_gradient,
+    require_finite,
     resolve_initial_matrix,
     validate_config,
 )
-from .errors import NonFiniteIterate, ProblemMismatch
+from .errors import ProblemMismatch
 from .learner import HessianLearner, LossSample
 from .linesearch import backtrack
 
@@ -71,7 +72,7 @@ def run_loop(
     x = np.zeros(d) if x0 is None else np.array(x0, dtype=float)
     if x.shape != shape:
         raise ProblemMismatch(f"x0 has shape {x.shape}, expected ({d},)")
-    _require_finite(x, "x0")
+    require_finite(x, "x0")
     x_start = x.copy()
 
     t_begin = time.perf_counter()
@@ -80,7 +81,7 @@ def run_loop(
     termination = "max_iters"
     g = obj.grad(x)
     check_gradient(g, d, "the start point")
-    _require_finite(g, "gradient at the start point")
+    require_finite(g, "gradient at the start point")
     grad_norm = math.sqrt(ddot(g, g))
 
     for k in range(cfg.max_iters):
@@ -108,10 +109,10 @@ def run_loop(
         # non-finite one (NaN, Inf, or finite entries that overflow) pays
         # for the full scan, which raises on the same inputs as before
         if not math.isfinite(ddot(x_next, x_next)):
-            _require_finite(x_next, f"iterate at k={k}")
+            require_finite(x_next, f"iterate at k={k}")
         g_sq = ddot(g, g)
         if not math.isfinite(g_sq):
-            _require_finite(g, f"gradient at k={k + 1}")
+            require_finite(g, f"gradient at k={k + 1}")
         records.append(
             IterationRecord(k=k, grad_norm=grad_norm, dist_sq=dist_sq, **fields)
         )
@@ -179,8 +180,3 @@ def solve(
     return replace(
         run_loop("qnpe", obj, cfg, x0, step), loss_samples=tuple(samples)
     )
-
-
-def _require_finite(arr: Array, what: str):
-    if not np.all(np.isfinite(arr)):
-        raise NonFiniteIterate(f"non-finite values in {what}")

@@ -5,7 +5,7 @@ import pytest
 
 import qnpe.linesearch
 from qnpe.core import Objective, PlayedMatrix, SolverConfig, validate_config
-from qnpe.errors import BacktrackCapExceeded
+from qnpe.errors import BacktrackCapExceeded, NonFiniteIterate
 from qnpe.linesearch import BACKTRACK_SLACK, attempt_cap, backtrack
 from qnpe.linsolve import conjugate_residual
 from qnpe.problems import make_quadratic
@@ -73,6 +73,31 @@ class TestBacktrack:
         with pytest.raises(BacktrackCapExceeded):
             backtrack(
                 np.array([1.0]), np.array([100.0]), PlayedMatrix(np.array([[1.0]])),
+                cfg.sigma0, cfg, obj,
+            )
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_trial_gradient_is_non_finite_iterate(self, bad):
+        obj = Objective(
+            dim=2, grad=lambda x: np.array([x[0], bad]), mu=1.0, l1=1.0
+        )
+        cfg = validate_config(SolverConfig(), obj)
+        with pytest.raises(NonFiniteIterate, match="line-search trial point"):
+            backtrack(
+                np.ones(2), np.ones(2), PlayedMatrix(np.eye(2)), 1.0, cfg, obj
+            )
+
+    def test_overflowing_error_from_finite_gradient_blames_metadata(
+        self, monkeypatch
+    ):
+        # ||err||^2 overflows to inf although every entry is finite: the
+        # finiteness scan passes and the attempt budget trips as before
+        monkeypatch.setattr(qnpe.linesearch, "BACKTRACK_SLACK", 0)
+        obj = Objective(dim=1, grad=lambda x: np.array([1e300]), mu=0.5, l1=1.0)
+        cfg = validate_config(SolverConfig(), obj)
+        with pytest.raises(BacktrackCapExceeded):
+            backtrack(
+                np.array([1.0]), np.array([1.0]), PlayedMatrix(np.eye(1)),
                 cfg.sigma0, cfg, obj,
             )
 

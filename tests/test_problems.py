@@ -14,6 +14,7 @@ from reference import logistic_data, logistic_single_pass
 
 import qnpe.problems
 import qnpe.solver
+from qnpe import Objective
 from qnpe.errors import (
     InvalidSpectrum,
     MinimizerStall,
@@ -290,6 +291,21 @@ class TestLogistic:
         with pytest.raises(MinimizerStall):
             make_logistic(40, 6, 0.1, seed=3)
 
+    @pytest.mark.parametrize(
+        "diagonal, minor",
+        [([-1.0, -1.0, -1.0], 1), ([2.0, 1.0, -1.0], 3), ([1.0, 0.0, 1.0], 2)],
+        ids=["minus_identity", "last_negative", "singular"],
+    )
+    def test_hessian_not_positive_definite_is_minimizer_stall(
+        self, diagonal, minor
+    ):
+        hessian = np.diag(diagonal)
+        obj = Objective(3, lambda x: x + 1.0, 1.0, 1.0, hessian=lambda x: hessian)
+        with pytest.raises(
+            MinimizerStall, match=f"leading minor {minor} of the Hessian"
+        ):
+            _newton_minimizer(obj)
+
     def test_l2_bound_formula(self):
         features = np.array([[3.0, 4.0], [0.0, 1.0]])
         obj = logistic_objective(features, np.array([1.0, -1.0]), lam=0.1)
@@ -412,13 +428,18 @@ class TestLogistic:
             logistic_objective(features, np.ones(4), lam=0.1)
 
 
-#: modules that `qnpe.problems` imports on first use, not at import time
-DEFERRED = ("scipy.io", "scipy.sparse", "scipy.special")
+#: SciPy modules that no quadratic or baseline run loads: qnpe binds BLAS
+#: and LAPACK without running the `scipy.linalg` package init (which loads
+#: `scipy._lib._util`), and `qnpe.problems` imports the last three on
+#: first use
+DEFERRED = (
+    "scipy.linalg", "scipy._lib._util", "scipy.io", "scipy.sparse", "scipy.special"
+)
 
 
 def _deferred_loaded(code):
     """Deferred modules in sys.modules after `code` runs in a fresh
-    interpreter: this suite's own process has long imported scipy.io."""
+    interpreter: this suite's own process has long imported all of them."""
     child = subprocess.run(
         [
             sys.executable,

@@ -192,6 +192,18 @@ class TestRunLoop:
             METHODS[method](obj, SolverConfig(max_iters=3))
 
     @pytest.mark.parametrize("method", METHODS)
+    def test_nan_gradient_after_the_start_is_non_finite(self, method):
+        # finite at the zero start, NaN at every other point: qnpe first
+        # meets it at a line-search trial point, where a NaN error norm
+        # failed every acceptance test and ended as BacktrackCapExceeded
+        obj = self.diagonal_quadratic(
+            lambda g, x: np.full(3, np.nan) if x.any() else g
+        )
+        where = "a line-search trial point" if method == "qnpe" else "k=1"
+        with pytest.raises(NonFiniteIterate, match=f"in gradient at {where}$"):
+            METHODS[method](obj, SolverConfig(max_iters=3))
+
+    @pytest.mark.parametrize("method", METHODS)
     def test_list_gradient_raises_at_the_start(self, method):
         obj = self.diagonal_quadratic(lambda g, x: list(g))
         with pytest.raises(ProblemMismatch, match="start point is a list"):

@@ -6,13 +6,7 @@ The top level exports the README surface; every other name is importable
 from its own module (`qnpe.linsolve.conjugate_residual`, ...)."""
 
 from .baselines import solve_bfgs, solve_gd
-from .core import (
-    Objective,
-    SolverConfig,
-    SolverReport,
-    config_from_kv,
-    config_to_kv,
-)
+from .core import Objective, SolverConfig, SolverReport
 from .extevec import lanczos_budget
 from .learner import HessianLearner
 from .problems import load_matrix_market, make_logistic, make_quadratic
@@ -24,8 +18,6 @@ __all__ = [
     "Objective",
     "SolverConfig",
     "SolverReport",
-    "config_from_kv",
-    "config_to_kv",
     "lanczos_budget",
     "load_matrix_market",
     "make_logistic",

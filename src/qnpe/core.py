@@ -410,55 +410,21 @@ def resolve_initial_matrix(cfg: SolverConfig, obj: Objective) -> Array:
     return np.array(cfg.b0, dtype=float)
 
 
-# --- flat key-value wire format (the CLI config contract) ---
+# --- config field table (the CLI config flags and the type check) ---
 
 
 def _flat_type(hint) -> type:
-    """The str, int or float that a field's value is written as; b0's flat
-    form is its scaled-identity factor."""
+    """The str, int or float that a field's CLI flag parses; b0's flag is
+    its scaled-identity factor."""
     members = typing.get_args(hint) or (hint,)
     return next(kind for kind in (str, int, float) if kind in members)
 
 
 _HINTS = typing.get_type_hints(SolverConfig)
-#: field name -> flat value type, in field order; drives the kv format, the
-#: CLI config flags and the type check of `validate_config`
+#: field name -> flat value type, in field order; drives the CLI config
+#: flags and the type check of `validate_config`
 CONFIG_FIELDS = {f.name: _flat_type(_HINTS[f.name]) for f in fields(SolverConfig)}
 #: the fields that may hold None
 _OPTIONAL = {
     name for name, hint in _HINTS.items() if type(None) in typing.get_args(hint)
 }
-
-
-def config_to_kv(cfg: SolverConfig) -> str:
-    """Serialize to `key=value` lines, one per field, in field order."""
-    lines = []
-    for name, kind in CONFIG_FIELDS.items():
-        val = getattr(cfg, name)
-        if name == "b0" and val is not None and not np.isscalar(val):
-            raise ValueError("an explicit b0 matrix has no flat encoding")
-        if val is None:
-            text = "none"
-        else:
-            text = repr(float(val)) if kind is float else str(kind(val))
-        lines.append(f"{name}={text}")
-    return "\n".join(lines) + "\n"
-
-
-def config_from_kv(text: str) -> SolverConfig:
-    """Parse the `key=value` format produced by `config_to_kv`; a value of
-    `none` stands for the field's default."""
-    values = {}
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, _, val = line.partition("=")
-        key, val = key.strip(), val.strip()
-        if key not in CONFIG_FIELDS:
-            raise ValueError(f"unknown config key {key!r}")
-        if val == "none":
-            values.pop(key, None)
-        else:
-            values[key] = CONFIG_FIELDS[key](val)
-    return SolverConfig(**values)

@@ -1,8 +1,8 @@
 """Every `SolverConfig` field is a live knob: some code in the package reads
 it as `cfg.<field>`, `<x>.cfg.<field>` or `<x>.config.<field>` outside
-`validate_config` and the kv functions, which handle every field whether
-anything else reads it or not. A field that nobody reads fails here instead
-of lingering as a CLI flag."""
+`validate_config`, which checks every field whether anything else reads it
+or not. A field that nobody reads fails here instead of lingering as a CLI
+flag."""
 
 import ast
 import dataclasses
@@ -14,7 +14,7 @@ from qnpe.core import SolverConfig
 PACKAGE = Path(qnpe.__file__).parent
 
 #: functions whose reads do not count
-EXEMPT = {"validate_config", "config_to_kv", "config_from_kv"}
+EXEMPT = {"validate_config"}
 
 
 def _is_config(node: ast.expr) -> bool:
@@ -56,8 +56,6 @@ def test_scan_skips_the_validator_and_the_kv_functions():
     source = (
         "def validate_config(cfg, obj):\n"
         "    return cfg.rho\n"
-        "def config_to_kv(cfg):\n"
-        "    return cfg.dist_tol\n"
         "def step(cfg, run):\n"
         "    cfg.alpha1 = 0.0\n"
         "    return cfg.seed + run.config.p + self.cfg.b0 + other.beta\n"

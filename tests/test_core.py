@@ -12,8 +12,6 @@ from qnpe.core import (
     Objective,
     SolverConfig,
     budget_log_term,
-    config_from_kv,
-    config_to_kv,
     default_delta,
     resolve_initial_matrix,
     validate_config,
@@ -174,6 +172,46 @@ class TestValidateConfig:
         for field in dataclasses.fields(SolverConfig):
             assert getattr(first, field.name) == getattr(second, field.name)
 
+    @given(data=st.data())
+    def test_idempotent_property(self, data):
+        # finite floats in each field's valid range, None where a field
+        # may hold it; on mu = 1, L1 = 4 every alpha2 * beta / L1 < 1/4, so
+        # an explicit sigma0 >= 1/4 is above the step floor
+        def real(lo, hi, exclude_min=False, exclude_max=False):
+            return st.floats(
+                lo, hi, exclude_min=exclude_min, exclude_max=exclude_max,
+                allow_nan=False, allow_infinity=False,
+            )
+
+        def optional(strategy):
+            return data.draw(st.none() | strategy)
+
+        cfg = SolverConfig(
+            alpha1=data.draw(real(0.0, 0.5, exclude_max=True)),
+            alpha2=data.draw(real(0.0, 0.5, exclude_min=True, exclude_max=True)),
+            beta=data.draw(real(0.0, 1.0, exclude_min=True, exclude_max=True)),
+            sigma0=optional(real(0.25, 1e300)),
+            rho=data.draw(real(0.0, 1e300, exclude_min=True)),
+            p=data.draw(real(0.0, 1.0, exclude_min=True, exclude_max=True)),
+            b0=optional(real(1.0, 4.0)),
+            oracle_mode=data.draw(st.sampled_from(ORACLE_MODES)),
+            seed=data.draw(st.integers(0, 2**63 - 1)),
+            max_iters=data.draw(st.integers(1, 10**9)),
+            grad_tol=data.draw(real(0.0, 1e300)),
+            dist_tol=optional(real(0.0, 1e300)),
+        )
+        # a valid config also keeps sigma0 * L1 / (alpha2 * beta) finite,
+        # since the line search's attempt budget takes its log; a sigma0 of
+        # None stands for the theory default 1/(4 L1), which lies below the
+        # step floor once alpha2 * beta > 1/4
+        sigma0 = 1.0 / 16.0 if cfg.sigma0 is None else cfg.sigma0
+        alpha2_beta = cfg.alpha2 * cfg.beta
+        assume(0.0 < alpha2_beta <= 4.0 * sigma0)
+        assume(math.isfinite(sigma0 * 4.0 / alpha2_beta))
+        obj = simple_objective(mu=1.0, l1=4.0)
+        validated = validate_config(cfg, obj)
+        assert validate_config(validated, obj) == validated
+
     @pytest.mark.parametrize("value", [float("nan"), -1.0, -0.5e-300])
     @pytest.mark.parametrize("field", ["grad_tol", "dist_tol"])
     def test_tolerances_must_be_nonnegative_numbers(self, field, value):
@@ -226,89 +264,6 @@ class TestInitialMatrix:
             validate_config(cfg, obj)
         with pytest.raises(SpectrumViolation, match="problem dimension is 3"):
             solve_gd(obj, cfg, x0=np.ones(3))
-
-
-class TestKvFormat:
-    def test_round_trip(self):
-        obj = simple_objective(mu=1.0, l1=4.0)
-        cfg = validate_config(SolverConfig(seed=17, dist_tol=1e-12), obj)
-        parsed = config_from_kv(config_to_kv(cfg))
-        for field in dataclasses.fields(SolverConfig):
-            assert getattr(parsed, field.name) == getattr(cfg, field.name)
-
-    @given(data=st.data())
-    def test_round_trip_property(self, data):
-        # finite floats in each field's valid range, None where a field
-        # may hold it; on mu = 1, L1 = 4 every alpha2 * beta / L1 < 1/4, so
-        # an explicit sigma0 >= 1/4 is above the step floor
-        def real(lo, hi, exclude_min=False, exclude_max=False):
-            return st.floats(
-                lo, hi, exclude_min=exclude_min, exclude_max=exclude_max,
-                allow_nan=False, allow_infinity=False,
-            )
-
-        def optional(strategy):
-            return data.draw(st.none() | strategy)
-
-        cfg = SolverConfig(
-            alpha1=data.draw(real(0.0, 0.5, exclude_max=True)),
-            alpha2=data.draw(real(0.0, 0.5, exclude_min=True, exclude_max=True)),
-            beta=data.draw(real(0.0, 1.0, exclude_min=True, exclude_max=True)),
-            sigma0=optional(real(0.25, 1e300)),
-            rho=data.draw(real(0.0, 1e300, exclude_min=True)),
-            p=data.draw(real(0.0, 1.0, exclude_min=True, exclude_max=True)),
-            b0=optional(real(1.0, 4.0)),
-            oracle_mode=data.draw(st.sampled_from(ORACLE_MODES)),
-            seed=data.draw(st.integers(0, 2**63 - 1)),
-            max_iters=data.draw(st.integers(1, 10**9)),
-            grad_tol=data.draw(real(0.0, 1e300)),
-            dist_tol=optional(real(0.0, 1e300)),
-        )
-        # a valid config also keeps sigma0 * L1 / (alpha2 * beta) finite,
-        # since the line search's attempt budget takes its log; a sigma0 of
-        # None stands for the theory default 1/(4 L1), which lies below the
-        # step floor once alpha2 * beta > 1/4
-        sigma0 = 1.0 / 16.0 if cfg.sigma0 is None else cfg.sigma0
-        alpha2_beta = cfg.alpha2 * cfg.beta
-        assume(0.0 < alpha2_beta <= 4.0 * sigma0)
-        assume(math.isfinite(sigma0 * 4.0 / alpha2_beta))
-        validated = validate_config(cfg, simple_objective(mu=1.0, l1=4.0))
-        for config in (cfg, validated):
-            assert config_from_kv(config_to_kv(config)) == config
-
-    def test_none_encoding(self):
-        text = config_to_kv(SolverConfig())
-        assert "sigma0=none" in text.splitlines()
-        assert config_from_kv(text).sigma0 is None
-
-    @pytest.mark.parametrize(
-        "field", ["alpha1", "rho", "p", "seed", "max_iters", "grad_tol", "b0"]
-    )
-    def test_none_is_the_field_default(self, field):
-        assert config_from_kv(f"{field}=none\n") == SolverConfig()
-        # the last line for a key wins, also when it is none
-        text = f"rho=0.5\n{field}=none\nrho=none\n"
-        assert config_from_kv(text) == SolverConfig()
-
-    def test_text_with_none_placeholders_parses(self):
-        # config_to_kv(SolverConfig()) as written while alpha1, alpha2 and
-        # beta defaulted to None, without the removed delta line
-        text = (
-            "alpha1=none\nalpha2=none\nbeta=none\nsigma0=none\n"
-            "rho=0.05555555555555555\np=0.05\nb0=none\noracle_mode=lanczos\n"
-            "seed=0\nmax_iters=10000\ngrad_tol=1e-08\ndist_tol=none\n"
-        )
-        assert config_from_kv(text) == SolverConfig()
-        with pytest.raises(ValueError, match="delta"):
-            config_from_kv(text + "delta=none\n")
-
-    def test_unknown_key_rejected(self):
-        with pytest.raises(ValueError):
-            config_from_kv("bogus=1\n")
-
-    def test_matrix_b0_not_encodable(self):
-        with pytest.raises(ValueError):
-            config_to_kv(SolverConfig(b0=np.eye(2)))
 
 
 class TestDefaultDelta:

@@ -23,8 +23,6 @@ PUBLIC = {
     "Objective",
     "SolverConfig",
     "SolverReport",
-    "config_from_kv",
-    "config_to_kv",
     "lanczos_budget",
     "load_matrix_market",
     "make_logistic",
@@ -63,6 +61,8 @@ REMOVED = [
     "cr_iteration_cap",
     "max_backtracks_slack",
     "OUT_DIR_ENV",
+    "config_to_kv",
+    "config_from_kv",
 ]
 
 

@@ -8,6 +8,8 @@ column by column.
 
 from __future__ import annotations
 
+import math
+import numbers
 from typing import Optional
 
 import numpy as np
@@ -19,7 +21,7 @@ from .core import (
     check_gradient,
     validate_config,
 )
-from .errors import LineSearchFailure
+from .errors import LineSearchFailure, NonFiniteIterate, ProblemMismatch
 from .solver import run_loop
 
 Array = np.ndarray
@@ -28,28 +30,49 @@ ARMIJO_C1 = 1e-4
 ARMIJO_MAX_HALVINGS = 60
 
 
+def _value(obj: Objective, x: Array, where: str) -> float:
+    """f(x) as a float, from a value oracle that must return a real scalar
+    (a Python or NumPy number, or a 0-d array of one)."""
+    value = obj.value(x)
+    if isinstance(value, np.ndarray) and value.shape == ():
+        value = value[()]
+    if not isinstance(value, numbers.Real):
+        raise ProblemMismatch(
+            f"value at {where} is a {type(value).__name__}, expected a real scalar"
+        )
+    value = float(value)
+    if math.isnan(value):
+        raise NonFiniteIterate(f"value at {where} is NaN")
+    return value
+
+
 def bfgs_step(x: Array, h: Array, g: Array, obj: Objective) -> tuple:
     """One BFGS update from iterate x with inverse curvature approximation h
-    and gradient g, with Armijo backtracking.
+    and gradient g, with Armijo backtracking. A value of +inf at a trial
+    point counts as no decrease.
 
     Returns (x_new, g_new, h_new, step size, armijo attempts). The inverse
     approximation update is skipped when the curvature pair is degenerate
     (<y, s> <= 1e-12 ||s|| ||y||), which keeps H positive definite.
 
     Raises:
-        LineSearchFailure: no Armijo decrease within the halving cap.
-        ProblemMismatch: the gradient at the new iterate is not an ndarray
-            of shape (d,).
+        LineSearchFailure: no value oracle, or no Armijo decrease within
+            the halving cap.
+        ProblemMismatch: the value at x or at an Armijo trial point is not
+            a real scalar, or the gradient at the new iterate is not a real
+            ndarray of shape (d,).
+        NonFiniteIterate: the value at x or at an Armijo trial point is NaN.
     """
     if obj.value is None:
         raise LineSearchFailure("BFGS needs the objective value oracle")
     direction = -(h @ g)
     slope = float(g @ direction)
-    f0 = obj.value(x)
+    f0 = _value(obj, x, "the iterate")
     step = 1.0
     for attempts in range(1, ARMIJO_MAX_HALVINGS + 1):
         x_new = x + step * direction
-        if obj.value(x_new) <= f0 + ARMIJO_C1 * step * slope:
+        trial = _value(obj, x_new, f"the Armijo trial point of step {step!r}")
+        if trial <= f0 + ARMIJO_C1 * step * slope:
             break
         step *= 0.5
     else:

@@ -76,8 +76,19 @@ class Objective:
         return blas.ddot(diff, diff)
 
 
+def check_real(arr: Array, what: str):
+    """Raise ProblemMismatch unless `arr`, the `what` of a run, holds real
+    floating-point or integer numbers: a complex array would lose its
+    imaginary part silently, and a bool, object or string array fails
+    untyped in the arithmetic it enters."""
+    if arr.dtype.kind not in "fiu":
+        raise ProblemMismatch(
+            f"{what} has dtype {arr.dtype}, expected real floating point or integer"
+        )
+
+
 def check_gradient(g, d: int, where: str):
-    """Raise ProblemMismatch unless `g`, the gradient at `where`, is an
+    """Raise ProblemMismatch unless `g`, the gradient at `where`, is a real
     ndarray of shape (d,): any other value would broadcast the iterate or
     fail untyped in the arithmetic it enters."""
     if not isinstance(g, np.ndarray):
@@ -89,6 +100,7 @@ def check_gradient(g, d: int, where: str):
         raise ProblemMismatch(
             f"gradient at {where} has shape {g.shape}, expected ({d},)"
         )
+    check_real(g, f"gradient at {where}")
 
 
 def require_finite(arr: Array, what: str):

@@ -18,6 +18,7 @@ from .core import (
     SolverConfig,
     SolverReport,
     check_gradient,
+    check_real,
     require_finite,
     resolve_initial_matrix,
     validate_config,
@@ -61,15 +62,18 @@ def run_loop(
     leave the iterate exactly unchanged, or "max_iters".
 
     Raises:
-        ProblemMismatch: x0 does not have shape (d,), or a gradient the
-            run evaluates is not an ndarray of shape (d,); past the start
-            point the message names the iteration.
+        ProblemMismatch: x0 is not real or does not have shape (d,), the
+            gradient at the start point is not a real ndarray of shape
+            (d,), or a later gradient does not have shape (d,); past the
+            start point the message names the iteration.
         NonFiniteIterate: NaN/Inf in x0, an iterate or a gradient, which
             signals inconsistent (mu, L1) metadata or a broken oracle.
     """
     d = obj.dim
     shape = (d,)
-    x = np.zeros(d) if x0 is None else np.array(x0, dtype=float)
+    x = np.zeros(d) if x0 is None else np.asarray(x0)
+    check_real(x, "x0")
+    x = np.array(x, dtype=float)
     if x.shape != shape:
         raise ProblemMismatch(f"x0 has shape {x.shape}, expected ({d},)")
     require_finite(x, "x0")
@@ -107,7 +111,7 @@ def run_loop(
             raise ProblemMismatch(f"iteration k={k}: {exc}") from exc
         # a finite squared norm proves every entry finite, so only a
         # non-finite one (NaN, Inf, or finite entries that overflow) pays
-        # for the full scan, which raises on the same inputs as before
+        # for the full scan, which raises only on a non-finite entry
         if not math.isfinite(ddot(x_next, x_next)):
             require_finite(x_next, f"iterate at k={k}")
         g_sq = ddot(g, g)

@@ -3,7 +3,7 @@ import pytest
 
 from qnpe.baselines import bfgs_step, solve_bfgs, solve_gd
 from qnpe.core import Objective, SolverConfig
-from qnpe.errors import LineSearchFailure
+from qnpe.errors import LineSearchFailure, NonFiniteIterate, ProblemMismatch
 from qnpe.problems import make_quadratic, quadratic_objective
 
 
@@ -103,6 +103,60 @@ class TestBfgs:
         )
         with pytest.raises(LineSearchFailure, match="exhausted its cap"):
             solve_bfgs(obj, SolverConfig(max_iters=5))
+
+    @staticmethod
+    def diagonal_quadratic(value):
+        """f(x) = x' diag(1, 3, 10) x / 2 - sum(x) with the value oracle
+        `value(f, x)`."""
+        lam = np.array([1.0, 3.0, 10.0])
+        return Objective(
+            3, lambda x: lam * x - 1.0, 1.0, 10.0,
+            value=lambda x: value(0.5 * x @ (lam * x) - x.sum(), x),
+        )
+
+    @pytest.mark.parametrize(
+        "value, error, found",
+        [
+            (lambda f, x: float("nan"), NonFiniteIterate, "is NaN"),
+            (lambda f, x: x * x, ProblemMismatch, "is a ndarray"),
+            (lambda f, x: None, ProblemMismatch, "is a NoneType"),
+        ],
+        ids=["nan", "array", "none"],
+    )
+    def test_malformed_value_raises_typed_error(self, value, error, found):
+        # NaN ran all 60 halvings into LineSearchFailure, an array raised a
+        # bare ValueError and None a bare TypeError
+        obj = self.diagonal_quadratic(value)
+        with pytest.raises(error, match=f"value at the iterate {found}"):
+            solve_bfgs(obj, SolverConfig(max_iters=50))
+
+    def test_malformed_value_at_a_trial_point_raises(self):
+        obj = self.diagonal_quadratic(lambda f, x: None if x.any() else f)
+        with pytest.raises(
+            ProblemMismatch,
+            match=r"^iteration k=0: value at the Armijo trial point of step 1\.0 ",
+        ):
+            solve_bfgs(obj, SolverConfig(max_iters=50))
+
+    def test_infinite_trial_value_is_no_decrease(self):
+        # +inf beyond the unit ball: the full step is rejected and halved
+        obj = self.diagonal_quadratic(
+            lambda f, x: float("inf") if x @ x > 1.0 else f
+        )
+        x0 = np.zeros(3)
+        x, _, _, step, attempts = bfgs_step(x0, np.eye(3), obj.grad(x0), obj)
+        assert attempts > 1
+        assert step == 0.5 ** (attempts - 1)
+        assert x @ x <= 1.0
+
+    @pytest.mark.parametrize(
+        "kind", [np.float64, np.array], ids=["numpy_float", "zero_dim_array"]
+    )
+    def test_numpy_scalar_values_keep_their_bits(self, kind):
+        plain = solve_bfgs(self.diagonal_quadratic(lambda f, x: float(f)))
+        wrapped = solve_bfgs(self.diagonal_quadratic(lambda f, x: kind(f)))
+        assert np.array_equal(plain.final_x, wrapped.final_x)
+        assert plain.records == wrapped.records
 
     def test_inverse_approximation_stays_positive_definite(self):
         obj = make_quadratic(8, 1.0, 50.0, seed=4)

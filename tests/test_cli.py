@@ -398,6 +398,27 @@ class TestVerify:
         assert capsys.readouterr().out == text
         assert [line.split("=", 1)[0] for line in text.splitlines()] == keys
 
+    def test_single_seed_off_the_regret_gate(self, tmp_path, capsys):
+        # the small-loss regret bound, the superlinear envelope and N_tr are
+        # derived for rho = 1/18 only: at any other rho they report na
+        code = run_cli(
+            tmp_path, "verify", "--problem", "quadratic:d=10,mu=1,l1=100,seed=1",
+            "--oracle-mode", "exact", "--rho", "0.1",
+        )
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        for line in (
+            "cert_small_loss_regret=na",
+            "cert_superlinear_envelope=na",
+            "n_tr=NA",
+            "all_passed=true",
+        ):
+            assert line in lines
+        keys = [line.split("=", 1)[0] for line in lines]
+        assert "margin_small_loss_regret" not in keys
+        assert "margin_superlinear_envelope" not in keys
+        assert "n_eps_bound" not in keys
+
 
 class TestCompare:
     def test_two_methods_align(self, tmp_path):
@@ -552,6 +573,29 @@ class TestParseProblem:
 
         with pytest.raises(InvalidSpectrum):
             parse_problem(spec)
+
+    @pytest.mark.parametrize(
+        "spec, found",
+        [
+            ("mm:", "needs a file path"),
+            ("quadratic:d,mu=1,l1=10,seed=1", "malformed problem parameter 'd'"),
+            ("quadratic:d=4,mu=1,l1=10,seed=1,foo=2", "unknown keys foo"),
+        ],
+        ids=["mm_without_path", "item_without_value", "unknown_key"],
+    )
+    def test_malformed_spec_raises(self, spec, found):
+        from qnpe.errors import ProblemMismatch
+
+        with pytest.raises(ProblemMismatch, match=found):
+            parse_problem(spec)
+
+
+def test_run_method_rejects_an_unknown_method():
+    from qnpe.errors import ProblemMismatch
+
+    obj, _ = parse_problem(QUAD)
+    with pytest.raises(ProblemMismatch, match="unknown method 'newton'"):
+        qnpe.cli.run_method("newton", obj, SolverConfig())
 
 
 def test_trace_columns_are_the_record_fields():

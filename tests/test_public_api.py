@@ -6,6 +6,7 @@ import ast
 import dataclasses
 import importlib
 import inspect
+import re
 from pathlib import Path
 
 import pytest
@@ -17,6 +18,7 @@ from qnpe.verify import Certificate
 
 PACKAGE = Path(qnpe.__file__).parent
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 PUBLIC = {
     "HessianLearner",
@@ -100,6 +102,43 @@ def test_all_is_the_documented_surface():
 @pytest.mark.parametrize("name", sorted(PUBLIC))
 def test_every_public_name_resolves(name):
     assert getattr(qnpe, name) is not None
+
+
+def readme_names() -> list:
+    """The dotted `qnpe.…` names in the README's inline code spans, fenced
+    blocks excluded."""
+    text = re.sub(r"```.*?```", "", README.read_text(), flags=re.S)
+    names = set()
+    for span in re.findall(r"`([^`]+)`", text):
+        names.update(re.findall(r"\bqnpe(?:\.\w+)+", span))
+    return sorted(names)
+
+
+def resolve(name: str):
+    """Import the longest module prefix of `name`, then getattr the rest."""
+    parts = name.split(".")
+    for i in range(len(parts), 0, -1):
+        try:
+            target = importlib.import_module(".".join(parts[:i]))
+        except ModuleNotFoundError:
+            continue
+        break
+    for part in parts[i:]:
+        target = getattr(target, part)
+    return target
+
+
+def test_readme_scan_finds_names():
+    names = readme_names()
+    # a module, a name imported from one, and a name broken across lines
+    expected = {"qnpe.cli", "qnpe.core.IterationRecord", "qnpe.verify.linear_rate"}
+    assert expected <= set(names)
+
+
+@pytest.mark.parametrize("name", readme_names())
+def test_readme_names_resolve(name):
+    # the README may not name what the package lacks
+    resolve(name)
 
 
 def test_perfbench_imports_are_public():

@@ -139,13 +139,38 @@ class TestRunLoop:
         [
             (lambda d: np.zeros((d, 1)), ProblemMismatch),
             (lambda d: np.full(d, np.nan), NonFiniteIterate),
+            # these raised a bare TypeError and ValueError, or, for the
+            # complex array, lost their imaginary part silently
+            (lambda d: [1 + 5j] + [0] * (d - 1), ProblemMismatch),
+            (lambda d: ["a"] * d, ProblemMismatch),
+            (lambda d: np.eye(d, dtype=complex)[0] * (1 + 5j), ProblemMismatch),
         ],
-        ids=["column", "nan"],
+        ids=["column", "nan", "complex_list", "string_list", "complex_array"],
     )
     def test_malformed_x0_raises_typed_error(self, method, make_x0, error):
         obj = make_quadratic(4, 1.0, 10.0, seed=0)
         with pytest.raises(error):
             METHODS[method](obj, SolverConfig(max_iters=5), x0=make_x0(4))
+
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("dtype", [complex, object, bool])
+    def test_non_real_gradient_raises_at_the_start(self, method, dtype):
+        # a complex gradient ran on with its imaginary parts dropped; an
+        # object or bool one failed untyped in the arithmetic it entered
+        obj = self.diagonal_quadratic(lambda g, x: g.astype(dtype))
+        with pytest.raises(
+            ProblemMismatch,
+            match=f"^gradient at the start point has dtype {np.dtype(dtype)}, ",
+        ):
+            METHODS[method](obj, SolverConfig(max_iters=3))
+
+    def test_overflowing_iterate_is_non_finite(self):
+        # finite x and g whose step overflows to -inf
+        obj = Objective(1, lambda x: np.full(1, 1e308), 0.5, 0.5)
+        with np.errstate(over="ignore"), pytest.raises(
+            NonFiniteIterate, match=r"^non-finite values in iterate at k=0$"
+        ):
+            solve_gd(obj, SolverConfig(max_iters=3), x0=[-1e308])
 
     @pytest.mark.parametrize("method", METHODS)
     @pytest.mark.parametrize(

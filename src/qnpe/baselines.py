@@ -18,7 +18,7 @@ from .core import (
     Objective,
     SolverConfig,
     SolverReport,
-    check_gradient,
+    check_vector,
     validate_config,
 )
 from .errors import LineSearchFailure, NonFiniteIterate, ProblemMismatch
@@ -61,13 +61,17 @@ def bfgs_step(x: Array, h: Array, g: Array, obj: Objective) -> tuple:
         ProblemMismatch: the value at x or at an Armijo trial point is not
             a real scalar, or the gradient at the new iterate is not a real
             ndarray of shape (d,).
-        NonFiniteIterate: the value at x or at an Armijo trial point is NaN.
+        NonFiniteIterate: the value at x is not finite, or the value at an
+            Armijo trial point is NaN.
     """
     if obj.value is None:
         raise LineSearchFailure("BFGS needs the objective value oracle")
     direction = -(h @ g)
     slope = float(g @ direction)
     f0 = _value(obj, x, "the iterate")
+    # +inf here would pass every Armijo test, -inf fail every finite trial
+    if math.isinf(f0):
+        raise NonFiniteIterate(f"value at the iterate is {f0}")
     step = 1.0
     for attempts in range(1, ARMIJO_MAX_HALVINGS + 1):
         x_new = x + step * direction
@@ -79,7 +83,7 @@ def bfgs_step(x: Array, h: Array, g: Array, obj: Objective) -> tuple:
         raise LineSearchFailure("Armijo backtracking exhausted its cap")
 
     g_new = obj.grad(x_new)
-    check_gradient(g_new, x.shape[0], "the Armijo point")
+    check_vector(g_new, x.shape[0], "gradient at the Armijo point")
     s = x_new - x
     y = g_new - g
     ys = float(y @ s)

@@ -76,31 +76,21 @@ class Objective:
         return blas.ddot(diff, diff)
 
 
-def check_real(arr: Array, what: str):
-    """Raise ProblemMismatch unless `arr`, the `what` of a run, holds real
-    floating-point or integer numbers: a complex array would lose its
-    imaginary part silently, and a bool, object or string array fails
-    untyped in the arithmetic it enters."""
-    if arr.dtype.kind not in "fiu":
-        raise ProblemMismatch(
-            f"{what} has dtype {arr.dtype}, expected real floating point or integer"
-        )
-
-
-def check_gradient(g, d: int, where: str):
-    """Raise ProblemMismatch unless `g`, the gradient at `where`, is a real
+def check_vector(v, d: int, what: str):
+    """Raise ProblemMismatch unless `v`, the `what` of a run, is a real
     ndarray of shape (d,): any other value would broadcast the iterate or
-    fail untyped in the arithmetic it enters."""
-    if not isinstance(g, np.ndarray):
+    fail untyped in the arithmetic it enters, and a complex one would lose
+    its imaginary part silently."""
+    if not isinstance(v, np.ndarray):
         raise ProblemMismatch(
-            f"gradient at {where} is a {type(g).__name__}, "
-            f"expected an ndarray of shape ({d},)"
+            f"{what} is a {type(v).__name__}, expected an ndarray of shape ({d},)"
         )
-    if g.shape != (d,):
+    if v.shape != (d,):
+        raise ProblemMismatch(f"{what} has shape {v.shape}, expected ({d},)")
+    if v.dtype.kind not in "fiu":
         raise ProblemMismatch(
-            f"gradient at {where} has shape {g.shape}, expected ({d},)"
+            f"{what} has dtype {v.dtype}, expected real floating point or integer"
         )
-    check_real(g, f"gradient at {where}")
 
 
 def require_finite(arr: Array, what: str):

@@ -104,7 +104,7 @@ class NonFiniteIterate(SolverError):
 
 
 class MissingGroundTruth(SolverError):
-    """A requested certificate needs the minimizer or Hessian oracle."""
+    """A certificate needs the minimizer or Hessian oracle."""
 
 
 # --- baselines ---
@@ -117,7 +117,6 @@ class LineSearchFailure(SolverError):
 
 class ProblemMismatch(SolverError):
     """An input does not fit the problem: a malformed problem spec or
-    method name, a start point of the wrong shape, a gradient oracle that
-    returns anything but an ndarray of shape (d,) at the start point or in
-    a later iteration, problem data that are empty or of the wrong shape,
-    or logistic labels other than +1 or -1."""
+    method name, a start point or a gradient that is not a real ndarray of
+    shape (d,), problem data that are empty or of the wrong shape, or
+    logistic labels other than +1 or -1."""

@@ -21,7 +21,7 @@ from .core import (
     Objective,
     PlayedMatrix,
     SolverConfig,
-    check_gradient,
+    check_vector,
     require_finite,
 )
 from .errors import BacktrackCapExceeded
@@ -85,7 +85,7 @@ def backtrack(
         IterationCapExceeded: a CR solve hit its own 20 d cap.
         NonFiniteIterate: a trial point's gradient holds a NaN or an
             infinity.
-        ProblemMismatch: a trial point's gradient is not an ndarray of
+        ProblemMismatch: a trial point's gradient is not a real ndarray of
             shape (d,).
     """
     alpha1, alpha2, beta = cfg.alpha1, cfg.alpha2, cfg.beta
@@ -102,7 +102,7 @@ def backtrack(
         s = result.s
         x_hat = x + s
         grad_hat = obj.grad(x_hat)
-        check_gradient(grad_hat, x.shape[0], "a line-search trial point")
+        check_vector(grad_hat, x.shape[0], "gradient at a line-search trial point")
         attempts += 1
         err = played.residual(grad_hat - g, s)
         err_sq = ddot(err, err)

@@ -17,8 +17,7 @@ from .core import (
     Objective,
     SolverConfig,
     SolverReport,
-    check_gradient,
-    check_real,
+    check_vector,
     require_finite,
     resolve_initial_matrix,
     validate_config,
@@ -62,20 +61,15 @@ def run_loop(
     leave the iterate exactly unchanged, or "max_iters".
 
     Raises:
-        ProblemMismatch: x0 is not real or does not have shape (d,), the
-            gradient at the start point is not a real ndarray of shape
-            (d,), or a later gradient does not have shape (d,); past the
-            start point the message names the iteration.
+        ProblemMismatch: x0 or a gradient is not a real ndarray of shape
+            (d,); past the start point the message names the iteration.
         NonFiniteIterate: NaN/Inf in x0, an iterate or a gradient, which
             signals inconsistent (mu, L1) metadata or a broken oracle.
     """
     d = obj.dim
-    shape = (d,)
     x = np.zeros(d) if x0 is None else np.asarray(x0)
-    check_real(x, "x0")
+    check_vector(x, d, "x0")
     x = np.array(x, dtype=float)
-    if x.shape != shape:
-        raise ProblemMismatch(f"x0 has shape {x.shape}, expected ({d},)")
     require_finite(x, "x0")
     x_start = x.copy()
 
@@ -84,7 +78,7 @@ def run_loop(
     stall_run = 0
     termination = "max_iters"
     g = obj.grad(x)
-    check_gradient(g, d, "the start point")
+    check_vector(g, d, "gradient at the start point")
     require_finite(g, "gradient at the start point")
     grad_norm = math.sqrt(ddot(g, g))
 
@@ -103,10 +97,7 @@ def run_loop(
 
         try:
             x_next, g, fields = step(x, g)
-            # inline, as every step of every method pays for it; on a
-            # mismatch `check_gradient` raises the error naming the value
-            if getattr(g, "shape", None) != shape:
-                check_gradient(g, d, "the next iterate")
+            check_vector(g, d, "gradient at the next iterate")
         except ProblemMismatch as exc:
             raise ProblemMismatch(f"iteration k={k}: {exc}") from exc
         # a finite squared norm proves every entry finite, so only a

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -181,11 +181,10 @@ class _Replay:
 def verify_trace(
     report: SolverReport,
     obj: Objective,
-    checks: Optional[Sequence[str]] = None,
     *,
     regret_competitors: int = 0,
 ) -> TraceCertificates:
-    """Evaluate the requested certificates (all, by default) on a trace.
+    """Evaluate every certificate on a trace.
 
     For baseline reports every check is reported not-applicable. With
     `regret_competitors` > 0 the small-loss bound is additionally checked
@@ -193,24 +192,19 @@ def verify_trace(
     from a generator seeded with 0.
 
     Raises:
-        MissingGroundTruth: a requested check needs the minimizer or the
-            Hessian oracle and the objective does not expose it.
+        MissingGroundTruth: a check needs the minimizer or the Hessian
+            oracle and the objective does not expose it.
     """
-    wanted = tuple(checks) if checks is not None else QNPE_CHECKS
-    for name in wanted:
-        if name not in QNPE_CHECKS:
-            raise ValueError(f"unknown check {name!r}")
-
     if report.method != "qnpe":
         return TraceCertificates(
             tuple(
                 Certificate(name, None, "method without guarantees")
-                for name in wanted
+                for name in _CHECKS
             )
         )
 
     run = _Replay(report, obj, regret_competitors)
-    return TraceCertificates(tuple(_CHECKS[name](run) for name in wanted))
+    return TraceCertificates(tuple(check(run) for check in _CHECKS.values()))
 
 
 def _worst(name, pairs, detail="worst at k={k}"):
@@ -347,4 +341,3 @@ _CHECKS = {
     "grad_eval_budget": _budget("grad_eval_budget", "grad_evals", 3.0),
     "ls_step_budget": _budget("ls_step_budget", "ls_steps", 2.0),
 }
-QNPE_CHECKS = tuple(_CHECKS)

@@ -120,12 +120,21 @@ class TestBfgs:
             (lambda f, x: float("nan"), NonFiniteIterate, "is NaN"),
             (lambda f, x: x * x, ProblemMismatch, "is a ndarray"),
             (lambda f, x: None, ProblemMismatch, "is a NoneType"),
+            (
+                lambda f, x: f if x.any() else float("inf"),
+                NonFiniteIterate, "is inf$",
+            ),
+            (
+                lambda f, x: f if x.any() else -float("inf"),
+                NonFiniteIterate, "is -inf$",
+            ),
         ],
-        ids=["nan", "array", "none"],
+        ids=["nan", "array", "none", "inf_at_start", "minus_inf_at_start"],
     )
     def test_malformed_value_raises_typed_error(self, value, error, found):
         # NaN ran all 60 halvings into LineSearchFailure, an array raised a
-        # bare ValueError and None a bare TypeError
+        # bare ValueError and None a bare TypeError; +inf at the start alone
+        # passed every trial, so k=0 took the full step
         obj = self.diagonal_quadratic(value)
         with pytest.raises(error, match=f"value at the iterate {found}"):
             solve_bfgs(obj, SolverConfig(max_iters=50))

@@ -324,7 +324,7 @@ class TestVerify:
     def test_single_seed_exit_status_follows_certificates(
         self, tmp_path, monkeypatch, margin, expected
     ):
-        def stub(report, obj, checks=None, **options):
+        def stub(report, obj, **options):
             return TraceCertificates((Certificate("stub", margin),))
 
         monkeypatch.setattr(qnpe.cli, "verify_trace", stub)
@@ -342,9 +342,9 @@ class TestVerify:
     ):
         seen = []
 
-        def spy(report, obj, checks=None, **options):
+        def spy(report, obj, **options):
             seen.append(options.get("regret_competitors", 0))
-            return verify_trace(report, obj, checks, **options)
+            return verify_trace(report, obj, **options)
 
         monkeypatch.setattr(qnpe.cli, "verify_trace", spy)
         code = run_cli(

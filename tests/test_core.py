@@ -160,6 +160,24 @@ class TestValidateConfig:
         with pytest.raises(SpectrumViolation):
             validate_config(SolverConfig(b0=np.diag([1.0, 5.0])), obj)
 
+    def test_b0_matrix_must_be_symmetric(self):
+        obj = simple_objective(mu=1.0, l1=4.0, d=2)
+        with pytest.raises(SpectrumViolation, match="must be symmetric"):
+            validate_config(SolverConfig(b0=np.array([[2.0, 1.0], [0.0, 2.0]])), obj)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("p", 0.0), ("p", 1.0), ("p", math.nan), ("max_iters", 0), ("max_iters", -3)],
+    )
+    def test_out_of_range_conflicts_naming_the_field(self, field, value):
+        with pytest.raises(ParameterConflict, match=f"^{field} must be"):
+            validate_config(SolverConfig(**{field: value}), simple_objective())
+
+    @pytest.mark.parametrize("sigma0", [0.0, -1.0, math.nan])
+    def test_sigma0_must_be_positive(self, sigma0):
+        with pytest.raises(StepSeedTooSmall, match="^sigma0 must be positive"):
+            validate_config(SolverConfig(sigma0=sigma0), simple_objective())
+
     def test_b0_matrix_in_band(self):
         obj = simple_objective(mu=1.0, l1=4.0, d=2)
         cfg = validate_config(SolverConfig(b0=np.diag([1.0, 4.0])), obj)

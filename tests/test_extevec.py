@@ -100,6 +100,8 @@ class TestBudget:
             lanczos_budget(10, 0.0, 0.5)
         with pytest.raises(ValueError):
             lanczos_budget(10, 1.0, 1.0)
+        with pytest.raises(ValueError, match="d must be >= 1"):
+            lanczos_budget(0, 1.0, 0.5)
 
 
 class TestExactOracle:
@@ -107,6 +109,7 @@ class TestExactOracle:
         out = ext_evec_exact(np.eye(3))
         assert out.inside
         assert out.gamma == pytest.approx(1.0)
+        assert out.sign is None
 
     def test_zero_matrix(self):
         out = ext_evec_exact(np.zeros((4, 4)))

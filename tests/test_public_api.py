@@ -65,6 +65,8 @@ REMOVED = [
     "OUT_DIR_ENV",
     "config_to_kv",
     "config_from_kv",
+    "check_real",
+    "check_gradient",
 ]
 
 

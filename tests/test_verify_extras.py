@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from qnpe.baselines import solve_gd
 from qnpe.core import SolverConfig, resolve_initial_matrix
-from qnpe.errors import BacktrackCapExceeded
+from qnpe.errors import BacktrackCapExceeded, MissingGroundTruth
 from qnpe.learner import loss
 from qnpe.problems import make_quadratic
 from qnpe.solver import solve
@@ -173,7 +173,7 @@ class TestMarginScan:
             ),
         }
 
-        certs = verify_trace(edited, obj, checks=tuple(expected))
+        certs = verify_trace(edited, obj)
         for name, (margin, k) in expected.items():
             cert = certs[name]
             if math.isnan(margin):
@@ -210,7 +210,7 @@ class TestFailClosed:
         records[2] = records[2]._replace(dist_sq=1e6)
         records[5] = records[5]._replace(dist_sq=math.nan)
         edited = dataclasses.replace(report, records=tuple(records))
-        cert = verify_trace(edited, obj, checks=["contraction"])["contraction"]
+        cert = verify_trace(edited, obj)["contraction"]
         assert cert.passed is False and math.isnan(cert.margin)
         assert cert.detail == "NaN margin, worst at k=4"
 
@@ -244,6 +244,25 @@ class TestFailClosed:
         cert = verify_trace(report, obj)["small_loss_regret"]
         assert cert.applicable and cert.passed
         assert cert.detail == "competitor H*"
+
+
+class TestMissingGroundTruth:
+    def test_records_without_distances(self):
+        obj, report = _exact_run()
+        records = tuple(r._replace(dist_sq=None) for r in report.records)
+        with pytest.raises(MissingGroundTruth, match="lacks dist_sq"):
+            verify_trace(dataclasses.replace(report, records=records), obj)
+
+    def test_minimizer_without_hessian(self):
+        obj, report = _exact_run()
+        blind = dataclasses.replace(obj, hessian=None)
+        with pytest.raises(MissingGroundTruth, match="Hessian"):
+            verify_trace(report, blind)
+
+    def test_unknown_certificate_name(self):
+        obj, report = _exact_run()
+        with pytest.raises(KeyError, match="nope"):
+            verify_trace(report, obj)["nope"]
 
 
 class TestDecodedB0:

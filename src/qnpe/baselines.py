@@ -21,7 +21,7 @@ from .core import (
     check_vector,
     validate_config,
 )
-from .errors import LineSearchFailure, NonFiniteIterate, ProblemMismatch
+from .errors import BacktrackCapExceeded, NonFiniteIterate, ProblemMismatch
 from .solver import run_loop
 
 Array = np.ndarray
@@ -32,7 +32,8 @@ ARMIJO_MAX_HALVINGS = 60
 
 def _value(obj: Objective, x: Array, where: str) -> float:
     """f(x) as a float, from a value oracle that must return a real scalar
-    (a Python or NumPy number, or a 0-d array of one)."""
+    (a Python or NumPy number, or a 0-d array of one) other than NaN
+    or -inf."""
     value = obj.value(x)
     if isinstance(value, np.ndarray) and value.shape == ():
         value = value[()]
@@ -41,36 +42,37 @@ def _value(obj: Objective, x: Array, where: str) -> float:
             f"value at {where} is a {type(value).__name__}, expected a real scalar"
         )
     value = float(value)
-    if math.isnan(value):
-        raise NonFiniteIterate(f"value at {where} is NaN")
+    # negated so that NaN fails too; a mu-strongly convex f takes neither
+    if not value > -math.inf:
+        raise NonFiniteIterate(
+            f"value at {where} is {'NaN' if math.isnan(value) else value}"
+        )
     return value
 
 
 def bfgs_step(x: Array, h: Array, g: Array, obj: Objective) -> tuple:
     """One BFGS update from iterate x with inverse curvature approximation h
-    and gradient g, with Armijo backtracking. A value of +inf at a trial
-    point counts as no decrease.
+    and gradient g, with Armijo backtracking; obj needs a value oracle,
+    which `solve_bfgs` checks. A value of +inf at a trial point counts as
+    no decrease.
 
     Returns (x_new, g_new, h_new, step size, armijo attempts). The inverse
     approximation update is skipped when the curvature pair is degenerate
     (<y, s> <= 1e-12 ||s|| ||y||), which keeps H positive definite.
 
     Raises:
-        LineSearchFailure: no value oracle, or no Armijo decrease within
-            the halving cap.
         ProblemMismatch: the value at x or at an Armijo trial point is not
             a real scalar, or the gradient at the new iterate is not a real
             ndarray of shape (d,).
+        BacktrackCapExceeded: no Armijo decrease within the halving cap.
         NonFiniteIterate: the value at x is not finite, or the value at an
-            Armijo trial point is NaN.
+            Armijo trial point is NaN or -inf.
     """
-    if obj.value is None:
-        raise LineSearchFailure("BFGS needs the objective value oracle")
     direction = -(h @ g)
     slope = float(g @ direction)
     f0 = _value(obj, x, "the iterate")
-    # +inf here would pass every Armijo test, -inf fail every finite trial
-    if math.isinf(f0):
+    # +inf here would pass every Armijo test
+    if f0 == math.inf:
         raise NonFiniteIterate(f"value at the iterate is {f0}")
     step = 1.0
     for attempts in range(1, ARMIJO_MAX_HALVINGS + 1):
@@ -80,7 +82,7 @@ def bfgs_step(x: Array, h: Array, g: Array, obj: Objective) -> tuple:
             break
         step *= 0.5
     else:
-        raise LineSearchFailure("Armijo backtracking exhausted its cap")
+        raise BacktrackCapExceeded("Armijo backtracking exhausted its cap")
 
     g_new = obj.grad(x_new)
     check_vector(g_new, x.shape[0], "gradient at the Armijo point")
@@ -116,8 +118,11 @@ def solve_bfgs(
     cfg: Optional[SolverConfig] = None,
     x0: Optional[Array] = None,
 ) -> SolverReport:
-    """BFGS from H = I with Armijo backtracking, shared stopping rules."""
+    """BFGS from H = I with Armijo backtracking, shared stopping rules;
+    an objective without a value oracle raises ProblemMismatch."""
     cfg = validate_config(cfg, obj)
+    if obj.value is None:
+        raise ProblemMismatch("BFGS needs the objective value oracle")
     h = np.eye(obj.dim)
 
     def step(x, g):

@@ -18,13 +18,11 @@ import numpy as np
 
 from ._blas import blas
 from .errors import (
-    DegenerateCurvature,
+    InvalidSpectrum,
     NonFiniteIterate,
     ParameterConflict,
     ProblemMismatch,
-    SpectrumViolation,
     StateMismatch,
-    StepSeedTooSmall,
 )
 
 Array = np.ndarray
@@ -280,25 +278,33 @@ def budget_log_term(value: float, beta: float) -> float:
     return t
 
 
+def check_band(mu: float, l1: float):
+    """Raise InvalidSpectrum unless 0 < mu <= L1 < inf."""
+    # chained and negated so that NaN, which fails every comparison, and
+    # an infinite L1 are rejected too
+    if not 0.0 < mu <= l1 < math.inf:
+        raise InvalidSpectrum(f"need 0 < mu <= L1 < inf, got mu={mu}, L1={l1}")
+
+
 def _check_b0(b0, mu: float, l1: float, d: int):
     if b0 is None:
         return
     if np.isscalar(b0):
         c = float(b0)
         if not (mu <= c <= l1):
-            raise SpectrumViolation(
+            raise ParameterConflict(
                 f"scaled-identity factor {c} outside [{mu}, {l1}]"
             )
         return
     mat = np.asarray(b0, dtype=float)
     if mat.shape != (d, d):
-        raise SpectrumViolation(f"b0 has shape {mat.shape}, problem dimension is {d}")
+        raise ParameterConflict(f"b0 has shape {mat.shape}, problem dimension is {d}")
     if not np.allclose(mat, mat.T, rtol=0.0, atol=1e-12 * max(1.0, l1)):
-        raise SpectrumViolation("explicit b0 must be symmetric")
+        raise ParameterConflict("explicit b0 must be symmetric")
     eigs = np.linalg.eigvalsh(mat)
     slack = _SPECTRUM_SLACK * max(1.0, l1)
     if eigs[0] < mu - slack or eigs[-1] > l1 + slack:
-        raise SpectrumViolation(
+        raise ParameterConflict(
             f"b0 spectrum [{eigs[0]:.6g}, {eigs[-1]:.6g}] outside [{mu}, {l1}]"
         )
 
@@ -329,21 +335,17 @@ def validate_config(cfg: Optional[SolverConfig], obj: Objective) -> SolverConfig
     Idempotent: validating an already-validated config returns an equal one.
 
     Raises:
-        DegenerateCurvature: L1 < mu, mu <= 0, or mu or L1 not finite.
+        InvalidSpectrum: L1 < mu, mu <= 0, or mu or L1 not finite.
         ParameterConflict: a value its field's type cannot hold, parameter
             range violations, alpha1 + alpha2 >= 1, a negative seed, a
-            sigma0 whose attempt budget overflows, or (mu, L1) whose oracle
-            slack min(mu/(L1-mu), 1) underflows to 0.
-        StepSeedTooSmall: sigma0 < alpha2*beta/L1.
-        SpectrumViolation: an explicit b0 that is not a symmetric d x d
-            matrix, or a b0 spectrum outside [mu, L1].
+            sigma0 that is not positive, lies below alpha2*beta/L1 or whose
+            attempt budget overflows, (mu, L1) whose oracle slack
+            min(mu/(L1-mu), 1) underflows to 0, an explicit b0 that is not
+            a symmetric d x d matrix, or a b0 spectrum outside [mu, L1].
     """
     cfg = SolverConfig() if cfg is None else cfg
     mu, l1 = float(obj.mu), float(obj.l1)
-    # chained and negated so that NaN, which fails every comparison, and
-    # an infinite L1 are rejected too
-    if not 0.0 < mu <= l1 < math.inf:
-        raise DegenerateCurvature(f"need 0 < mu <= L1 < inf, got mu={mu}, L1={l1}")
+    check_band(mu, l1)
     _check_types(cfg)
 
     alpha1, alpha2, beta = cfg.alpha1, cfg.alpha2, cfg.beta
@@ -381,9 +383,9 @@ def validate_config(cfg: Optional[SolverConfig], obj: Objective) -> SolverConfig
     if cfg.dist_tol is not None and not cfg.dist_tol >= 0.0:
         raise ParameterConflict(f"dist_tol must be >= 0, got {cfg.dist_tol}")
     if not sigma0 > 0.0:
-        raise StepSeedTooSmall(f"sigma0 must be positive, got {sigma0}")
+        raise ParameterConflict(f"sigma0 must be positive, got {sigma0}")
     if sigma0 < alpha2 * beta / l1:
-        raise StepSeedTooSmall(
+        raise ParameterConflict(
             f"sigma0={sigma0:.6g} below the step floor "
             f"alpha2*beta/L1={alpha2 * beta / l1:.6g}"
         )

@@ -1,7 +1,10 @@
 """Exception taxonomy shared by all solver modules.
 
 Every error carries a stable category name (the class name) that the CLI
-reports verbatim, so scripts can dispatch on it.
+reports verbatim, so scripts can dispatch on it. Each failure condition
+has one class: a module that meets a condition raises the class whose
+docstring names it, and a new condition joins the class it belongs to
+instead of adding one.
 """
 
 
@@ -16,40 +19,26 @@ class SolverError(Exception):
 # --- configuration validation ---
 
 class ParameterConflict(SolverError):
-    """Line-search / learner parameters violate their admissible ranges, or
-    `qnpe verify` has --seeds < 1, --min-pass-rate outside (0, 1] or
-    --regret-competitors < 0."""
-
-
-class StepSeedTooSmall(SolverError):
-    """Initial trial step size below the alpha2*beta/L1 floor."""
-
-
-class SpectrumViolation(SolverError):
-    """Initial curvature matrix has eigenvalues outside [mu, L1]."""
-
-
-class DegenerateCurvature(SolverError):
-    """Curvature metadata is inconsistent (L1 < mu, or mu <= 0)."""
+    """Parameters violate their admissible ranges: a solver, learner or
+    budget parameter out of range, a sigma0 below the alpha2*beta/L1 step
+    floor, an explicit b0 that is not a symmetric d x d matrix or whose
+    spectrum leaves [mu, L1], or `qnpe verify` with --seeds < 1,
+    --min-pass-rate outside (0, 1] or --regret-competitors < 0."""
 
 
 # --- problem generation / ingestion ---
 
 class InvalidSpectrum(SolverError):
-    """Requested eigenvalue range is empty or non-positive, or problem data
+    """The curvature band or a spectrum is empty or non-positive: (mu, L1)
+    outside 0 < mu <= L1 < inf (NaN included), a spectral transform asked
+    for with L1 <= mu, a matrix read from file with a non-positive
+    eigenvalue, a logistic lambda outside (0, inf), or problem data that
     are not finite."""
 
 
 class ParseError(SolverError):
-    """Input file is not a readable Matrix Market matrix."""
-
-
-class NotSymmetric(SolverError):
-    """Matrix read from file is not symmetric."""
-
-
-class NotPositiveDefinite(SolverError):
-    """Matrix read from file has a non-positive eigenvalue."""
+    """Input file is not a readable Matrix Market matrix: unreadable, not
+    square, or not symmetric."""
 
 
 class MinimizerStall(SolverError):
@@ -93,30 +82,29 @@ class StateMismatch(SolverError):
 # --- line search ---
 
 class BacktrackCapExceeded(SolverError):
-    """Line search exceeded its attempt budget; (mu, L1) metadata is
-    likely invalid for the supplied objective."""
+    """A line search exceeded its attempt budget. For qnpe the (mu, L1)
+    metadata is likely invalid for the supplied objective; for BFGS the
+    value oracle does not decrease along a descent direction within the
+    Armijo halving cap."""
 
 
 # --- main solver ---
 
 class NonFiniteIterate(SolverError):
-    """NaN or Inf appeared in the start point, an iterate or a gradient."""
+    """NaN or Inf appeared in the start point, an iterate or a gradient, or
+    a BFGS value is NaN, -inf, or +inf at the iterate."""
 
 
 class MissingGroundTruth(SolverError):
     """A certificate needs the minimizer or Hessian oracle."""
 
 
-# --- baselines ---
-
-class LineSearchFailure(SolverError):
-    """Armijo backtracking failed to find a decrease step."""
-
-
 # --- inputs ---
 
 class ProblemMismatch(SolverError):
-    """An input does not fit the problem: a malformed problem spec or
-    method name, a start point or a gradient that is not a real ndarray of
-    shape (d,), problem data that are empty or of the wrong shape, or
-    logistic labels other than +1 or -1."""
+    """An input does not fit the problem or lacks part of what the method
+    needs: a malformed problem spec or method name, a dimension below 1, a
+    start point or a gradient that is not a real ndarray of shape (d,), a
+    BFGS run without a value oracle or with a value that is not a real
+    scalar, problem data that are empty or of the wrong shape, or logistic
+    labels other than +1 or -1."""

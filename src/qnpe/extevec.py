@@ -27,7 +27,7 @@ import numpy as np
 
 from ._blas import ddot, lapack
 from .core import symv
-from .errors import EigFailure
+from .errors import EigFailure, ParameterConflict, ProblemMismatch
 
 Array = np.ndarray
 
@@ -106,13 +106,17 @@ def lanczos_budget(d: int, delta: float, q: float) -> LanczosBudget:
     sqrt(d / (2 pi)) near 0, so that event has probability at most
     2 tolerance (1 + delta) / delta * sqrt(2 d / pi) <= q/2. When the
     formula falls below the rounding floor, rounding decides the stop.
+
+    Raises:
+        ProblemMismatch: d < 1.
+        ParameterConflict: delta not positive, or q outside (0, 1).
     """
     if d < 1:
-        raise ValueError("d must be >= 1")
-    if delta <= 0.0:
-        raise ValueError("delta must be positive")
+        raise ProblemMismatch("d must be >= 1")
+    if not delta > 0.0:  # negated so that NaN is rejected too
+        raise ParameterConflict("delta must be positive")
     if not (0.0 < q < 1.0):
-        raise ValueError("q must be in (0, 1)")
+        raise ParameterConflict("q must be in (0, 1)")
     eps = delta / (2.0 * (1.0 + delta))
     half = 0.5 * q
     n = math.ceil(0.25 / math.sqrt(eps) * math.log(11.0 * d / half**2) + 0.5)

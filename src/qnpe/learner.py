@@ -18,7 +18,7 @@ import numpy as np
 
 from ._blas import blas, ddot
 from .core import PlayedMatrix, SolverConfig, default_delta, symv
-from .errors import DegenerateCurvature, StateMismatch, ZeroDisplacement
+from .errors import InvalidSpectrum, ParameterConflict, StateMismatch, ZeroDisplacement
 from .extevec import SepOutcome, ext_evec_exact, ext_evec_lanczos
 
 Array = np.ndarray
@@ -46,7 +46,7 @@ def to_hat(b: Array, mu: float, l1: float) -> Array:
     """Affine spectral map onto the unit-operator-norm ball coordinates:
     (2/(L1-mu)) * (B - (L1+mu)/2 * I)."""
     if l1 <= mu:
-        raise DegenerateCurvature("spectral transform needs L1 > mu")
+        raise InvalidSpectrum("spectral transform needs L1 > mu")
     b_hat = np.array(b, dtype=float)
     b_hat.flat[:: b_hat.shape[0] + 1] -= 0.5 * (l1 + mu)
     b_hat *= 2.0 / (l1 - mu)
@@ -56,10 +56,11 @@ def to_hat(b: Array, mu: float, l1: float) -> Array:
 def failure_budget(p: float, t: int) -> float:
     """Per-round oracle failure probability q_t = p / (2.5 (t+1) ln^2(t+1)).
 
-    Natural logarithm; the budgets sum to at most p over all rounds t >= 1.
+    Natural logarithm; the budgets sum to at most p over all rounds t >= 1,
+    and an earlier round raises ParameterConflict.
     """
     if t < 1:
-        raise ValueError("rounds are budgeted from t = 1")
+        raise ParameterConflict("rounds are budgeted from t = 1")
     return p / (2.5 * (t + 1) * math.log(t + 1) ** 2)
 
 

@@ -22,15 +22,8 @@ from typing import Optional
 import numpy as np
 
 from ._blas import lapack
-from .core import Objective
-from .errors import (
-    InvalidSpectrum,
-    MinimizerStall,
-    NotPositiveDefinite,
-    NotSymmetric,
-    ParseError,
-    ProblemMismatch,
-)
+from .core import Objective, check_band
+from .errors import InvalidSpectrum, MinimizerStall, ParseError, ProblemMismatch
 
 Array = np.ndarray
 
@@ -123,8 +116,7 @@ def make_quadratic(d: int, mu: float, l1: float, seed: int) -> Objective:
         raise ProblemMismatch("d must be >= 1")
     if seed < 0:  # default_rng would raise a bare ValueError
         raise ProblemMismatch(f"problem parameter seed={seed} is negative")
-    if not (0.0 < mu <= l1 < np.inf):
-        raise InvalidSpectrum(f"need 0 < mu <= L1 < inf, got mu={mu}, L1={l1}")
+    check_band(mu, l1)
     rng = np.random.default_rng(seed)
     lam = np.geomspace(mu, l1, d)
     lam[0], lam[-1] = mu, l1
@@ -313,9 +305,9 @@ def load_matrix_market(path, b: Optional[Array] = None) -> Objective:
     path, desk scale only).
 
     Raises:
-        ParseError: unreadable or non-square input.
-        NotSymmetric: matrix differs from its transpose.
-        NotPositiveDefinite: smallest eigenvalue <= 0.
+        ParseError: unreadable or non-square input, or a matrix that
+            differs from its transpose.
+        InvalidSpectrum: smallest eigenvalue <= 0.
         ProblemMismatch: b is not a vector of the matrix's order.
         MinimizerStall: the matrix is singular at working precision.
     """
@@ -331,10 +323,10 @@ def load_matrix_market(path, b: Optional[Array] = None) -> Objective:
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ParseError(f"{path}: expected a square matrix, got {a.shape}")
     if not np.array_equal(a, a.T):
-        raise NotSymmetric(f"{path}: matrix is not symmetric")
+        raise ParseError(f"{path}: matrix is not symmetric")
     eigs = np.linalg.eigvalsh(a)
     if eigs[0] <= 0.0:
-        raise NotPositiveDefinite(
+        raise InvalidSpectrum(
             f"{path}: smallest eigenvalue {eigs[0]:.6g} is not positive"
         )
     if b is None:

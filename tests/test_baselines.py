@@ -3,7 +3,7 @@ import pytest
 
 from qnpe.baselines import bfgs_step, solve_bfgs, solve_gd
 from qnpe.core import Objective, SolverConfig
-from qnpe.errors import LineSearchFailure, NonFiniteIterate, ProblemMismatch
+from qnpe.errors import BacktrackCapExceeded, NonFiniteIterate, ProblemMismatch
 from qnpe.problems import make_quadratic, quadratic_objective
 
 
@@ -93,7 +93,7 @@ class TestBfgs:
     def test_needs_the_value_oracle(self):
         obj = make_quadratic(4, 1.0, 10.0, seed=0)
         without_value = Objective(obj.dim, obj.grad, obj.mu, obj.l1)
-        with pytest.raises(LineSearchFailure, match="value oracle"):
+        with pytest.raises(ProblemMismatch, match="^BFGS needs the objective value"):
             solve_bfgs(without_value, SolverConfig(max_iters=5))
 
     def test_armijo_cap_raises(self):
@@ -101,7 +101,9 @@ class TestBfgs:
         obj = Objective(
             3, lambda x: np.ones(3), 1.0, 10.0, value=lambda x: 0.0
         )
-        with pytest.raises(LineSearchFailure, match="exhausted its cap"):
+        with pytest.raises(
+            BacktrackCapExceeded, match="^Armijo backtracking exhausted its cap$"
+        ):
             solve_bfgs(obj, SolverConfig(max_iters=5))
 
     @staticmethod
@@ -117,26 +119,34 @@ class TestBfgs:
     @pytest.mark.parametrize(
         "value, error, found",
         [
-            (lambda f, x: float("nan"), NonFiniteIterate, "is NaN"),
-            (lambda f, x: x * x, ProblemMismatch, "is a ndarray"),
-            (lambda f, x: None, ProblemMismatch, "is a NoneType"),
+            (lambda f, x: float("nan"), NonFiniteIterate, "the iterate is NaN"),
+            (lambda f, x: x * x, ProblemMismatch, "the iterate is a ndarray"),
+            (lambda f, x: None, ProblemMismatch, "the iterate is a NoneType"),
             (
                 lambda f, x: f if x.any() else float("inf"),
-                NonFiniteIterate, "is inf$",
+                NonFiniteIterate, "the iterate is inf$",
             ),
             (
                 lambda f, x: f if x.any() else -float("inf"),
-                NonFiniteIterate, "is -inf$",
+                NonFiniteIterate, "the iterate is -inf$",
+            ),
+            (
+                lambda f, x: -float("inf") if x.any() else f,
+                NonFiniteIterate, "the Armijo trial point of step 1.0 is -inf$",
             ),
         ],
-        ids=["nan", "array", "none", "inf_at_start", "minus_inf_at_start"],
+        ids=[
+            "nan", "array", "none", "inf_at_start", "minus_inf_at_start",
+            "minus_inf_at_a_trial_point",
+        ],
     )
     def test_malformed_value_raises_typed_error(self, value, error, found):
-        # NaN ran all 60 halvings into LineSearchFailure, an array raised a
+        # NaN ran all 60 halvings into the Armijo cap, an array raised a
         # bare ValueError and None a bare TypeError; +inf at the start alone
-        # passed every trial, so k=0 took the full step
+        # passed every trial, so k=0 took the full step, and -inf at a trial
+        # point passed as a decrease and failed only at the next iterate
         obj = self.diagonal_quadratic(value)
-        with pytest.raises(error, match=f"value at the iterate {found}"):
+        with pytest.raises(error, match=f"value at {found}"):
             solve_bfgs(obj, SolverConfig(max_iters=50))
 
     def test_malformed_value_at_a_trial_point_raises(self):

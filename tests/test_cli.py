@@ -62,7 +62,9 @@ class TestRun:
             "--method", "qnpe", "--sigma0", "1e-9",
         )
         assert code == 2
-        assert "StepSeedTooSmall" in capsys.readouterr().err
+        assert "error: ParameterConflict: sigma0=1e-09 below the step floor" in (
+            capsys.readouterr().err
+        )
 
     @pytest.mark.parametrize("flag", ["--grad-tol", "--dist-tol"])
     def test_nan_tolerance_exits_2(self, tmp_path, capsys, flag):
@@ -177,7 +179,9 @@ class TestRun:
             "--b0", "200",
         )
         assert bad == 2
-        assert "SpectrumViolation" in capsys.readouterr().err
+        assert "error: ParameterConflict: scaled-identity factor 200.0 outside" in (
+            capsys.readouterr().err
+        )
 
     @pytest.mark.parametrize(
         "spec",
@@ -293,7 +297,9 @@ class TestVerify:
             "verify", "--problem", QUAD, "--b0", "500", "--out-dir", str(out),
         ])
         assert code == 2
-        assert "error: SpectrumViolation" in capsys.readouterr().err
+        assert "error: ParameterConflict: scaled-identity factor 500.0 outside" in (
+            capsys.readouterr().err
+        )
         assert not out.exists()
 
     def test_method_flag_is_gone(self, tmp_path, capsys):

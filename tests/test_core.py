@@ -16,12 +16,7 @@ from qnpe.core import (
     resolve_initial_matrix,
     validate_config,
 )
-from qnpe.errors import (
-    DegenerateCurvature,
-    ParameterConflict,
-    SpectrumViolation,
-    StepSeedTooSmall,
-)
+from qnpe.errors import InvalidSpectrum, ParameterConflict
 from qnpe.learner import HessianLearner
 
 
@@ -111,7 +106,7 @@ class TestValidateConfig:
 
     def test_step_seed_too_small(self):
         obj = simple_objective(mu=1.0, l1=1.0)
-        with pytest.raises(StepSeedTooSmall):
+        with pytest.raises(ParameterConflict, match="^sigma0=1e-09 below the step"):
             validate_config(SolverConfig(sigma0=1e-9), obj)
 
     def test_step_seed_floor_is_inclusive(self):
@@ -121,13 +116,14 @@ class TestValidateConfig:
 
     def test_degenerate_curvature(self):
         obj = simple_objective(mu=2.0, l1=1.0)
-        with pytest.raises(DegenerateCurvature):
+        band = "^need 0 < mu <= L1 < inf"
+        with pytest.raises(InvalidSpectrum, match=band):
             validate_config(SolverConfig(), obj)
-        with pytest.raises(DegenerateCurvature):
+        with pytest.raises(InvalidSpectrum, match=band):
             validate_config(SolverConfig(), simple_objective(mu=0.0))
         # NaN fails every comparison, so it must not pass as "not degenerate"
         for mu, l1 in [(math.nan, 4.0), (1.0, math.nan), (1.0, math.inf)]:
-            with pytest.raises(DegenerateCurvature):
+            with pytest.raises(InvalidSpectrum, match=band):
                 validate_config(SolverConfig(), simple_objective(mu=mu, l1=l1))
 
     @pytest.mark.parametrize("sigma0", [math.inf, 1e308])
@@ -150,19 +146,19 @@ class TestValidateConfig:
 
     def test_b0_scalar_out_of_band(self):
         obj = simple_objective(mu=1.0, l1=4.0)
-        with pytest.raises(SpectrumViolation):
-            validate_config(SolverConfig(b0=8.0), obj)
-        with pytest.raises(SpectrumViolation):
-            validate_config(SolverConfig(b0=0.5), obj)
+        for b0 in (8.0, 0.5):
+            factor = f"^scaled-identity factor {b0} outside"
+            with pytest.raises(ParameterConflict, match=factor):
+                validate_config(SolverConfig(b0=b0), obj)
 
     def test_b0_matrix_out_of_band(self):
         obj = simple_objective(mu=1.0, l1=4.0, d=2)
-        with pytest.raises(SpectrumViolation):
+        with pytest.raises(ParameterConflict, match=r"^b0 spectrum \[1, 5\] outside"):
             validate_config(SolverConfig(b0=np.diag([1.0, 5.0])), obj)
 
     def test_b0_matrix_must_be_symmetric(self):
         obj = simple_objective(mu=1.0, l1=4.0, d=2)
-        with pytest.raises(SpectrumViolation, match="must be symmetric"):
+        with pytest.raises(ParameterConflict, match="^explicit b0 must be symmetric"):
             validate_config(SolverConfig(b0=np.array([[2.0, 1.0], [0.0, 2.0]])), obj)
 
     @pytest.mark.parametrize(
@@ -175,7 +171,7 @@ class TestValidateConfig:
 
     @pytest.mark.parametrize("sigma0", [0.0, -1.0, math.nan])
     def test_sigma0_must_be_positive(self, sigma0):
-        with pytest.raises(StepSeedTooSmall, match="^sigma0 must be positive"):
+        with pytest.raises(ParameterConflict, match="^sigma0 must be positive"):
             validate_config(SolverConfig(sigma0=sigma0), simple_objective())
 
     def test_b0_matrix_in_band(self):
@@ -278,9 +274,9 @@ class TestInitialMatrix:
         # builds b0 rejects it too
         obj = simple_objective(d=3)
         cfg = SolverConfig(b0=np.eye(4))
-        with pytest.raises(SpectrumViolation, match="problem dimension is 3"):
+        with pytest.raises(ParameterConflict, match="problem dimension is 3"):
             validate_config(cfg, obj)
-        with pytest.raises(SpectrumViolation, match="problem dimension is 3"):
+        with pytest.raises(ParameterConflict, match="problem dimension is 3"):
             solve_gd(obj, cfg, x0=np.ones(3))
 
 

@@ -13,7 +13,7 @@ import qnpe.extevec
 import qnpe.learner
 from qnpe.cli import parse_problem
 from qnpe.core import SolverConfig
-from qnpe.errors import EigFailure
+from qnpe.errors import EigFailure, ParameterConflict, ProblemMismatch
 from qnpe.extevec import (
     _tridiag_extremes,
     ext_evec_exact,
@@ -96,11 +96,12 @@ class TestBudget:
         assert lanczos_budget(10, 0.5, 0.5).epsilon == pytest.approx(1.0 / 6.0)
 
     def test_argument_validation(self):
-        with pytest.raises(ValueError):
-            lanczos_budget(10, 0.0, 0.5)
-        with pytest.raises(ValueError):
+        for delta in (0.0, math.nan):
+            with pytest.raises(ParameterConflict, match="^delta must be positive$"):
+                lanczos_budget(10, delta, 0.5)
+        with pytest.raises(ParameterConflict, match=r"^q must be in \(0, 1\)$"):
             lanczos_budget(10, 1.0, 1.0)
-        with pytest.raises(ValueError, match="d must be >= 1"):
+        with pytest.raises(ProblemMismatch, match="^d must be >= 1$"):
             lanczos_budget(0, 1.0, 0.5)
 
 

@@ -3,7 +3,7 @@ do not depend on the certificate checker, neither the generators nor the
 checker depend on the solver, and the line search and the separation
 oracle apply the played matrix without depending on the learner that
 plays it. Only the binding module `_blas` decides where BLAS and LAPACK
-come from."""
+come from, and every error the package raises is a class of `qnpe.errors`."""
 
 import ast
 from pathlib import Path
@@ -125,3 +125,81 @@ def test_scan_passes_other_scipy_imports(tmp_path):
     path = tmp_path / "probe.py"
     path.write_text("import scipy\nimport scipy.io\nfrom scipy.special import expit\n")
     assert scipy_linalg_uses(path) == []
+
+
+#: raises that name no `qnpe.errors` class: the binding module's import
+#: failure and the clean-up in `_load` that re-raises whatever loading the
+#: extension raised, and the mapping protocol of `TraceCertificates`
+FOREIGN_RAISES = {
+    ("_blas", "ImportError"),
+    ("_blas", "BaseException"),
+    ("verify", "KeyError"),
+}
+
+
+def raised_names(path: Path) -> list:
+    """(line, class name) of every `raise` in a module: the name a raise
+    calls or names, the attribute of a dotted one (`errors.X`), and for a
+    bare re-raise each type its `except` clause catches."""
+    found = []
+
+    def visit(node, caught):
+        if isinstance(node, ast.ExceptHandler):
+            kinds = node.type or ast.Name("BaseException")
+            kinds = kinds.elts if isinstance(kinds, ast.Tuple) else [kinds]
+            caught = [ast.unparse(kind).split(".")[-1] for kind in kinds]
+        elif isinstance(node, ast.Raise):
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            names = caught if exc is None else [ast.unparse(exc).split(".")[-1]]
+            found.extend((node.lineno, name) for name in names)
+        for child in ast.iter_child_nodes(node):
+            visit(child, caught)
+
+    visit(ast.parse(path.read_text()), [])
+    return found
+
+
+def error_classes() -> set:
+    return {
+        node.name
+        for node in ast.walk(ast.parse((PACKAGE / "errors.py").read_text()))
+        if isinstance(node, ast.ClassDef)
+    }
+
+
+def test_every_raise_names_an_error_class():
+    allowed = error_classes()
+    offenders = [
+        (path.stem, line, name)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for line, name in raised_names(path)
+        if name not in allowed and (path.stem, name) not in FOREIGN_RAISES
+    ]
+    assert not offenders, offenders
+
+
+def test_every_error_class_is_raised():
+    raised = {
+        name for path in PACKAGE.glob("*.py") for _, name in raised_names(path)
+    }
+    assert error_classes() - {"SolverError"} <= raised, (
+        sorted(error_classes() - {"SolverError"} - raised)
+    )
+
+
+@pytest.mark.parametrize(
+    "source, names",
+    [
+        ("raise ValueError", ["ValueError"]),
+        ("raise errors.ParseError('x')", ["ParseError"]),
+        ("raise ValueError('x') from None", ["ValueError"]),
+        ("try:\n    f()\nexcept (OSError, errors.ParseError):\n    raise",
+         ["OSError", "ParseError"]),
+        ("try:\n    f()\nexcept:\n    raise", ["BaseException"]),
+    ],
+    ids=["name", "dotted", "call", "re-raise", "bare-except"],
+)
+def test_raise_scan_sees_every_form(tmp_path, source, names):
+    path = tmp_path / "probe.py"
+    path.write_text(source + "\n")
+    assert [name for _, name in raised_names(path)] == names

@@ -14,7 +14,12 @@ from qnpe.core import (
     resolve_initial_matrix,
     validate_config,
 )
-from qnpe.errors import DegenerateCurvature, StateMismatch, ZeroDisplacement
+from qnpe.errors import (
+    InvalidSpectrum,
+    ParameterConflict,
+    StateMismatch,
+    ZeroDisplacement,
+)
 from qnpe.learner import HessianLearner, LossSample, failure_budget, loss, to_hat
 from qnpe.problems import make_quadratic
 from qnpe.solver import solve
@@ -56,7 +61,7 @@ class TestSpectralTransform:
         assert np.allclose(back, b, rtol=0.0, atol=1e-14 * np.abs(b).max())
 
     def test_degenerate_band(self):
-        with pytest.raises(DegenerateCurvature):
+        with pytest.raises(InvalidSpectrum, match="^spectral transform needs L1 > mu"):
             to_hat(np.eye(2), 1.0, 1.0)
 
 
@@ -156,7 +161,7 @@ class TestFailureBudget:
         assert sum(values) <= p
 
     def test_round_zero_not_budgeted(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ParameterConflict, match="^rounds are budgeted from t = 1"):
             failure_budget(0.1, 0)
 
 

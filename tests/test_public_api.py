@@ -37,7 +37,8 @@ PUBLIC = {
 }
 
 #: names that the package no longer defines: wrappers that added nothing to
-#: a solve, and references or bookkeeping that only tests read
+#: a solve, references or bookkeeping that only tests read, and error
+#: classes whose condition another class names
 REMOVED = [
     "LinearOperator",
     "from_matrix",
@@ -67,6 +68,12 @@ REMOVED = [
     "config_from_kv",
     "check_real",
     "check_gradient",
+    "StepSeedTooSmall",
+    "SpectrumViolation",
+    "DegenerateCurvature",
+    "NotSymmetric",
+    "NotPositiveDefinite",
+    "LineSearchFailure",
 ]
 
 
@@ -141,6 +148,17 @@ def test_readme_scan_finds_names():
 def test_readme_names_resolve(name):
     # the README may not name what the package lacks
     resolve(name)
+
+
+def test_readme_lists_every_error_class():
+    # the CLI prints the class name as the error category
+    listed = {name for name in readme_names() if name.startswith("qnpe.errors.")}
+    defined = {
+        node.name
+        for node in ast.parse((PACKAGE / "errors.py").read_text()).body
+        if isinstance(node, ast.ClassDef)
+    }
+    assert listed == {f"qnpe.errors.{name}" for name in defined}
 
 
 def test_perfbench_imports_are_public():

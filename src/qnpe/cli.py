@@ -28,7 +28,7 @@ from .core import (
 from .errors import ParameterConflict, ProblemMismatch, SolverError
 from .problems import load_matrix_market, make_logistic, make_quadratic
 from .solver import solve
-from .verify import iteration_complexity_bound, linear_rate, transition, verify_trace
+from .verify import transition, verify_trace
 
 #: the trace CSV columns: every `IterationRecord` field but the last,
 #: `hat_disp`, in field order
@@ -192,15 +192,9 @@ def cmd_verify(args) -> int:
                 continue
             lines.append(f"cert_{cert.name}={'true' if cert.passed else 'false'}")
             lines.append(f"margin_{cert.name}={_fmt(cert.margin)}")
-        n_tr = transition(run, obj)
-        lines.append(f"n_tr={_fmt(n_tr)}")
-        final_dist = run.final_dist_sq(obj)
-        if n_tr is not None and final_dist is not None and final_dist > 0.0:
-            lin_rate = linear_rate(obj.mu, obj.l1, run.config.alpha2, run.config.beta)
-            bound = iteration_complexity_bound(
-                final_dist, obj.mu, obj.l1, n_tr, obj.dist_sq(run.x0), lin_rate
-            )
-            lines.append(f"n_eps_bound={_fmt(bound)}")
+        lines.append(f"n_tr={_fmt(certs.n_tr)}")
+        if certs.n_eps_bound is not None:
+            lines.append(f"n_eps_bound={_fmt(certs.n_eps_bound)}")
         lines.append(f"all_passed={'true' if certs.all_passed else 'false'}")
     else:
         lines.append(f"pass_rate={_fmt(passes / seeds)}")

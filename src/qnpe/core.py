@@ -50,7 +50,7 @@ class Objective:
         minimizer: optional known minimizer x*.
 
     Raises:
-        ProblemMismatch: dim < 1.
+        ProblemMismatch: dim not an integer >= 1.
     """
 
     dim: int
@@ -63,8 +63,8 @@ class Objective:
     minimizer: Optional[Array] = None
 
     def __post_init__(self):
-        if int(self.dim) < 1:
-            raise ProblemMismatch(f"dim must be a positive integer, got {self.dim}")
+        if not isinstance(self.dim, numbers.Integral) or self.dim < 1:
+            raise ProblemMismatch(f"dim must be a positive integer, got {self.dim!r}")
 
     def dist_sq(self, x: Array) -> Optional[float]:
         """||x - x*||^2, or None without a known minimizer."""
@@ -299,7 +299,8 @@ def _check_b0(b0, mu: float, l1: float, d: int):
     mat = np.asarray(b0, dtype=float)
     if mat.shape != (d, d):
         raise ParameterConflict(f"b0 has shape {mat.shape}, problem dimension is {d}")
-    if not np.allclose(mat, mat.T, rtol=0.0, atol=1e-12 * max(1.0, l1)):
+    # exactly: products read one triangle, the exact oracle the other
+    if not np.array_equal(mat, mat.T):
         raise ParameterConflict("explicit b0 must be symmetric")
     eigs = np.linalg.eigvalsh(mat)
     slack = _SPECTRUM_SLACK * max(1.0, l1)

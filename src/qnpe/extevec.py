@@ -19,6 +19,7 @@ finds W inside, or does not need the separator, never pays for it.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from typing import Callable, Optional
@@ -108,13 +109,13 @@ def lanczos_budget(d: int, delta: float, q: float) -> LanczosBudget:
     formula falls below the rounding floor, rounding decides the stop.
 
     Raises:
-        ProblemMismatch: d < 1.
-        ParameterConflict: delta not positive, or q outside (0, 1).
+        ProblemMismatch: d not an integer >= 1.
+        ParameterConflict: delta not in (0, inf), or q outside (0, 1).
     """
-    if d < 1:
-        raise ProblemMismatch("d must be >= 1")
-    if not delta > 0.0:  # negated so that NaN is rejected too
-        raise ParameterConflict("delta must be positive")
+    if not isinstance(d, numbers.Integral) or d < 1:
+        raise ProblemMismatch(f"d must be an integer >= 1, got {d!r}")
+    if not 0.0 < delta < math.inf:  # negated so that NaN is rejected too
+        raise ParameterConflict(f"delta must be in (0, inf), got {delta}")
     if not (0.0 < q < 1.0):
         raise ParameterConflict("q must be in (0, 1)")
     eps = delta / (2.0 * (1.0 + delta))

@@ -16,6 +16,7 @@ minimizer factors by LAPACK dpotrf and dpotrs from `qnpe._blas`, the calls
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import replace
 from typing import Optional
 
@@ -98,6 +99,16 @@ def quadratic_objective(a: Array, b: Array, mu: float, l1: float) -> Objective:
     )
 
 
+def _check_integers(**params):
+    """Raise ProblemMismatch unless every named generator parameter is an
+    integer: NumPy fails on a float or a string with a bare TypeError."""
+    for name, value in params.items():
+        if not isinstance(value, numbers.Integral):
+            raise ProblemMismatch(
+                f"problem parameter {name}={value!r} is not an integer"
+            )
+
+
 def make_quadratic(d: int, mu: float, l1: float, seed: int) -> Objective:
     """Seeded quadratic with log-uniform spectrum on [mu, L1].
 
@@ -106,12 +117,13 @@ def make_quadratic(d: int, mu: float, l1: float, seed: int) -> Objective:
     b is seeded Gaussian.
 
     Raises:
-        ProblemMismatch: d < 1 or seed < 0.
+        ProblemMismatch: d or seed not an integer, d < 1 or seed < 0.
         InvalidSpectrum: mu <= 0, mu > L1, or mu or L1 not finite.
         MinimizerStall: the matrix is singular at working precision, which
             a mu tiny next to L1 can make it; past L1/mu of about 1e9 the
             refined residual exceeds 1e-8 and counts as singular.
     """
+    _check_integers(d=d, seed=seed)
     if d < 1:
         raise ProblemMismatch("d must be >= 1")
     if seed < 0:  # default_rng would raise a bare ValueError
@@ -276,10 +288,12 @@ def make_logistic(n: int, d: int, lam: float, seed: int) -> Objective:
     Hessian from x = 0 to a 1e-12 gradient norm, not by the solver.
 
     Raises:
-        ProblemMismatch: n < 1, d < 1 or seed < 0.
+        ProblemMismatch: n, d or seed not an integer, n < 1, d < 1 or
+            seed < 0.
         InvalidSpectrum: lam not in (0, inf).
         MinimizerStall: the Newton minimizer did not reach its tolerance.
     """
+    _check_integers(n=n, d=d, seed=seed)
     if n < 1 or d < 1:
         raise ProblemMismatch("n and d must be >= 1")
     if seed < 0:  # default_rng would raise a bare ValueError

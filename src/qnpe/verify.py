@@ -5,9 +5,9 @@ per-iteration contraction, the linear-rate envelope, the universal step
 floor, the step-size-sum inequality, the learner's small-loss regret bound,
 the superlinear envelope, and the gradient/line-search budgets. Each check
 reports pass/fail with its worst-case margin (bound minus observed, so
-positive margins mean slack to spare). `transition` gives a run's
-transition iteration N_tr, past which the superlinear envelope beats the
-linear one. The regret bound, the envelope and N_tr hold only at the
+positive margins mean slack to spare), next to the run's transition
+iteration N_tr (`transition`), past which the superlinear envelope beats
+the linear one. The regret bound, the envelope and N_tr hold only at the
 learner step of their derivation.
 """
 
@@ -49,6 +49,8 @@ class Certificate:
 @dataclass(frozen=True)
 class TraceCertificates:
     results: tuple
+    n_tr: Optional[float] = None
+    n_eps_bound: Optional[float] = None
 
     @property
     def all_passed(self) -> bool:
@@ -72,13 +74,7 @@ def transition(report: SolverReport, obj: Objective) -> Optional[float]:
     """Iteration N_tr = 4 D / (3 L1^2), D the run's `superlinear_denominator`,
     past which the superlinear envelope beats the linear one; None off the
     `derived` gate and without the minimizer, the Hessian oracle or L2."""
-    run = _Replay(report, obj)
-    if not run.derived:
-        return None
-    try:
-        return 4 * run.denominator / (3 * run.l1**2)
-    except MissingGroundTruth:
-        return None
+    return _Replay(report, obj).n_tr
 
 
 def superlinear_envelope(k: int, mu: float, denom: float) -> float:
@@ -132,6 +128,7 @@ class _Replay:
         self.records, self.cfg = report.records, report.config
         self.mu, self.l1 = float(obj.mu), float(obj.l1)
         self.regret_competitors = regret_competitors
+        self.rate = linear_rate(self.mu, self.l1, self.cfg.alpha2, self.cfg.beta)
 
     @cached_property
     def dists(self) -> list:
@@ -173,6 +170,16 @@ class _Replay:
         )
 
     @cached_property
+    def n_tr(self) -> Optional[float]:
+        """`transition`'s N_tr of the run."""
+        if not self.derived:
+            return None
+        try:
+            return 4 * self.denominator / (3 * self.l1**2)
+        except MissingGroundTruth:
+            return None
+
+    @cached_property
     def learner_loss(self) -> float:
         """sum_t l_t(B_t) over the learner rounds."""
         return sum(r.loss for r in self.records if r.loss is not None)
@@ -184,7 +191,8 @@ def verify_trace(
     *,
     regret_competitors: int = 0,
 ) -> TraceCertificates:
-    """Evaluate every certificate on a trace.
+    """Evaluate every certificate on a trace, and the run's N_tr and its
+    `iteration_complexity_bound` at the final distance, None at x*.
 
     For baseline reports every check is reported not-applicable. With
     `regret_competitors` > 0 the small-loss bound is additionally checked
@@ -204,7 +212,12 @@ def verify_trace(
         )
 
     run = _Replay(report, obj, regret_competitors)
-    return TraceCertificates(tuple(check(run) for check in _CHECKS.values()))
+    results = tuple(check(run) for check in _CHECKS.values())
+    if run.n_tr is None or not run.dists[-1] > 0.0:
+        return TraceCertificates(results, run.n_tr)
+    return TraceCertificates(results, run.n_tr, iteration_complexity_bound(
+        run.dists[-1], run.mu, run.l1, run.n_tr, run.dists[0], run.rate
+    ))
 
 
 def _worst(name, pairs, detail="worst at k={k}"):
@@ -248,11 +261,10 @@ def _check_contraction(run) -> Certificate:
 
 
 def _check_linear_rate(run) -> Certificate:
-    dists, cfg, mu, l1 = run.dists, run.cfg, run.mu, run.l1
-    target = 1.0 / (1.0 + linear_rate(mu, l1, cfg.alpha2, cfg.beta)) + _SLACK
+    target = 1.0 / (1.0 + run.rate) + _SLACK
     return _worst("linear_rate", (
         (k, target - d_next / d_now)
-        for k, (d_now, d_next) in enumerate(zip(dists, dists[1:]))
+        for k, (d_now, d_next) in enumerate(zip(run.dists, run.dists[1:]))
         if d_now != 0.0
     ))
 

@@ -11,10 +11,17 @@ import pytest
 
 import qnpe.cli
 import qnpe.problems
-from qnpe.cli import CSV_HEADER, build_parser, main, parse_problem
+from qnpe.cli import CSV_HEADER, _fmt, build_parser, main, parse_problem
 from qnpe.core import IterationRecord, SolverConfig
 from qnpe.solver import solve
-from qnpe.verify import Certificate, TraceCertificates, verify_trace
+from qnpe.verify import (
+    Certificate,
+    TraceCertificates,
+    iteration_complexity_bound,
+    linear_rate,
+    transition,
+    verify_trace,
+)
 
 QUAD = "quadratic:d=8,mu=1,l1=50,seed=3"
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -290,6 +297,32 @@ class TestVerify:
         assert float(report["n_eps_bound"]) == pytest.approx(
             target / math.log1p(1.0 / 800.0), rel=1e-12
         )
+
+    def test_single_seed_reads_one_replay(self, tmp_path, monkeypatch, capsys):
+        # the certificates, N_tr and the bound share one Hessian at x*
+        obj, key = parse_problem(QUAD)
+        calls = []
+
+        def hessian(x):
+            calls.append(1)
+            return obj.hessian(x)
+
+        counted = dataclasses.replace(obj, hessian=hessian)
+        monkeypatch.setattr(qnpe.cli, "parse_problem", lambda spec: (counted, key))
+        code = run_cli(tmp_path, "verify", "--problem", QUAD, "--oracle-mode", "exact")
+        assert code == 0
+        assert len(calls) == 1
+        report = dict(
+            line.split("=", 1) for line in capsys.readouterr().out.splitlines()
+        )
+        run = solve(obj, SolverConfig(oracle_mode="exact"))
+        n_tr = transition(run, obj)
+        rate = linear_rate(obj.mu, obj.l1, run.config.alpha2, run.config.beta)
+        bound = iteration_complexity_bound(
+            run.final_dist_sq(obj), obj.mu, obj.l1, n_tr, obj.dist_sq(run.x0), rate
+        )
+        assert report["n_tr"] == _fmt(n_tr)
+        assert report["n_eps_bound"] == _fmt(bound)
 
     def test_failed_run_creates_no_output_directory(self, tmp_path, capsys):
         out = tmp_path / "out"

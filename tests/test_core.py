@@ -161,6 +161,14 @@ class TestValidateConfig:
         with pytest.raises(ParameterConflict, match="^explicit b0 must be symmetric"):
             validate_config(SolverConfig(b0=np.array([[2.0, 1.0], [0.0, 2.0]])), obj)
 
+    def test_b0_matrix_must_be_exactly_symmetric(self):
+        # products read the lower triangle and the exact oracle the upper
+        # one, so any asymmetry makes them see two different matrices
+        b0 = np.diag([2.0, 3.0, 4.0])
+        b0[0, 1] = 5e-12
+        with pytest.raises(ParameterConflict, match="^explicit b0 must be symmetric"):
+            validate_config(SolverConfig(b0=b0), simple_objective(l1=10.0, d=3))
+
     @pytest.mark.parametrize(
         "field, value",
         [("p", 0.0), ("p", 1.0), ("p", math.nan), ("max_iters", 0), ("max_iters", -3)],

@@ -96,13 +96,19 @@ class TestBudget:
         assert lanczos_budget(10, 0.5, 0.5).epsilon == pytest.approx(1.0 / 6.0)
 
     def test_argument_validation(self):
-        for delta in (0.0, math.nan):
-            with pytest.raises(ParameterConflict, match="^delta must be positive$"):
+        for delta in (0.0, math.nan, math.inf):
+            with pytest.raises(
+                ParameterConflict, match=rf"^delta must be in \(0, inf\), got {delta}$"
+            ):
                 lanczos_budget(10, delta, 0.5)
         with pytest.raises(ParameterConflict, match=r"^q must be in \(0, 1\)$"):
             lanczos_budget(10, 1.0, 1.0)
-        with pytest.raises(ProblemMismatch, match="^d must be >= 1$"):
-            lanczos_budget(0, 1.0, 0.5)
+        # a fractional d would give a fractional step count
+        for d in (0, 2.5):
+            with pytest.raises(
+                ProblemMismatch, match=rf"^d must be an integer >= 1, got {d}$"
+            ):
+                lanczos_budget(d, 1.0, 0.5)
 
 
 class TestExactOracle:

@@ -192,6 +192,24 @@ def test_negative_seed_is_problem_mismatch(make):
         make()
 
 
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: Objective(2.5, lambda x: x, 1.0, 1.0), "dim must be a positive"),
+        (lambda: Objective("3", lambda x: x, 1.0, 1.0), "dim must be a positive"),
+        (lambda: make_quadratic(2.5, 1.0, 10.0, 0), "parameter d=2.5 is not"),
+        (lambda: make_logistic(10, 2.5, 0.1, 0), "parameter d=2.5 is not"),
+        (lambda: make_quadratic(3, 1.0, 10.0, 1.5), "parameter seed=1.5 is not"),
+    ],
+    ids=["objective_float_dim", "objective_str_dim", "quadratic_float_d",
+         "logistic_float_d", "quadratic_float_seed"],
+)
+def test_non_integer_count_is_problem_mismatch(make, message):
+    # NumPy would fail later with a bare TypeError
+    with pytest.raises(ProblemMismatch, match=message):
+        make()
+
+
 class TestSecondOrderConsistency:
     @pytest.mark.parametrize(
         "factory",

@@ -6,7 +6,10 @@ import ast
 import dataclasses
 import importlib
 import inspect
+import json
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -197,6 +200,28 @@ def test_perfbench_hooks_resolve():
         else:
             target = getattr(qnpe, owner)
         assert callable(getattr(target, attr, None)), f"{owner}.{attr}"
+
+
+@pytest.mark.parametrize(
+    "workload, trace, section",
+    [("baselines", "0", "end_to_end"), ("quad-lanczos", "1", "per_layer")],
+)
+def test_perfbench_smoke_run(workload, trace, section):
+    # one round of the harness: the traced run also reconciles its layer
+    # counts with the report's counters
+    done = subprocess.run(
+        [sys.executable, str(PERFBENCH / "run.py"), "--workload", workload,
+         "--seed", "1", "--seconds", "0", "--trace", trace],
+        cwd=PERFBENCH.parent, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout.splitlines()[-1])
+    assert result["correct"]
+    declared = json.loads((PERFBENCH.parent / "BENCHMARK.json").read_text())
+    assert list(result["metrics"]) == [m["name"] for m in declared[section]]
+    # on the baselines workload gd ends at max_iters and BFGS stalls by design
+    if workload != "baselines":
+        assert result["failed"] == 0
 
 
 def test_removed_names_are_not_defined():

@@ -296,9 +296,15 @@ def _check_b0(b0, mu: float, l1: float, d: int):
                 f"scaled-identity factor {c} outside [{mu}, {l1}]"
             )
         return
-    mat = np.asarray(b0, dtype=float)
+    mat = np.asarray(b0)
+    if mat.dtype.kind not in "fiu":
+        raise ParameterConflict(
+            f"b0 has dtype {mat.dtype}, expected real floating point or integer"
+        )
     if mat.shape != (d, d):
         raise ParameterConflict(f"b0 has shape {mat.shape}, problem dimension is {d}")
+    if not np.all(np.isfinite(mat)):
+        raise ParameterConflict("explicit b0 has non-finite entries")
     # exactly: products read one triangle, the exact oracle the other
     if not np.array_equal(mat, mat.T):
         raise ParameterConflict("explicit b0 must be symmetric")

@@ -21,9 +21,10 @@ class SolverError(Exception):
 class ParameterConflict(SolverError):
     """Parameters violate their admissible ranges: a solver, learner or
     budget parameter out of range, a sigma0 below the alpha2*beta/L1 step
-    floor, an explicit b0 that is not a symmetric d x d matrix or whose
-    spectrum leaves [mu, L1], or `qnpe verify` with --seeds < 1,
-    --min-pass-rate outside (0, 1] or --regret-competitors < 0."""
+    floor, an explicit b0 that is not a finite, real, symmetric d x d
+    matrix or whose spectrum leaves [mu, L1], or `qnpe verify` with
+    --seeds < 1, --min-pass-rate outside (0, 1] or --regret-competitors
+    < 0."""
 
 
 # --- problem generation / ingestion ---

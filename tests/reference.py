@@ -12,7 +12,8 @@ checks before either loop runs.
 
 import math
 from functools import cache, partial
-from typing import NamedTuple
+from types import SimpleNamespace
+from typing import NamedTuple, Optional
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from qnpe.extevec import (
     lanczos_budget,
 )
 from qnpe.errors import IterationCapExceeded
-from qnpe.learner import HessianLearner
+from qnpe.learner import HessianLearner, LossSample
 from qnpe.linsolve import RESIDUAL_FLOOR, CrResult, conjugate_residual
 
 
@@ -172,6 +173,82 @@ def cr_with_history(mat, b, alpha, max_iters=None):
     return res, r_norms, np.linalg.norm(steps, axis=0)
 
 
+class TextbookStep(NamedTuple):
+    """One iteration of `textbook_qnpe`: ||x_k - x*||^2 at its start, the
+    accepted step eta_k, the line-search attempts, and the loss of the
+    learner round, None when no round ran."""
+
+    dist_sq: float
+    eta: float
+    ls_steps: int
+    loss: Optional[float]
+
+
+def textbook_qnpe(obj, cfg, iters):
+    """The paper's QNPE loop in exact oracle mode, dense, from x0 = 0, for
+    at most `iters` iterations or until ||grad|| <= cfg.grad_tol.
+
+    B0 is the default L1 I, and sigma0 the config's or 1/(4 L1). Each line
+    search solves (I + eta B) s = -eta g by `cr_numpy` on the dense B and
+    accepts the first eta in sigma, beta sigma, ... with
+    eta ||grad(x + s) - g - B s|| <= alpha2 ||s||. The learner works on
+    W = (2/(L1-mu)) (B - (L1+mu)/2 I): a backtracked iteration whose
+    rejected trial moved is a round, W <- project(W - rho (G + hinge S)) on
+    the Frobenius ball of radius sqrt(d), with G = (2/(L1-mu)) times the
+    `loss_gradient` at the played B, and, when the oracle found the played
+    W outside the unit ball, the hinge max(0, -<G, W/gamma>) on the
+    `separator` S of its eigenvector of larger magnitude. Only after a round
+    does the learner predict again: `np.linalg.eigh` gives gamma =
+    ||W||_op, and B = `from_hat`(W / max(gamma, 1)). Only the objective's
+    oracles and the config's constants come from the package.
+    """
+    mu, l1, d = float(obj.mu), float(obj.l1), obj.dim
+    alpha1, alpha2, beta, rho = cfg.alpha1, cfg.alpha2, cfg.beta, cfg.rho
+    sigma = 1.0 / (4.0 * l1) if cfg.sigma0 is None else cfg.sigma0
+    b = l1 * np.eye(d)
+    w = (2.0 / (l1 - mu)) * (b - 0.5 * (l1 + mu) * np.eye(d))
+    sep, gamma = None, 1.0  # B0 is played without an oracle call
+    x = np.zeros(d)
+    g = obj.grad(x)
+    steps = []
+    for _ in range(iters):
+        if math.sqrt(g @ g) <= cfg.grad_tol:
+            break
+        eta, attempts, x_tilde = sigma, 0, None
+        while True:
+            s = cr_numpy(lambda v: v + eta * (b @ v), -eta * g, alpha1).s
+            x_hat = x + s
+            g_hat = obj.grad(x_hat)
+            attempts += 1
+            if eta * np.linalg.norm(g_hat - g - b @ s) <= alpha2 * np.linalg.norm(s):
+                break
+            x_tilde, g_tilde = x_hat, g_hat
+            eta *= beta
+        loss = None
+        if x_tilde is not None and not (x_tilde == x).all():
+            sample = LossSample(x_tilde - x, g_tilde - g)
+            resid = sample.y - b @ sample.s
+            loss = float(resid @ resid) / (2.0 * float(sample.s @ sample.s))
+            grad_w = (2.0 / (l1 - mu)) * loss_gradient(b, sample)
+            if sep is not None:
+                hinge = max(0.0, -float(np.sum(grad_w * (w / gamma))))
+                grad_w = grad_w + hinge * separator(sep)
+            w = project_frobenius_ball(w - rho * grad_w, math.sqrt(d))
+            lam, vec = np.linalg.eigh(w)
+            top = lam[-1] >= -lam[0]
+            gamma = lam[-1] if top else -lam[0]
+            sep = None if gamma <= 1.0 else SimpleNamespace(
+                sign=1 if top else -1, vector=vec[:, -1 if top else 0]
+            )
+            b = from_hat(w / max(gamma, 1.0), mu, l1)
+        gap = x - obj.minimizer
+        steps.append(TextbookStep(float(gap @ gap), eta, attempts, loss))
+        x = (x - eta * g_hat + 2.0 * eta * mu * x_hat) / (1.0 + 2.0 * eta * mu)
+        sigma = eta / beta
+        g = obj.grad(x)
+    return steps
+
+
 def blas_build(lib) -> dict:
     """The BLAS entry of NumPy's or SciPy's build info (`show_config`):
     its `name` and `version`, among others; empty when the build info
@@ -180,6 +257,18 @@ def blas_build(lib) -> dict:
         return lib.show_config(mode="dicts")["Build Dependencies"]["blas"]
     except (TypeError, KeyError):
         return {}
+
+
+def cpu_has(flag):
+    """Whether /proc/cpuinfo lists the CPU feature `flag` (False where the
+    file does not exist): OpenBLAS's Haswell kernels need avx2."""
+    try:
+        with open("/proc/cpuinfo") as fh:
+            return any(
+                line.startswith("flags") and flag in line.split() for line in fh
+            )
+    except OSError:
+        return False
 
 
 @cache

@@ -420,7 +420,7 @@ class TestVerify:
                 *(f"{kind}_{name}" for name in (
                     "contraction", "linear_rate", "step_floor", "stepsize_sum",
                     "small_loss_regret", "displacement_sum",
-                    "superlinear_envelope", "grad_eval_budget", "ls_step_budget",
+                    "superlinear_envelope", "grad_eval_budget",
                 ) for kind in ("cert", "margin")),
                 "n_tr", "n_eps_bound", "all_passed",
             ]),

@@ -170,6 +170,23 @@ class TestValidateConfig:
             validate_config(SolverConfig(b0=b0), simple_objective(l1=10.0, d=3))
 
     @pytest.mark.parametrize(
+        "b0, message",
+        [
+            # eigvalsh returns NaN, which the band test let through
+            (np.diag([math.inf, 2.0, 3.0]), "^explicit b0 has non-finite entries"),
+            # NaN != NaN, which the symmetry test reported as asymmetry
+            (np.diag([math.nan, 2.0, 3.0]), "^explicit b0 has non-finite entries"),
+            # a float cast would drop the imaginary part silently
+            (np.diag([2.0 + 1e-3j, 3.0, 4.0]), "^b0 has dtype complex128"),
+            (np.diag([2, 3, 4]).astype(str), "^b0 has dtype <U"),
+        ],
+        ids=["inf", "nan", "complex", "str"],
+    )
+    def test_b0_matrix_must_be_finite_and_real(self, b0, message):
+        with pytest.raises(ParameterConflict, match=message):
+            validate_config(SolverConfig(b0=b0), simple_objective(l1=10.0, d=3))
+
+    @pytest.mark.parametrize(
         "field, value",
         [("p", 0.0), ("p", 1.0), ("p", math.nan), ("max_iters", 0), ("max_iters", -3)],
     )

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 import scipy.io
 import scipy.optimize
-from reference import logistic_data, logistic_single_pass
+from reference import cpu_has, logistic_data, logistic_single_pass
 
 import qnpe.problems
 import qnpe.solver
@@ -33,16 +33,6 @@ from qnpe.problems import (
 
 
 ROOT = Path(__file__).resolve().parent.parent
-
-
-def _cpu_has(flag):
-    try:
-        with open("/proc/cpuinfo") as fh:
-            return any(
-                line.startswith("flags") and flag in line.split() for line in fh
-            )
-    except OSError:
-        return False
 
 
 def _traced_peak(call):
@@ -143,7 +133,7 @@ class TestQuadratic:
 
     # OpenBLAS's Haswell kernels factor make_quadratic(5, 1e-300, 1, ...)
     # without meeting an exact zero pivot; only the residual check catches it
-    @pytest.mark.skipif(not _cpu_has("avx2"), reason="Haswell kernels need AVX2")
+    @pytest.mark.skipif(not cpu_has("avx2"), reason="Haswell kernels need AVX2")
     def test_singular_matrix_is_caught_on_haswell_kernels(self):
         ids = [
             "tests/test_problems.py::TestQuadratic"

@@ -191,6 +191,58 @@ class TestMarginScan:
         assert certs["step_floor"].detail.startswith(f"floor {floor:.6g}, ")
 
 
+class TestGradEvalBudget:
+    """The one budget certificate, sum of grad_evals <= 3 n + L with
+    L = log_{1/beta}(sigma0 L1 / alpha2), on an exact run whose records are
+    edited. sigma0 = 1 makes L = log2(400), so the log term is not zero."""
+
+    @staticmethod
+    @functools.lru_cache(maxsize=None)
+    def _run():
+        obj = make_quadratic(10, 1.0, 100.0, seed=0)
+        cfg = SolverConfig(oracle_mode="exact", grad_tol=1e-8, sigma0=1.0)
+        return obj, solve(obj, cfg)
+
+    def _edited(self, extra_ls_steps, extra_grad_evals):
+        obj, report = self._run()
+        first = report.records[0]
+        records = (first._replace(
+            ls_steps=first.ls_steps + extra_ls_steps,
+            grad_evals=first.grad_evals + extra_grad_evals,
+        ),) + report.records[1:]
+        return obj, dataclasses.replace(report, records=records)
+
+    def _bound(self, per_iteration):
+        _, report = self._run()
+        log_term = math.log(1.0 * 100.0 / 0.25) / math.log(2.0)
+        return per_iteration * report.iterations + log_term
+
+    def test_unedited_run_passes(self):
+        obj, report = self._run()
+        cert = verify_trace(report, obj)["grad_eval_budget"]
+        total = report.totals()["grad_evals"]
+        assert cert.passed and cert.margin == self._bound(3.0) - total
+
+    def test_one_evaluation_past_the_bound_fails(self):
+        _, report = self._run()
+        total = math.floor(self._bound(3.0)) + 1
+        obj, edited = self._edited(0, total - report.totals()["grad_evals"])
+        assert edited.totals()["grad_evals"] == total
+        cert = verify_trace(edited, obj)["grad_eval_budget"]
+        assert cert.passed is False
+        assert cert.margin == self._bound(3.0) - total < 0.0
+
+    def test_line_search_past_its_bound_fails(self):
+        # the violation of sum ls_steps <= 2 n + L, with every record
+        # keeping grad_evals = 1 + ls_steps as qnpe writes it
+        _, report = self._run()
+        extra = math.floor(self._bound(2.0)) + 1 - report.totals()["ls_steps"]
+        obj, edited = self._edited(extra, extra)
+        assert edited.totals()["ls_steps"] > self._bound(2.0)
+        assert all(r.grad_evals == 1 + r.ls_steps for r in edited.records)
+        assert verify_trace(edited, obj)["grad_eval_budget"].passed is False
+
+
 class TestFailClosed:
     def test_nan_distances_fail_their_checks(self):
         # a tampered or reloaded report: every recorded distance is NaN

@@ -296,7 +296,12 @@ def _check_b0(b0, mu: float, l1: float, d: int):
                 f"scaled-identity factor {c} outside [{mu}, {l1}]"
             )
         return
-    mat = np.asarray(b0)
+    try:
+        mat = np.asarray(b0)
+    except ValueError as exc:  # NumPy raises it on ragged nested lists
+        raise ParameterConflict(
+            f"b0 has an inhomogeneous shape, expected ({d}, {d})"
+        ) from exc
     if mat.dtype.kind not in "fiu":
         raise ParameterConflict(
             f"b0 has dtype {mat.dtype}, expected real floating point or integer"

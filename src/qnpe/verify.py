@@ -203,16 +203,11 @@ def verify_trace(
         MissingGroundTruth: a check needs the minimizer or the Hessian
             oracle and the objective does not expose it.
     """
-    if report.method != "qnpe":
-        return TraceCertificates(
-            tuple(
-                Certificate(name, None, "method without guarantees")
-                for name in _CHECKS
-            )
-        )
-
     run = _Replay(report, obj, regret_competitors)
-    results = tuple(check(run) for check in _CHECKS.values())
+    results = tuple(
+        Certificate(name, *_outcome(run, name, check))
+        for name, check in _CHECKS.items()
+    )
     if run.n_tr is None or not run.dists[-1] > 0.0:
         return TraceCertificates(results, run.n_tr)
     return TraceCertificates(results, run.n_tr, iteration_complexity_bound(
@@ -220,22 +215,35 @@ def verify_trace(
     ))
 
 
-def _worst(name, pairs, detail="worst at k={k}"):
-    """Certificate on the smallest margin of the (k, margin) pairs, the
+def _outcome(run, name, check) -> tuple:
+    """(margin, detail) of the check `name` on the run, margin None where
+    the check does not apply: every check on a baseline, and a `_DERIVED`
+    check off the `derived` gate. The gate is decided before the check
+    runs, so a closed check reads no ground truth."""
+    if run.report.method != "qnpe":
+        return None, "method without guarantees"
+    if name in _DERIVED and not run.derived:
+        rho = run.cfg.rho
+        return None, f"bound derived for rho = 1/18 only, run used rho = {rho:.6g}"
+    return check(run)
+
+
+def _worst(pairs, detail="worst at k={k}"):
+    """(margin, detail) on the smallest margin of the (k, margin) pairs, the
     first smallest on ties. A NaN margin counts as the worst: the first one
     fails the check. Without a pair the check passes with margin inf."""
     worst, worst_k = math.inf, None
     for k, margin in pairs:
         if math.isnan(margin):
-            return Certificate(name, margin, "NaN margin, " + detail.format(k=k))
+            return margin, "NaN margin, " + detail.format(k=k)
         if margin < worst:
             worst, worst_k = margin, k
     if worst_k is None:
-        return Certificate(name, math.inf, "empty trace")
-    return Certificate(name, worst, detail.format(k=worst_k))
+        return math.inf, "empty trace"
+    return worst, detail.format(k=worst_k)
 
 
-def _check_grad_eval_budget(run) -> Certificate:
+def _check_grad_eval_budget(run) -> tuple:
     """Sum of gradient evaluations <= 3 n + log_{1/beta}(sigma0 L1 / alpha2).
     qnpe records grad_evals = 1 + ls_steps per iteration, so this is also
     the line-search bound sum of ls_steps <= 2 n + the same log term."""
@@ -244,54 +252,41 @@ def _check_grad_eval_budget(run) -> Certificate:
         cfg.sigma0 * run.l1 / cfg.alpha2, cfg.beta
     )
     total = run.report.totals()["grad_evals"]
-    return Certificate(
-        "grad_eval_budget", bound - total, f"total {total} vs bound {bound:.6g}"
-    )
+    return bound - total, f"total {total} vs bound {bound:.6g}"
 
 
-def _check_contraction(run) -> Certificate:
+def _check_contraction(run) -> tuple:
     dists, mu = run.dists, run.mu
-    return _worst("contraction", (
+    return _worst((
         (rec.k, d_now / (1.0 + 2.0 * rec.eta * mu) + _SLACK * d_now - d_next)
         for rec, d_now, d_next in zip(run.records, dists, dists[1:])
     ))
 
 
-def _check_linear_rate(run) -> Certificate:
+def _check_linear_rate(run) -> tuple:
     target = 1.0 / (1.0 + run.rate) + _SLACK
-    return _worst("linear_rate", (
+    return _worst((
         (k, target - d_next / d_now)
         for k, (d_now, d_next) in enumerate(zip(run.dists, run.dists[1:]))
         if d_now != 0.0
     ))
 
 
-def _check_step_floor(run) -> Certificate:
+def _check_step_floor(run) -> tuple:
     floor = run.cfg.alpha2 * run.cfg.beta / run.l1
     return _worst(
-        "step_floor",
         ((rec.k, rec.eta - floor) for rec in run.records),
         detail=f"floor {floor:.6g}, worst at k={{k}}",
     )
 
 
-def _check_stepsize_sum(run) -> Certificate:
+def _check_stepsize_sum(run) -> tuple:
     cfg = run.cfg
     lhs = run.report.inv_eta_sq_sum
     geo = 1.0 - cfg.beta**2
     rhs = 1.0 / (geo * cfg.sigma0**2)
     rhs += 2.0 * run.learner_loss / (geo * cfg.alpha2**2 * cfg.beta**2)
-    return Certificate(
-        "stepsize_sum", rhs - lhs, f"sum 1/eta^2 = {lhs:.6g} vs bound {rhs:.6g}"
-    )
-
-
-def _not_derived(name: str, run) -> Certificate:
-    """The outcome of a check that the `derived` gate closes."""
-    return Certificate(
-        name, None,
-        f"bound derived for rho = 1/18 only, run used rho = {run.cfg.rho:.6g}",
-    )
+    return rhs - lhs, f"sum 1/eta^2 = {lhs:.6g} vs bound {rhs:.6g}"
 
 
 def _regret_gap(run, competitor: Array) -> float:
@@ -302,37 +297,31 @@ def _regret_gap(run, competitor: Array) -> float:
     return 1.0 / _THEORY_RHO * gap_fro_sq + 2.0 * competitor_total - run.learner_loss
 
 
-def _check_small_loss(run) -> Certificate:
+def _check_small_loss(run) -> tuple:
     obj = run.obj
-    if not run.derived:
-        return _not_derived("small_loss_regret", run)
     if not run.report.loss_samples:
-        return Certificate("small_loss_regret", math.inf, "no learner rounds")
+        return math.inf, "no learner rounds"
     gaps = [("competitor H*", _regret_gap(run, run.h_star))]
     rng, d = np.random.default_rng(0), obj.dim
     for i in range(run.regret_competitors):
         q, _ = np.linalg.qr(rng.standard_normal((d, d)))
         lam = rng.uniform(obj.mu, obj.l1, size=d)
         gaps.append((f"random competitor {i}", _regret_gap(run, (q * lam) @ q.T)))
-    return _worst("small_loss_regret", gaps, detail="{k}")
+    return _worst(gaps, detail="{k}")
 
 
-def _check_displacement_sum(run) -> Certificate:
+def _check_displacement_sum(run) -> tuple:
     total = sum(r.hat_disp**2 for r in run.records if r.hat_disp is not None)
     bound = run.dists[0] / (1.0 - run.cfg.alpha1 - run.cfg.alpha2)
-    return Certificate(
-        "displacement_sum", bound - total, f"sum {total:.6g} vs bound {bound:.6g}"
-    )
+    return bound - total, f"sum {total:.6g} vs bound {bound:.6g}"
 
 
-def _check_superlinear(run) -> Certificate:
-    if not run.derived:
-        return _not_derived("superlinear_envelope", run)
+def _check_superlinear(run) -> tuple:
     denom, dists = run.denominator, run.dists
     if dists[0] == 0.0:
-        return Certificate("superlinear_envelope", math.inf, "started at x*")
+        return math.inf, "started at x*"
     # k = 0 compares 1 <= 1 identically; start at the first real iterate
-    return _worst("superlinear_envelope", (
+    return _worst((
         (k, superlinear_envelope(k, run.mu, denom) - d_k / dists[0])
         for k, d_k in enumerate(dists[1:], start=1)
     ))
@@ -349,3 +338,6 @@ _CHECKS = {
     "superlinear_envelope": _check_superlinear,
     "grad_eval_budget": _check_grad_eval_budget,
 }
+
+#: the checks that hold only on the `derived` gate
+_DERIVED = ("small_loss_regret", "superlinear_envelope")

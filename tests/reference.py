@@ -11,7 +11,11 @@ checks before either loop runs.
 """
 
 import math
+import os
+import subprocess
+import sys
 from functools import cache, partial
+from pathlib import Path
 from types import SimpleNamespace
 from typing import NamedTuple, Optional
 
@@ -269,6 +273,24 @@ def cpu_has(flag):
             )
     except OSError:
         return False
+
+
+def rerun_under_kernel(coretype, *pytest_args):
+    """Run pytest on `pytest_args` from the repository root in a child
+    process whose OpenBLAS uses its `coretype` kernels (OPENBLAS_CORETYPE);
+    fail with the child's output unless it passes, else return its stdout."""
+    child = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         *pytest_args],
+        cwd=Path(__file__).resolve().parent.parent,
+        env={**os.environ, "OPENBLAS_CORETYPE": coretype},
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    if child.returncode != 0:
+        pytest.fail(child.stdout + child.stderr, pytrace=False)
+    return child.stdout
 
 
 @cache

@@ -179,8 +179,11 @@ class TestValidateConfig:
             # a float cast would drop the imaginary part silently
             (np.diag([2.0 + 1e-3j, 3.0, 4.0]), "^b0 has dtype complex128"),
             (np.diag([2, 3, 4]).astype(str), "^b0 has dtype <U"),
+            # np.asarray raises NumPy's own ValueError on ragged rows
+            ([[2.0, 0.0, 0.0], [0.0, 3.0, 0.0], [0.0, 0.0]],
+             r"^b0 has an inhomogeneous shape, expected \(3, 3\)"),
         ],
-        ids=["inf", "nan", "complex", "str"],
+        ids=["inf", "nan", "complex", "str", "ragged"],
     )
     def test_b0_matrix_must_be_finite_and_real(self, b0, message):
         with pytest.raises(ParameterConflict, match=message):

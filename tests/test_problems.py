@@ -1,5 +1,4 @@
 import gc
-import os
 import subprocess
 import sys
 import tracemalloc
@@ -10,7 +9,12 @@ import numpy as np
 import pytest
 import scipy.io
 import scipy.optimize
-from reference import cpu_has, logistic_data, logistic_single_pass
+from reference import (
+    cpu_has,
+    logistic_data,
+    logistic_single_pass,
+    rerun_under_kernel,
+)
 
 import qnpe.problems
 import qnpe.solver
@@ -140,16 +144,7 @@ class TestQuadratic:
             "::test_singular_matrix_is_minimizer_stall",
             "tests/test_cli.py::TestRun::test_singular_quadratic_exits_2",
         ]
-        child = subprocess.run(
-            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *ids],
-            cwd=ROOT,
-            env={**os.environ, "OPENBLAS_CORETYPE": "Haswell"},
-            capture_output=True,
-            text=True,
-            timeout=300,
-        )
-        assert child.returncode == 0, child.stdout + child.stderr
-        assert "2 passed" in child.stdout
+        assert "2 passed" in rerun_under_kernel("Haswell", *ids)
 
     def test_model_error_identically_zero(self):
         # gradient differences are exactly A (x_tilde - x) for quadratics

@@ -12,24 +12,16 @@ dist_sq was at most 3.2e-8 (d=30 quadratic) and that of the loss at most
 
 Unlike the trace digests, the comparison does not pin bytes: it holds on
 all three kernels, survives a re-pin, and catches a defect that changes
-the algorithm. The two seeded defects below pass every certificate; apart from
-this comparison, only the digests catch them.
+the algorithm: each of the eight seeded defects in tests/test_defects.py
+breaks it on all three runs.
 """
 
-import dataclasses
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import pytest
-from reference import cpu_has, textbook_qnpe
+from reference import cpu_has, rerun_under_kernel, textbook_qnpe
 
 import qnpe.solver
 from qnpe.core import SolverConfig
 from qnpe.problems import make_logistic, make_quadratic
-
-ROOT = Path(__file__).resolve().parent.parent
 
 DIST_TOL = 1e-6
 LOSS_TOL = 1e-2
@@ -76,41 +68,9 @@ def _compare(spec):
     return first_divergence(report, steps)
 
 
-def _eta_times_1_3(monkeypatch):
-    step = qnpe.solver.extragradient_step
-    monkeypatch.setattr(
-        qnpe.solver, "extragradient_step",
-        lambda x, x_hat, g_hat, eta, mu: step(x, x_hat, g_hat, 1.3 * eta, mu),
-    )
-
-
-def _accepted_gradient_in_secant(monkeypatch):
-    backtrack = qnpe.solver.backtrack
-
-    def patched(*args):
-        out = backtrack(*args)
-        if not out.backtracked:
-            return out
-        return dataclasses.replace(out, grad_x_tilde=out.grad_x_hat)
-
-    monkeypatch.setattr(qnpe.solver, "backtrack", patched)
-
-
 @pytest.mark.parametrize("spec", RUNS)
 def test_solve_follows_the_textbook_loop(spec):
     assert _compare(spec) is None
-
-
-# control flow split at k = 14, 15, 39 (eta) and 7, 13, 13 (secant) on
-# the three runs, in the order of RUNS
-@pytest.mark.parametrize("spec", RUNS)
-@pytest.mark.parametrize(
-    "defect", [_eta_times_1_3, _accepted_gradient_in_secant],
-    ids=["extragradient_eta_times_1_3", "secant_with_accepted_gradient"],
-)
-def test_seeded_defect_breaks_the_comparison(monkeypatch, defect, spec):
-    defect(monkeypatch)
-    assert _compare(spec) is not None
 
 
 @pytest.mark.parametrize(
@@ -123,14 +83,8 @@ def test_seeded_defect_breaks_the_comparison(monkeypatch, defect, spec):
     ],
 )
 def test_comparison_on_other_openblas_kernels(coretype):
-    child = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-         "tests/test_textbook.py", "-k", "not other_openblas_kernels"],
-        cwd=ROOT,
-        env={**os.environ, "OPENBLAS_CORETYPE": coretype},
-        capture_output=True,
-        text=True,
-        timeout=300,
+    stdout = rerun_under_kernel(
+        coretype, "tests/test_textbook.py", "tests/test_defects.py",
+        "-k", "not other_openblas_kernels",
     )
-    assert child.returncode == 0, child.stdout + child.stderr
-    assert "9 passed" in child.stdout
+    assert "27 passed" in stdout

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qnpe.baselines import solve_gd
-from qnpe.core import SolverConfig, resolve_initial_matrix
+from qnpe.core import Objective, SolverConfig, resolve_initial_matrix
 from qnpe.errors import BacktrackCapExceeded, MissingGroundTruth
 from qnpe.learner import loss
 from qnpe.problems import make_quadratic
@@ -291,6 +291,14 @@ class TestFailClosed:
             ), name
         assert transition(report, obj) is None
 
+    def test_gate_closes_before_the_hessian_is_read(self):
+        # the closed checks are the only ones that read H*
+        obj, report = self._rho_run(8.0)
+        certs = verify_trace(report, dataclasses.replace(obj, hessian=None))
+        for name in ("small_loss_regret", "superlinear_envelope"):
+            assert not certs[name].applicable, name
+        assert certs.n_tr is None
+
     def test_small_loss_applies_at_theory_rho(self):
         obj, report = self._rho_run(1.0 / 18.0)
         cert = verify_trace(report, obj)["small_loss_regret"]
@@ -310,6 +318,16 @@ class TestMissingGroundTruth:
         blind = dataclasses.replace(obj, hessian=None)
         with pytest.raises(MissingGroundTruth, match="Hessian"):
             verify_trace(report, blind)
+
+    def test_baseline_reads_no_ground_truth(self):
+        plain = Objective(dim=2, grad=lambda x: x, mu=1.0, l1=1.0)
+        report = solve_gd(plain, SolverConfig(max_iters=2, grad_tol=1e-15))
+        certs = verify_trace(report, plain)
+        assert len(certs.results) == 8
+        for cert in certs.results:
+            assert not cert.applicable, cert.name
+            assert cert.detail == "method without guarantees", cert.name
+        assert certs.n_tr is None and certs.n_eps_bound is None
 
     def test_unknown_certificate_name(self):
         obj, report = _exact_run()

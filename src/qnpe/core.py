@@ -324,8 +324,10 @@ def _check_b0(b0, mu: float, l1: float, d: int):
 def _check_types(cfg: SolverConfig):
     """Reject a value that its field's type cannot hold before any range
     check compares it: None in a field that is not Optional, a non-number
-    in a numeric field, a non-integer in seed or max_iters. oracle_mode and
-    an explicit b0 matrix are left to their own checks."""
+    or a bool in a numeric field, a non-integer in seed or max_iters.
+    oracle_mode and an explicit b0 matrix are left to their own checks.
+    Python's bool is an integer type, so without its own check True would
+    pass as 1."""
     for name, kind in CONFIG_FIELDS.items():
         value = getattr(cfg, name)
         if value is None:
@@ -334,6 +336,10 @@ def _check_types(cfg: SolverConfig):
             continue
         if kind is str or (name == "b0" and not np.isscalar(value)):
             continue
+        if isinstance(value, bool):
+            raise ParameterConflict(
+                f"{name} must be a number, not a bool, got {value!r}"
+            )
         if kind is int and not isinstance(value, numbers.Integral):
             raise ParameterConflict(f"{name} must be an integer, got {value!r}")
         if not isinstance(value, numbers.Real):

@@ -6,10 +6,11 @@ system directly with iterative refinement, the logistic benchmark runs
 damped Newton on its own Hessian to a 1e-12 gradient norm. No reference
 comes from the solver it is used to check.
 
-SciPy's special-function module loads with the first logistic objective
-and its I/O and sparse modules with the first `load_matrix_market`, once
-per process, so quadratic and baseline runs never import them. The Newton
-minimizer factors by LAPACK dpotrf and dpotrs from `qnpe._blas`, the calls
+The logistic sigmoid is NumPy arithmetic (`exp`, an add and a reciprocal),
+so no run loads SciPy's special-function module. SciPy's I/O and sparse
+modules load with the first `load_matrix_market`, once per process, so no
+run on a generated problem imports them. The Newton minimizer factors by
+LAPACK dpotrf and dpotrs from `qnpe._blas`, the calls
 `scipy.linalg.cho_factor` and `cho_solve` make, so no run loads
 `scipy.linalg` itself.
 """
@@ -180,6 +181,19 @@ def _row_blocks(rows: Array) -> list:
     return [rows[i : i + step] for i in range(0, n, step)]
 
 
+def _sigmoid_of_negated(t: Array) -> Array:
+    """The logistic sigmoid at -t, 1 / (1 + exp(t)), computed in t's place.
+
+    exp overflows to inf past t = 709.78, where the result 0 is the
+    correct limit; a caller that may pass such t enters
+    `np.errstate(over="ignore")` around it. Below t = -37 the result
+    rounds to 1, as does the sigmoid itself.
+    """
+    np.exp(t, out=t)
+    t += 1.0
+    return np.reciprocal(t, out=t)
+
+
 def _logistic_from_signed(signed: Array, lam: float) -> Objective:
     """Logistic objective over the signed rows y_i a_i, adopting `signed`.
 
@@ -187,11 +201,15 @@ def _logistic_from_signed(signed: Array, lam: float) -> Objective:
     finiteness check and the row norms run per row block, whose row-wise
     reductions give the bits of one pass over the whole array.
 
+    The gradient weighs row i by sigma(-m_i) and the Hessian by
+    sigma(m_i) (1 - sigma(m_i)), m_i = y_i a_i^T x, both by
+    `_sigmoid_of_negated`: the Hessian passes it the margins at -x, which
+    equal -m bit for bit. A margin past exp's overflow threshold saturates
+    the sigmoid to 0 without a warning.
+
     Raises:
         InvalidSpectrum: lam not in (0, inf), or a feature not finite.
     """
-    from scipy.special import expit
-
     if not 0.0 < lam < np.inf:
         raise InvalidSpectrum(f"lam must be positive and finite, got {lam}")
     blocks = _row_blocks(signed)
@@ -212,14 +230,20 @@ def _logistic_from_signed(signed: Array, lam: float) -> Objective:
         return acc
 
     def grad(x):
-        return -block_sum(lambda blk: blk.T @ expit(-(blk @ x))) / n + lam * x
+        with np.errstate(over="ignore"):
+            weighted = block_sum(lambda blk: blk.T @ _sigmoid_of_negated(blk @ x))
+        return -weighted / n + lam * x
 
     def hessian(x):
+        neg_x = -x
+
         def curvature(blk):
-            sig = expit(blk @ x)
+            sig = _sigmoid_of_negated(blk @ neg_x)
             return (blk.T * (sig * (1.0 - sig))) @ blk
 
-        return block_sum(curvature) / n + lam * np.eye(d)
+        with np.errstate(over="ignore"):
+            summed = block_sum(curvature)
+        return summed / n + lam * np.eye(d)
 
     row_norms = np.concatenate([np.linalg.norm(blk, axis=1) for blk in blocks])
     data_curvature = float(np.linalg.eigvalsh(signed.T @ signed)[-1]) / (4.0 * n)

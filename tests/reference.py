@@ -23,7 +23,6 @@ import numpy as np
 import pytest
 import scipy
 from scipy.linalg.blas import ddot
-from scipy.special import expit
 
 from qnpe.core import resolve_initial_matrix, symv
 from qnpe.extevec import (
@@ -44,7 +43,9 @@ def logistic_single_pass(features, labels, lam):
     Hessian the raw rows a_i.
 
     The package splits the rows into blocks and reads only the signed rows;
-    with one block it must match these bit for bit."""
+    with one block it must match these bit for bit. Both write the sigmoid
+    as sigma(z) = 1 / (1 + exp(-z)); `tests/test_problems.py` checks that
+    form against `scipy.special.expit`."""
     a = np.asarray(features, dtype=float)
     y = np.asarray(labels, dtype=float)
     n, d = a.shape
@@ -52,10 +53,10 @@ def logistic_single_pass(features, labels, lam):
 
     def grad(x):
         margins = signed @ x
-        return -(signed.T @ expit(-margins)) / n + lam * x
+        return -(signed.T @ (1.0 / (1.0 + np.exp(margins)))) / n + lam * x
 
     def hessian(x):
-        sig = expit(signed @ x)
+        sig = 1.0 / (1.0 + np.exp(-(signed @ x)))
         weights = sig * (1.0 - sig)
         return (a.T * weights) @ a / n + lam * np.eye(d)
 

@@ -84,6 +84,15 @@ class TestValidateConfig:
         with pytest.raises(ParameterConflict, match=f"^{field} "):
             validate_config(SolverConfig(**{field: value}), simple_objective())
 
+    # bool is a numbers.Integral: unchecked, True would pass as b0 = 1 * I,
+    # one iteration, seed 1 and rho 1
+    @pytest.mark.parametrize("field", ["b0", "max_iters", "seed", "rho"])
+    def test_bool_conflicts_naming_the_field(self, field):
+        with pytest.raises(
+            ParameterConflict, match=f"^{field} must be a number, not a bool, got True$"
+        ):
+            validate_config(SolverConfig(**{field: True}), simple_objective())
+
     def test_numpy_scalars_are_numbers(self):
         cfg = SolverConfig(
             rho=np.float64(0.1), seed=np.int64(3), max_iters=np.int32(5)

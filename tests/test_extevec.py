@@ -15,6 +15,7 @@ from qnpe.cli import parse_problem
 from qnpe.core import SolverConfig
 from qnpe.errors import EigFailure, ParameterConflict, ProblemMismatch
 from qnpe.extevec import (
+    _aligned_empty,
     _tridiag_extremes,
     ext_evec_exact,
     ext_evec_lanczos,
@@ -613,6 +614,57 @@ class TestLanczosBitForBit:
         theta = first.lam_max if first.lam_max >= -first.lam_min else first.lam_min
         assert float(u @ u) == pytest.approx(1.0, abs=1e-14)
         assert float(u @ (w @ u)) == pytest.approx(theta, rel=1e-10)
+
+
+def shifted_empty(offset):
+    """An `_aligned_empty` whose arrays start `offset` bytes past a multiple
+    of 64."""
+
+    def empty(rows, cols):
+        raw = _aligned_empty(1, rows * cols + 8)[0]
+        start = offset // 8
+        return raw[start : start + rows * cols].reshape(rows, cols)
+
+    return empty
+
+
+def lanczos_basis(outcome):
+    """The Lanczos basis an outcome holds for its on-demand vector."""
+    (basis,) = [a for a in vector_arrays(outcome) if a.ndim == 2]
+    return basis
+
+
+class TestAlignedBasis:
+    """The Lanczos basis starts on a 64-byte boundary, whatever the heap
+    state, and where it starts does not change the oracle's answer."""
+
+    @pytest.mark.parametrize("rows, cols", [(1, 1), (3, 5), (7, 13), (56, 400)])
+    def test_helper_aligns_every_shape(self, rows, cols):
+        held = []
+        for pad in range(8):
+            held.append(np.empty(2 * pad + 1))  # moves the heap's next address
+            a = _aligned_empty(rows, cols)
+            assert a.ctypes.data % 64 == 0
+            assert a.shape == (rows, cols) and a.flags.c_contiguous
+
+    @pytest.mark.parametrize("d", [1, 5, 40, 400])
+    def test_query_basis_is_aligned(self, d):
+        w = random_symmetric(d, d, scale=3.0)
+        for seed in range(4):
+            out = ext_evec_lanczos(w, 0.5, 0.1, np.random.default_rng(seed))
+            assert lanczos_basis(out).ctypes.data % 64 == 0
+
+    # the offsets a 16-byte aligned `np.empty` gives; at 8 bytes, which no
+    # allocation gives, OpenBLAS's SSE kernels (Prescott) round differently
+    @pytest.mark.parametrize("offset", [16, 32, 48])
+    @pytest.mark.parametrize("d", [30, 120, 400])
+    def test_outcome_does_not_depend_on_alignment(self, monkeypatch, offset, d):
+        w = random_symmetric(d, d, scale=3.0)
+        aligned = ext_evec_lanczos(w, 0.5, 0.1, np.random.default_rng(d))
+        monkeypatch.setattr(qnpe.extevec, "_aligned_empty", shifted_empty(offset))
+        shifted = ext_evec_lanczos(w, 0.5, 0.1, np.random.default_rng(d))
+        assert lanczos_basis(shifted).ctypes.data % 64 == offset
+        assert_same_outcome(shifted, aligned)
 
 
 class TestCountRepeatability:

@@ -3,7 +3,8 @@ do not depend on the certificate checker, neither the generators nor the
 checker depend on the solver, and the line search and the separation
 oracle apply the played matrix without depending on the learner that
 plays it. Only the binding module `_blas` decides where BLAS and LAPACK
-come from, and every error the package raises is a class of `qnpe.errors`."""
+come from, no module imports `scipy.special`, and every error the package
+raises is a class of `qnpe.errors`."""
 
 import ast
 from pathlib import Path
@@ -61,34 +62,58 @@ def test_scan_sees_relative_imports():
 BINDING = "_blas"
 
 
+def _loads_and_names(node) -> tuple:
+    """(modules, names) of one syntax node: the dotted modules an import
+    or an `import_module` / `__import__` call loads, a name imported from
+    a module counted as its submodule, and the identifiers or strings the
+    node names."""
+    modules, names = [], []
+    if isinstance(node, ast.Import):
+        modules = [alias.name for alias in node.names]
+        names = [alias.asname or "" for alias in node.names]
+    elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+        modules = [f"{node.module}.{alias.name}" for alias in node.names]
+        names = [alias.asname or "" for alias in node.names]
+    elif isinstance(node, ast.Call) and node.args:
+        called = getattr(node.func, "attr", getattr(node.func, "id", ""))
+        if called in ("import_module", "__import__"):
+            modules = [str(getattr(node.args[0], "value", ""))]
+    elif isinstance(node, ast.Name):
+        names = [node.id]
+    elif isinstance(node, ast.Attribute):
+        names = [node.attr]
+    elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+        names = [node.value]
+    return modules, names
+
+
+def _within(modules: list, package: str) -> bool:
+    return any(m == package or m.startswith(f"{package}.") for m in modules)
+
+
 def scipy_linalg_uses(path: Path) -> list:
     """Imports of `scipy.linalg` in any form (a submodule, a name from it,
     `from scipy import linalg`, `import_module`) and identifiers or strings
     that name SciPy's compiled `_fblas` or `_flapack`, by line number."""
     found = []
     for node in ast.walk(ast.parse(path.read_text())):
-        modules, names = [], []
-        if isinstance(node, ast.Import):
-            modules = [alias.name for alias in node.names]
-            names = [alias.asname or "" for alias in node.names]
-        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
-            modules = [f"{node.module}.{alias.name}" for alias in node.names]
-            names = [alias.asname or "" for alias in node.names]
-        elif isinstance(node, ast.Call) and node.args:
-            called = getattr(node.func, "attr", getattr(node.func, "id", ""))
-            if called in ("import_module", "__import__"):
-                modules = [str(getattr(node.args[0], "value", ""))]
-        elif isinstance(node, ast.Name):
-            names = [node.id]
-        elif isinstance(node, ast.Attribute):
-            names = [node.attr]
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            names = [node.value]
-        if any(m == "scipy.linalg" or m.startswith("scipy.linalg.") for m in modules):
+        modules, names = _loads_and_names(node)
+        if _within(modules, "scipy.linalg"):
             found.append((node.lineno, "imports scipy.linalg"))
         if any(w in n for n in modules + names for w in ("_fblas", "_flapack")):
             found.append((node.lineno, "names _fblas or _flapack"))
     return found
+
+
+def scipy_special_imports(path: Path) -> list:
+    """Line numbers of the imports of `scipy.special` in any form, as in
+    `scipy_linalg_uses`: the logistic sigmoid is NumPy's, and the first
+    load of `scipy.special` costs about 0.18 s and 21.5 MB."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(path.read_text()))
+        if _within(_loads_and_names(node)[0], "scipy.special")
+    ]
 
 
 def test_only_the_binding_module_reaches_scipy_linalg():
@@ -119,6 +144,37 @@ def test_scan_sees_every_form(tmp_path, source):
     path = tmp_path / "probe.py"
     path.write_text(source + "\n")
     assert scipy_linalg_uses(path)
+
+
+def test_no_module_imports_scipy_special():
+    offenders = {
+        path.name: lines
+        for path in sorted(PACKAGE.glob("*.py"))
+        if (lines := scipy_special_imports(path))
+    }
+    assert not offenders, offenders
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "import scipy.special",
+        "import scipy.special._ufuncs as u",
+        "from scipy.special import expit",
+        "from scipy import special",
+        "importlib.import_module('scipy.special')",
+    ],
+)
+def test_special_scan_sees_every_form(tmp_path, source):
+    path = tmp_path / "probe.py"
+    path.write_text(source + "\n")
+    assert scipy_special_imports(path) == [1]
+
+
+def test_special_scan_passes_other_scipy_imports(tmp_path):
+    path = tmp_path / "probe.py"
+    path.write_text("import scipy\nimport scipy.io\nfrom scipy import linalg\n")
+    assert scipy_special_imports(path) == []
 
 
 def test_scan_passes_other_scipy_imports(tmp_path):

@@ -2,6 +2,7 @@ import gc
 import subprocess
 import sys
 import tracemalloc
+import warnings
 import weakref
 from pathlib import Path
 
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 import scipy.io
 import scipy.optimize
+from scipy.special import expit
 from reference import (
     cpu_has,
     logistic_data,
@@ -28,6 +30,7 @@ from qnpe.errors import (
 from qnpe.linsolve import conjugate_residual
 from qnpe.problems import (
     _newton_minimizer,
+    _sigmoid_of_negated,
     load_matrix_market,
     logistic_objective,
     make_logistic,
@@ -429,10 +432,58 @@ class TestLogistic:
             logistic_objective(features, np.ones(4), lam=0.1)
 
 
-#: SciPy modules that no quadratic or baseline run loads: qnpe binds BLAS
+class TestSigmoid:
+    """The package's sigmoid, 1 / (1 + exp(t)) at -t, against SciPy's
+    `expit`, the independent reference."""
+
+    @staticmethod
+    def at_negated(t):
+        with np.errstate(over="ignore"):
+            return _sigmoid_of_negated(np.array(t, dtype=float))
+
+    def test_within_four_ulp_of_expit_where_it_is_normal(self):
+        rng = np.random.default_rng(0)
+        small = np.geomspace(1e-300, 1.0, 2001)
+        t = np.concatenate([
+            np.linspace(-745.0, 745.0, 200_001),
+            rng.uniform(-60.0, 60.0, 200_000),
+            small,
+            -small,
+        ])
+        want = expit(-t)
+        normal = want >= np.finfo(float).tiny
+        # for positive doubles the distance of the bit patterns counts ulps
+        ulps = np.abs(self.at_negated(t).view(np.int64) - want.view(np.int64))
+        assert normal.sum() > 0.9 * t.size
+        assert ulps[normal].max() <= 4
+
+    @pytest.mark.parametrize(
+        "t", [-np.inf, -1e308, -1e3, -40.0, 746.0, 1e3, 1e308, np.inf]
+    )
+    def test_saturates_where_expit_does(self, t):
+        got = self.at_negated([t])[0]
+        assert got == expit(-t) and got in (0.0, 1.0)
+
+    def test_margins_of_one_thousand_give_exact_oracles_without_warning(self):
+        # margins +1e3 and -1e3: exp overflows on the first row in the
+        # gradient and on the second in the Hessian, which reads -x
+        obj = logistic_objective(
+            np.array([[1.0], [-1.0]]), np.array([1.0, 1.0]), lam=0.1
+        )
+        x = np.array([1e3])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            grad, hessian = obj.grad(x), obj.hessian(x)
+        # gradient weights sigma(-m) = 0 and 1: grad = -(0 - 1) / 2 + 0.1 x;
+        # both Hessian weights sigma(m) (1 - sigma(m)) vanish
+        assert np.array_equal(grad, [100.5])
+        assert np.array_equal(hessian, [[0.1]])
+
+
+#: SciPy modules that no generated problem's run loads: qnpe binds BLAS
 #: and LAPACK without running the `scipy.linalg` package init (which loads
-#: `scipy._lib._util`), and `qnpe.problems` imports the last three on
-#: first use
+#: `scipy._lib._util`), computes the logistic sigmoid with NumPy, and
+#: `load_matrix_market` imports `scipy.io` and `scipy.sparse` on first use
 DEFERRED = (
     "scipy.linalg", "scipy._lib._util", "scipy.io", "scipy.sparse", "scipy.special"
 )
@@ -470,12 +521,14 @@ class TestDeferredImports:
         )
         assert not loaded, f"a quadratic run loaded {sorted(loaded)}"
 
-    def test_logistic_loads_special_only(self):
+    def test_logistic_set_up_and_run_load_none(self):
         loaded = _deferred_loaded(
-            "from qnpe import make_logistic\n"
-            "make_logistic(50, 5, 0.1, seed=1)"
+            "from qnpe import SolverConfig, cli, make_logistic, verify_trace\n"
+            "obj = make_logistic(50, 5, 0.1, seed=1)\n"
+            "report = cli.run_method('qnpe', obj, SolverConfig())\n"
+            "verify_trace(report, obj)"
         )
-        assert loaded == {"scipy.special"}, f"make_logistic loaded {sorted(loaded)}"
+        assert not loaded, f"a logistic run loaded {sorted(loaded)}"
 
     def test_matrix_market_loads_io(self, tmp_path):
         path = tmp_path / "ident2.mtx"

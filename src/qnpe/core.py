@@ -182,7 +182,6 @@ class SolverConfig:
     seed: int = 0
     max_iters: int = 10000
     grad_tol: float = 1e-8
-    dist_tol: Optional[float] = None
 
 
 class IterationRecord(typing.NamedTuple):
@@ -226,7 +225,6 @@ class SolverReport:
     final_grad_norm: float
     termination: str
     config: SolverConfig
-    x0: Array
     loss_samples: tuple = ()
     wall_time: float = 0.0
 
@@ -398,8 +396,6 @@ def validate_config(cfg: Optional[SolverConfig], obj: Objective) -> SolverConfig
     # negated so that NaN, which fails every comparison, is rejected too
     if not cfg.grad_tol >= 0.0:
         raise ParameterConflict(f"grad_tol must be >= 0, got {cfg.grad_tol}")
-    if cfg.dist_tol is not None and not cfg.dist_tol >= 0.0:
-        raise ParameterConflict(f"dist_tol must be >= 0, got {cfg.dist_tol}")
     if not sigma0 > 0.0:
         raise ParameterConflict(f"sigma0 must be positive, got {sigma0}")
     if sigma0 < alpha2 * beta / l1:

@@ -56,9 +56,10 @@ def run_loop(
     holds the `IterationRecord` entries the method sets other than k,
     grad_norm and dist_sq; the rest keep their defaults.
     The loop stops with `termination` set to "grad_tol" when
-    ||grad|| <= grad_tol, "dist_tol" when ||x - x*||^2 <= dist_tol (if both
-    are available), "stalled" after `_STALL_LIMIT` consecutive steps that
-    leave the iterate exactly unchanged, or "max_iters".
+    ||grad|| <= grad_tol, "stalled" after `_STALL_LIMIT` consecutive steps
+    that leave the iterate exactly unchanged, or "max_iters". The minimizer
+    never steers the run: it is read only for the `dist_sq` of a recorded
+    iteration.
 
     Raises:
         ProblemMismatch: x0 or a gradient is not a real ndarray of shape
@@ -71,7 +72,6 @@ def run_loop(
     check_vector(x, d, "x0")
     x = np.array(x, dtype=float)
     require_finite(x, "x0")
-    x_start = x.copy()
 
     t_begin = time.perf_counter()
     records = []
@@ -83,17 +83,10 @@ def run_loop(
     grad_norm = math.sqrt(ddot(g, g))
 
     for k in range(cfg.max_iters):
-        dist_sq = obj.dist_sq(x)
         if grad_norm <= cfg.grad_tol:
             termination = "grad_tol"
             break
-        if (
-            cfg.dist_tol is not None
-            and dist_sq is not None
-            and dist_sq <= cfg.dist_tol
-        ):
-            termination = "dist_tol"
-            break
+        dist_sq = obj.dist_sq(x)
 
         try:
             x_next, g, fields = step(x, g)
@@ -125,7 +118,6 @@ def run_loop(
         final_grad_norm=grad_norm,
         termination=termination,
         config=cfg,
-        x0=x_start,
         wall_time=time.perf_counter() - t_begin,
     )
 

@@ -180,18 +180,21 @@ def cr_with_history(mat, b, alpha, max_iters=None):
 
 class TextbookStep(NamedTuple):
     """One iteration of `textbook_qnpe`: ||x_k - x*||^2 at its start, the
-    accepted step eta_k, the line-search attempts, and the loss of the
-    learner round, None when no round ran."""
+    accepted step eta_k, the line-search attempts, the loss of the
+    learner round, None when no round ran, and the Lanczos steps of the
+    oracle call that chose the played B, 0 when there was none."""
 
     dist_sq: float
     eta: float
     ls_steps: int
     loss: Optional[float]
+    mv_extevec: int
 
 
 def textbook_qnpe(obj, cfg, iters):
-    """The paper's QNPE loop in exact oracle mode, dense, from x0 = 0, for
-    at most `iters` iterations or until ||grad|| <= cfg.grad_tol.
+    """The paper's QNPE loop in the config's oracle mode, dense, from
+    x0 = 0, for at most `iters` iterations or until
+    ||grad|| <= cfg.grad_tol.
 
     B0 is the default L1 I, and sigma0 the config's or 1/(4 L1). Each line
     search solves (I + eta B) s = -eta g by `cr_numpy` on the dense B and
@@ -203,9 +206,14 @@ def textbook_qnpe(obj, cfg, iters):
     `loss_gradient` at the played B, and, when the oracle found the played
     W outside the unit ball, the hinge max(0, -<G, W/gamma>) on the
     `separator` S of its eigenvector of larger magnitude. Only after a round
-    does the learner predict again: `np.linalg.eigh` gives gamma =
-    ||W||_op, and B = `from_hat`(W / max(gamma, 1)). Only the objective's
-    oracles and the config's constants come from the package.
+    does the learner predict again, with B = `from_hat`(W / max(gamma, 1)).
+    In exact mode `np.linalg.eigh` gives gamma = ||W||_op and the
+    eigenvector. In Lanczos mode round t's call is `lanczos_numpy` with
+    slack delta = min(mu/(L1-mu), 1), failure probability
+    q_t = p / (2.5 (t+1) ln^2(t+1)) and one generator
+    `np.random.default_rng(cfg.seed)` for the whole run; its outcome gives
+    gamma and the separator. Only the objective's oracles and the config's
+    constants come from the package.
     """
     mu, l1, d = float(obj.mu), float(obj.l1), obj.dim
     alpha1, alpha2, beta, rho = cfg.alpha1, cfg.alpha2, cfg.beta, cfg.rho
@@ -213,6 +221,9 @@ def textbook_qnpe(obj, cfg, iters):
     b = l1 * np.eye(d)
     w = (2.0 / (l1 - mu)) * (b - 0.5 * (l1 + mu) * np.eye(d))
     sep, gamma = None, 1.0  # B0 is played without an oracle call
+    delta = min(mu / (l1 - mu), 1.0)
+    rng = np.random.default_rng(cfg.seed)
+    rounds = mv_extevec = 0
     x = np.zeros(d)
     g = obj.grad(x)
     steps = []
@@ -239,15 +250,25 @@ def textbook_qnpe(obj, cfg, iters):
                 hinge = max(0.0, -float(np.sum(grad_w * (w / gamma))))
                 grad_w = grad_w + hinge * separator(sep)
             w = project_frobenius_ball(w - rho * grad_w, math.sqrt(d))
-            lam, vec = np.linalg.eigh(w)
-            top = lam[-1] >= -lam[0]
-            gamma = lam[-1] if top else -lam[0]
-            sep = None if gamma <= 1.0 else SimpleNamespace(
-                sign=1 if top else -1, vector=vec[:, -1 if top else 0]
-            )
-            b = from_hat(w / max(gamma, 1.0), mu, l1)
         gap = x - obj.minimizer
-        steps.append(TextbookStep(float(gap @ gap), eta, attempts, loss))
+        steps.append(TextbookStep(float(gap @ gap), eta, attempts, loss, mv_extevec))
+        mv_extevec = 0
+        if loss is not None:
+            rounds += 1
+            if cfg.oracle_mode == "exact":
+                lam, vec = np.linalg.eigh(w)
+                top = lam[-1] >= -lam[0]
+                gamma = lam[-1] if top else -lam[0]
+                sep = SimpleNamespace(
+                    sign=1 if top else -1, vector=vec[:, -1 if top else 0]
+                )
+            else:
+                q = cfg.p / (2.5 * (rounds + 1) * math.log(rounds + 1) ** 2)
+                sep = lanczos_numpy(w, delta, q, rng)
+                gamma, mv_extevec = sep.gamma, sep.matvecs
+            if gamma <= 1.0:
+                sep = None
+            b = from_hat(w / max(gamma, 1.0), mu, l1)
         x = (x - eta * g_hat + 2.0 * eta * mu * x_hat) / (1.0 + 2.0 * eta * mu)
         sigma = eta / beta
         g = obj.grad(x)

@@ -73,7 +73,7 @@ class TestRun:
             capsys.readouterr().err
         )
 
-    @pytest.mark.parametrize("flag", ["--grad-tol", "--dist-tol"])
+    @pytest.mark.parametrize("flag", ["--grad-tol"])
     def test_nan_tolerance_exits_2(self, tmp_path, capsys, flag):
         code = run_cli(
             tmp_path, "run", "--problem", "quadratic:d=5,mu=1,l1=10,seed=0",
@@ -148,6 +148,15 @@ class TestRun:
         assert exit_info.value.code == 2
         assert "unrecognized arguments: --delta 0.5" in capsys.readouterr().err
         assert not (tmp_path / "trace.csv").exists()
+
+    @pytest.mark.parametrize("command", ["run", "verify", "compare"])
+    def test_dist_tol_flag_is_gone(self, tmp_path, capsys, command):
+        # grad_tol is the one accuracy target: the minimizer steers no run
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli(tmp_path, command, "--problem", QUAD, "--dist-tol", "1e-10")
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --dist-tol 1e-10" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_matrix_market_gd_two_iterations(self, tmp_path):
         mtx = tmp_path / "ident2.mtx"
@@ -293,7 +302,7 @@ class TestVerify:
         )
         obj, _ = parse_problem(problem)
         run = solve(obj, SolverConfig(oracle_mode="exact", alpha2=0.125, max_iters=3))
-        target = math.log(obj.dist_sq(run.x0) / run.final_dist_sq(obj))
+        target = math.log(run.records[0].dist_sq / run.final_dist_sq(obj))
         assert float(report["n_eps_bound"]) == pytest.approx(
             target / math.log1p(1.0 / 800.0), rel=1e-12
         )
@@ -319,7 +328,8 @@ class TestVerify:
         n_tr = transition(run, obj)
         rate = linear_rate(obj.mu, obj.l1, run.config.alpha2, run.config.beta)
         bound = iteration_complexity_bound(
-            run.final_dist_sq(obj), obj.mu, obj.l1, n_tr, obj.dist_sq(run.x0), rate
+            run.final_dist_sq(obj), obj.mu, obj.l1, n_tr, run.records[0].dist_sq,
+            rate,
         )
         assert report["n_tr"] == _fmt(n_tr)
         assert report["n_eps_bound"] == _fmt(bound)
@@ -474,13 +484,12 @@ class TestCompare:
 
     def test_fewer_iterations_than_gd_at_higher_cost(self, tmp_path):
         # on an ill-conditioned quadratic the learned-curvature method
-        # reaches 1e-10 squared distance in fewer iterations than plain
+        # reaches a 1e-5 gradient norm in fewer iterations than plain
         # gradient descent, paying more oracle work per iteration
         code = run_cli(
             tmp_path, "compare", "--problem", "quadratic:d=20,mu=1,l1=1000,seed=2",
             "--method", "qnpe", "--method", "gd",
-            "--oracle-mode", "exact", "--grad-tol", "0",
-            "--dist-tol", "1e-10", "--max-iters", "40000",
+            "--oracle-mode", "exact", "--grad-tol", "1e-5", "--max-iters", "40000",
         )
         assert code == 0
         lines = read(tmp_path / "compare.dat").splitlines()
@@ -542,7 +551,7 @@ class TestConfigFlags:
         "rho": (float, None), "p": (float, None),
         "b0": (float, None), "oracle_mode": (str, ("lanczos", "exact")),
         "seed": (int, None), "max_iters": (int, None),
-        "grad_tol": (float, None), "dist_tol": (float, None),
+        "grad_tol": (float, None),
     }
 
     @pytest.mark.parametrize("command", ["run", "verify", "compare"])

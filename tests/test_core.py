@@ -72,7 +72,7 @@ class TestValidateConfig:
             ("alpha1", None), ("alpha2", None), ("beta", None), ("rho", None),
             ("p", None), ("seed", None), ("max_iters", None),
             ("grad_tol", None), ("oracle_mode", None),
-            ("rho", "0.1"), ("grad_tol", "tight"), ("dist_tol", [0.0]),
+            ("rho", "0.1"), ("grad_tol", "tight"),
             ("sigma0", "1"), ("b0", "2"),
             ("seed", 1.5), ("seed", 2.0), ("max_iters", 2.5),
             ("max_iters", math.inf),
@@ -249,7 +249,6 @@ class TestValidateConfig:
             seed=data.draw(st.integers(0, 2**63 - 1)),
             max_iters=data.draw(st.integers(1, 10**9)),
             grad_tol=data.draw(real(0.0, 1e300)),
-            dist_tol=optional(real(0.0, 1e300)),
         )
         # a valid config also keeps sigma0 * L1 / (alpha2 * beta) finite,
         # since the line search's attempt budget takes its log; a sigma0 of
@@ -264,17 +263,15 @@ class TestValidateConfig:
         assert validate_config(validated, obj) == validated
 
     @pytest.mark.parametrize("value", [float("nan"), -1.0, -0.5e-300])
-    @pytest.mark.parametrize("field", ["grad_tol", "dist_tol"])
+    @pytest.mark.parametrize("field", ["grad_tol"])
     def test_tolerances_must_be_nonnegative_numbers(self, field, value):
         # NaN fails every comparison, so it must not pass as "not negative"
         with pytest.raises(ParameterConflict, match=field):
             validate_config(SolverConfig(**{field: value}), simple_objective())
 
     def test_zero_tolerances_accepted(self):
-        cfg = validate_config(
-            SolverConfig(grad_tol=0.0, dist_tol=0.0), simple_objective()
-        )
-        assert (cfg.grad_tol, cfg.dist_tol) == (0.0, 0.0)
+        cfg = validate_config(SolverConfig(grad_tol=0.0), simple_objective())
+        assert cfg.grad_tol == 0.0
 
     def test_oracle_mode_checked(self):
         with pytest.raises(ParameterConflict):

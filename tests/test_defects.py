@@ -2,8 +2,8 @@
 algorithm made by a monkeypatch on `qnpe.solver` or `HessianLearner`.
 
 Each one must break the textbook comparison of tests/test_textbook.py on
-every one of its three runs, so the comparison catches it without the trace
-digests, which a re-pin moves. The certificates bound outcomes, so a defect
+every one of its three runs in both oracle modes, so the comparison catches
+it without the trace digests, which a re-pin moves. The certificates bound outcomes, so a defect
 that leaves the run convergent, or even speeds it up, can pass all of them.
 """
 
@@ -11,7 +11,7 @@ import dataclasses
 import itertools
 
 import pytest
-from test_textbook import RUNS, _compare
+from test_textbook import CASES, _compare
 
 import qnpe.solver
 from qnpe.learner import HessianLearner
@@ -97,7 +97,8 @@ def _secant_with_accepted_gradient(monkeypatch):
 
 
 #: defect id -> monkeypatch; each comment gives the k at which the
-#: comparison first diverged on the three runs, in the order of RUNS
+#: comparison first diverged on the three runs, in the order of RUNS, the
+#: same in both oracle modes
 DEFECTS = {
     "learner_never_steps": _learner_never_steps,  # 3, 2, 2
     "sigma_without_the_1_over_beta": _sigma_without_the_1_over_beta,  # 1, 1, 1
@@ -111,8 +112,8 @@ DEFECTS = {
 }
 
 
-@pytest.mark.parametrize("spec", RUNS)
+@pytest.mark.parametrize("spec, mode", CASES)
 @pytest.mark.parametrize("defect", DEFECTS)
-def test_seeded_defect_breaks_the_comparison(monkeypatch, defect, spec):
+def test_seeded_defect_breaks_the_comparison(monkeypatch, defect, spec, mode):
     DEFECTS[defect](monkeypatch)
-    assert _compare(spec) is not None
+    assert _compare(spec, mode) is not None

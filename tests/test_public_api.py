@@ -77,6 +77,7 @@ REMOVED = [
     "NotSymmetric",
     "NotPositiveDefinite",
     "LineSearchFailure",
+    "dist_tol",
 ]
 
 
@@ -245,7 +246,7 @@ def test_learner_takes_its_settings_from_the_config():
             SolverReport,
             [
                 "method", "records", "final_x", "final_grad_norm", "termination",
-                "config", "x0", "loss_samples", "wall_time",
+                "config", "loss_samples", "wall_time",
             ],
         ),
     ],

@@ -33,7 +33,7 @@ class TestDerivedQuantities:
         b0 = resolve_initial_matrix(report.config, obj)
         gap = float(np.linalg.norm(b0 - obj.hessian(obj.minimizer)) ** 2)
         denom = superlinear_denominator(
-            obj.mu, l1, gap, obj.l2, obj.dist_sq(report.x0)
+            obj.mu, l1, gap, obj.l2, report.records[0].dist_sq
         )
         n_tr = transition(report, obj)
         assert 16.0 * l1**2 * n_tr == pytest.approx(64.0 * denom / 3.0, rel=1e-12)
@@ -45,18 +45,26 @@ class TestDerivedQuantities:
         assert all(a > b for a, b in zip(values, values[1:]))
 
     def test_complexity_bound_is_sufficient(self):
-        # running the solver for the predicted iteration count reaches eps
-        obj = make_quadratic(10, 1.0, 50.0, seed=3)
-        report = solve(
-            obj, SolverConfig(oracle_mode="exact", grad_tol=0.0,
-                              dist_tol=1e-10, max_iters=20000)
-        )
-        d0_sq = float(np.linalg.norm(report.x0 - obj.minimizer) ** 2)
-        rate = linear_rate(obj.mu, obj.l1, report.config.alpha2, report.config.beta)
-        bound = iteration_complexity_bound(
-            1e-10, obj.mu, obj.l1, transition(report, obj), d0_sq, rate
-        )
-        assert report.iterations <= math.ceil(bound)
+        # along one run, the first k with ||x_k - x*||^2 <= eps is within
+        # the predicted iteration count, for every eps at once
+        runs = [((10, 1.0, 50.0, 3), "exact"), ((30, 1.0, 100.0, 0), "exact"),
+                ((20, 1.0, 100.0, 7), "lanczos")]
+        for problem, mode in runs:
+            obj = make_quadratic(*problem)
+            report = solve(obj, SolverConfig(oracle_mode=mode, grad_tol=1e-12))
+            assert report.termination == "grad_tol"
+            dists = [r.dist_sq for r in report.records]
+            n_tr = transition(report, obj)
+            rate = linear_rate(
+                obj.mu, obj.l1, report.config.alpha2, report.config.beta
+            )
+            for eps in (10.0**-e for e in range(2, 20, 2)):
+                first = next((k for k, dist in enumerate(dists) if dist <= eps), None)
+                assert first is not None, f"{problem}: eps={eps:g} never reached"
+                bound = iteration_complexity_bound(
+                    eps, obj.mu, obj.l1, n_tr, dists[0], rate
+                )
+                assert first <= math.ceil(bound), f"{problem}: eps={eps:g}"
 
     def test_complexity_bound_takes_the_given_rate(self):
         # at alpha2 = 1/8 the certified rate is mu/(8 L1), not mu/(4 L1);

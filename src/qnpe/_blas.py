@@ -1,14 +1,14 @@
 """Where qnpe's BLAS and LAPACK routines come from.
 
-qnpe calls eleven compiled routines: ddot, dscal, dsymv and dger from BLAS,
-and dsytrd, dstebz, dsterf, dstein, dormqr, dpotrf and dpotrs from LAPACK.
-SciPy wraps them in two f2py extension modules, `scipy.linalg._fblas` and
-`scipy.linalg._flapack`, which its public `scipy.linalg.blas` and
-`scipy.linalg.lapack` re-export unchanged. Importing either public module
-first runs the `scipy.linalg` package init, which loads all of
-`scipy.linalg` and, through `scipy._lib._util`, array-API support that
-pulls in `numpy.f2py` and `numpy.testing`: about 23 MB of resident memory
-and 0.2 s per process, none of it used here.
+qnpe calls twelve compiled routines: ddot, dscal, dsymv, dger and dsyrk from
+BLAS, and dsytrd, dstebz, dsterf, dstein, dormqr, dpotrf and dpotrs from
+LAPACK. SciPy wraps them in two f2py extension modules,
+`scipy.linalg._fblas` and `scipy.linalg._flapack`, which its public
+`scipy.linalg.blas` and `scipy.linalg.lapack` re-export unchanged. Importing
+either public module first runs the `scipy.linalg` package init, which loads
+all of `scipy.linalg` and, through `scipy._lib._util`, array-API support
+that pulls in `numpy.f2py` and `numpy.testing`: about 23 MB of resident
+memory and 0.2 s per process, none of it used here.
 
 This module loads the two extension modules from their files in SciPy's
 install directory, under their canonical names, and registers them in

@@ -46,7 +46,9 @@ class Objective:
         l1: gradient Lipschitz constant, >= mu.
         value: optional x -> objective value (needed by the BFGS baseline).
         l2: optional Lipschitz constant of the Hessian w.r.t. the minimizer.
-        hessian: optional x -> symmetric (d, d) matrix; testing/verification only.
+        hessian: optional x -> (d, d) matrix that equals its transpose bit
+            for bit; read by verification, the tests and the logistic
+            generator's Newton minimizer, never by a solver.
         minimizer: optional known minimizer x*.
 
     Raises:

@@ -9,10 +9,10 @@ comes from the solver it is used to check.
 The logistic sigmoid is NumPy arithmetic (`exp`, an add and a reciprocal),
 so no run loads SciPy's special-function module. SciPy's I/O and sparse
 modules load with the first `load_matrix_market`, once per process, so no
-run on a generated problem imports them. The Newton minimizer factors by
-LAPACK dpotrf and dpotrs from `qnpe._blas`, the calls
-`scipy.linalg.cho_factor` and `cho_solve` make, so no run loads
-`scipy.linalg` itself.
+run on a generated problem imports them. The logistic Hessian is one BLAS
+dsyrk per row block, and the Newton minimizer factors it by LAPACK dpotrf
+and dpotrs (the calls `scipy.linalg.cho_factor` and `cho_solve` make),
+all from `qnpe._blas`, so no run loads `scipy.linalg` itself.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._blas import lapack
+from ._blas import blas, lapack
 from .core import Objective, check_band
 from .errors import InvalidSpectrum, MinimizerStall, ParseError, ProblemMismatch
 
@@ -207,6 +207,13 @@ def _logistic_from_signed(signed: Array, lam: float) -> Objective:
     equal -m bit for bit. A margin past exp's overflow threshold saturates
     the sigmoid to 0 without a warning.
 
+    Each block's curvature term R^T R, with R its rows scaled by the
+    square roots of their weights, is one BLAS dsyrk: it writes the upper
+    triangle only, with half the flops of a general product. The blocks'
+    upper triangles are summed and mirrored once, so the Hessian equals
+    its transpose bit for bit. Since y_i^2 = 1, the signed rows give
+    A^T W A exactly.
+
     Raises:
         InvalidSpectrum: lam not in (0, inf), or a feature not finite.
     """
@@ -239,11 +246,16 @@ def _logistic_from_signed(signed: Array, lam: float) -> Objective:
 
         def curvature(blk):
             sig = _sigmoid_of_negated(blk @ neg_x)
-            return (blk.T * (sig * (1.0 - sig))) @ blk
+            root = blk * np.sqrt(sig * (1.0 - sig))[:, None]
+            # root.T is the Fortran view of the C-ordered rows: no copy
+            return blas.dsyrk(1.0, root.T, lower=0)
 
         with np.errstate(over="ignore"):
-            summed = block_sum(curvature)
-        return summed / n + lam * np.eye(d)
+            upper = block_sum(curvature)
+        h = upper + np.triu(upper, 1).T
+        h /= n
+        h.flat[:: d + 1] += lam
+        return h
 
     row_norms = np.concatenate([np.linalg.norm(blk, axis=1) for blk in blocks])
     data_curvature = float(np.linalg.eigvalsh(signed.T @ signed)[-1]) / (4.0 * n)

@@ -22,7 +22,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 import pytest
 import scipy
-from scipy.linalg.blas import ddot
+from scipy.linalg.blas import ddot, dsyrk
 
 from qnpe.core import resolve_initial_matrix, symv
 from qnpe.extevec import (
@@ -39,13 +39,15 @@ from qnpe.linsolve import RESIDUAL_FLOOR, CrResult, conjugate_residual
 
 def logistic_single_pass(features, labels, lam):
     """The (grad, hessian) pair of `qnpe.problems.logistic_objective` as one
-    pass over all n rows: the gradient reads the signed rows y_i a_i, the
-    Hessian the raw rows a_i.
+    pass over all n signed rows y_i a_i.
 
-    The package splits the rows into blocks and reads only the signed rows;
-    with one block it must match these bit for bit. Both write the sigmoid
-    as sigma(z) = 1 / (1 + exp(-z)); `tests/test_problems.py` checks that
-    form against `scipy.special.expit`."""
+    The Hessian is R^T R / n + lam I with R the rows weighted by
+    sqrt(sigma (1 - sigma)), R^T R taken as one BLAS syrk (its upper
+    triangle) and mirrored. Since y_i^2 = 1, the signed rows give A^T W A
+    exactly. The package splits the rows into blocks; with one block it
+    must match these bit for bit. Both write the sigmoid as
+    sigma(z) = 1 / (1 + exp(-z)); `tests/test_problems.py` checks that form
+    against `scipy.special.expit`."""
     a = np.asarray(features, dtype=float)
     y = np.asarray(labels, dtype=float)
     n, d = a.shape
@@ -57,8 +59,9 @@ def logistic_single_pass(features, labels, lam):
 
     def hessian(x):
         sig = 1.0 / (1.0 + np.exp(-(signed @ x)))
-        weights = sig * (1.0 - sig)
-        return (a.T * weights) @ a / n + lam * np.eye(d)
+        root = signed * np.sqrt(sig * (1.0 - sig))[:, None]
+        upper = dsyrk(1.0, root.T, lower=0)
+        return (upper + np.triu(upper, 1).T) / n + lam * np.eye(d)
 
     return grad, hessian
 

@@ -17,7 +17,7 @@ ROOT = PACKAGE.parent.parent
 
 #: every compiled routine qnpe calls
 ROUTINES = {
-    "ddot", "dscal", "dsymv", "dger",
+    "ddot", "dscal", "dsymv", "dger", "dsyrk",
     "dsytrd", "dstebz", "dsterf", "dstein", "dormqr", "dpotrf", "dpotrs",
 }
 

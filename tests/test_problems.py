@@ -20,7 +20,7 @@ from reference import (
 
 import qnpe.problems
 import qnpe.solver
-from qnpe import Objective
+from qnpe import Objective, SolverConfig, verify_trace
 from qnpe.errors import (
     InvalidSpectrum,
     MinimizerStall,
@@ -217,6 +217,84 @@ class TestSecondOrderConsistency:
             assert np.allclose(lhs, rhs, atol=5e-11 * max(1.0, obj.l1))
 
 
+def _matrix_market(tmp_path):
+    """`load_matrix_market` on a symmetric positive definite 15 x 15 file."""
+    rng = np.random.default_rng(12)
+    q, _ = np.linalg.qr(rng.standard_normal((15, 15)))
+    a = (q * np.geomspace(1.0, 50.0, 15)) @ q.T
+    path = tmp_path / "spd15.mtx"
+    scipy.io.mmwrite(path, 0.5 * (a + a.T), symmetry="symmetric")
+    return load_matrix_market(path)
+
+
+class TestHessianSymmetry:
+    """Every generator's Hessian is exactly symmetric, as `Objective`
+    promises: an explicit b0 must equal its transpose, and products and
+    factorizations read one triangle each."""
+
+    # make_logistic(200, 20, ...) and (2000, 50, ...) are one row block,
+    # (3000, 100, ...) two full blocks of 1310 rows and a remainder of 380
+    MAKERS = {
+        "quadratic": lambda tmp: make_quadratic(20, 1.0, 100.0, seed=1),
+        "logistic_one_block": lambda tmp: make_logistic(200, 20, 1e-3, seed=1),
+        "logistic_2000x50": lambda tmp: make_logistic(2000, 50, 1e-3, seed=1),
+        "logistic_blocks": lambda tmp: make_logistic(3000, 100, 1e-3, seed=1),
+        "logistic_objective": lambda tmp: logistic_objective(
+            *logistic_data(500, 30, seed=11), lam=1e-3
+        ),
+        "matrix_market": _matrix_market,
+    }
+
+    @pytest.mark.parametrize("maker", MAKERS.values(), ids=MAKERS.keys())
+    def test_hessian_equals_its_transpose_bitwise(self, maker, tmp_path):
+        obj = maker(tmp_path)
+        minimizer = obj.minimizer
+        if minimizer is None:
+            minimizer = _newton_minimizer(obj)
+        rng = np.random.default_rng(13)
+        points = [minimizer] + [rng.standard_normal(obj.dim) for _ in range(2)]
+        for x in points:
+            h = obj.hessian(x)
+            assert h.shape == (obj.dim, obj.dim)
+            assert np.array_equal(h, h.T)
+
+    # validate_config admits an explicit b0 only if it equals its
+    # transpose exactly: H(x*), the natural B0, must pass in both modes
+    @pytest.mark.parametrize("mode", ["lanczos", "exact"])
+    def test_hessian_at_minimizer_is_an_admissible_b0(self, mode):
+        obj = make_logistic(200, 20, 0.01, seed=3)
+        cfg = SolverConfig(oracle_mode=mode, b0=obj.hessian(obj.minimizer))
+        report = qnpe.solver.solve(obj, cfg)
+        assert report.termination == "grad_tol"
+        assert report.iterations == 10
+        certs = verify_trace(report, obj)
+        assert any(c.applicable for c in certs.results)
+        assert certs.all_passed, [c for c in certs.results if c.applicable]
+
+
+@pytest.mark.parametrize(
+    "coretype",
+    [
+        pytest.param("Haswell", marks=pytest.mark.skipif(
+            not cpu_has("avx2"), reason="Haswell kernels need AVX2"
+        )),
+        "Prescott",
+    ],
+)
+def test_hessians_on_other_openblas_kernels(coretype):
+    # syrk kernels differ by core type: the package and the single-pass
+    # reference must take the same one, and each must stay symmetric
+    stdout = rerun_under_kernel(
+        coretype,
+        "tests/test_problems.py::TestHessianSymmetry"
+        "::test_hessian_equals_its_transpose_bitwise",
+        "tests/test_problems.py::TestLogistic"
+        "::test_one_block_matches_single_pass_bitwise",
+    )
+    cases = len(TestHessianSymmetry.MAKERS) + len(TestLogistic.ONE_BLOCK_SHAPES)
+    assert f"{cases} passed" in stdout
+
+
 class TestLogistic:
     def test_zero_feature_kills_data_term(self):
         obj = logistic_objective(np.zeros((1, 1)), np.array([1.0]), lam=0.5)
@@ -322,7 +400,9 @@ class TestLogistic:
         labels = np.where(rng.standard_normal(n) < 0.0, -1.0, 1.0)
         return features, labels, rng
 
-    @pytest.mark.parametrize("n,d", [(200, 20), (1, 1), (50, 5), (6553, 20)])
+    ONE_BLOCK_SHAPES = [(200, 20), (1, 1), (50, 5), (6553, 20)]
+
+    @pytest.mark.parametrize("n,d", ONE_BLOCK_SHAPES)
     def test_one_block_matches_single_pass_bitwise(self, n, d):
         # rows = 2**20 // (8 d) >= n: one block, the single-pass arithmetic
         features, labels, rng = self.data(n, d, seed=n)
